@@ -1,8 +1,9 @@
 """Exact per-mode impedances on the ball (separated-variables oracle).
 
 Riccati-Bessel functions psi_l(x) = x j_l(x) and chi_l(x) = -x y_l(x) are
-evaluated for complex argument by regime-switched recurrences (series near
-zero, downward for |x| below the turning point, upward above it).  The exact
+evaluated for complex argument by regime-switched recurrences (psi: series
+near zero, a downward continued fraction elsewhere, element by element over
+an array of arguments; chi: upward).  The exact
 interior impedance of each vector spherical mode is a ratio of psi_l and its
 derivative; it serves as the reference the boundary-symbol eigenvalues are
 tested against.
@@ -34,7 +35,11 @@ _SCALE_THRESHOLD = 300.0
 
 @dataclass(frozen=True)
 class RiccatiPair:
-    """(psi, dpsi) scaled by e^{-log_scale}; true values are psi*e^{log_scale}."""
+    """(psi, dpsi) scaled by e^{-log_scale}; true values are psi*e^{log_scale}.
+
+    The fields are Python scalars for a scalar argument and arrays of the
+    argument's shape for an array argument.
+    """
     psi: complex
     dpsi: complex
     log_scale: float
@@ -42,117 +47,143 @@ class RiccatiPair:
 
 def _sin_cos_scaled(x):
     """(sin x, cos x) * e^{-|Im x|}, overflow-free for any Im x."""
-    s = abs(x.imag)
-    ep = cmath.exp(1j * x - s)     # modulus e^{-Im x - s} <= 1
-    em = cmath.exp(-1j * x - s)    # modulus e^{ Im x - s} <= 1
+    s = np.abs(np.imag(x))
+    ep = np.exp(1j * x - s)     # modulus e^{-Im x - s} <= 1
+    em = np.exp(-1j * x - s)    # modulus e^{ Im x - s} <= 1
     return (ep - em) / 2j, (ep + em) / 2.0
 
 
-def _series_pair(ell, x, terms=120):
-    """Taylor evaluation of (psi_ell, psi_ell') without the x^{ell+1} prefactor.
+def _psi_series(ell, x, terms=120):
+    """Taylor evaluation of (psi_ell, psi_ell', log_scale) on an array x.
 
-    Returns (S, dS, log_pref) with psi = S * e^{log_pref}; the prefactor is
-    kept in log form so large ell and small |x| cannot underflow silently.
+    The x^{ell+1} prefactor is kept in log form, so large ell and small |x|
+    cannot underflow silently: it is folded into the values (log_scale =
+    |Im x|) where its log modulus is within 300 of |Im x|, and otherwise
+    returned as log_scale.
     """
     # psi_ell = x^{ell+1}/(2ell+1)!! * sum_k c_k t^k,  t = -x^2/2,
     # c_0 = 1, c_k = c_{k-1} / (k (2ell+2k+1))
     t = -x * x / 2.0
-    c = 1.0 + 0.0j
-    S = c
-    dS = (ell + 1.0) * c          # derivative sum: (ell+1+2k) c_k t^k
-    tk = 1.0 + 0.0j
+    c = 1.0
+    S = np.ones_like(x)
+    dS = np.full_like(x, ell + 1.0)   # derivative sum: (ell+1+2k) c_k t^k
+    tk = np.ones_like(x)
     for k in range(1, terms):
         c = c / (k * (2.0 * ell + 2.0 * k + 1.0))
         tk = tk * t
         term = c * tk
         S += term
         dS += (ell + 1.0 + 2.0 * k) * term
-        if abs(term) < 1e-20 * abs(S):
+        # a term below 1e-20 |S| no longer changes S in double precision
+        if np.all(np.abs(term) < 1e-20 * np.abs(S)):
             break
+    dS = dS / x
     # log prefactor: (ell+1) log x - log (2ell+1)!!
     log_dd = math.lgamma(2.0 * ell + 2.0) - ell * math.log(2.0) - math.lgamma(ell + 1.0)
-    log_pref = (ell + 1.0) * cmath.log(x) - log_dd
-    return S, dS / x, log_pref
-
-
-def _psi_series(ell, x):
-    S, dS, log_pref = _series_pair(ell, x)
-    s = abs(x.imag)
+    log_pref = (ell + 1.0) * np.log(x) - log_dd
+    s = np.abs(x.imag)
     shift = log_pref.real - s
-    if abs(shift) < _SCALE_THRESHOLD:
-        fac = cmath.exp(complex(shift, log_pref.imag))
-        return S * fac, dS * fac, s
-    # keep everything in the reported exponent
-    fac = cmath.exp(1j * log_pref.imag)
-    return S * fac, dS * fac, log_pref.real
+    near = np.abs(shift) < _SCALE_THRESHOLD
+    fac = np.exp(np.where(near, shift, 0.0) + 1j * log_pref.imag)
+    return S * fac, dS * fac, np.where(near, s, log_pref.real)
 
 
-def _psi_logderiv(ell, x):
-    """psi pair by the downward log-derivative continued fraction.
+#: the ratio product is brought back into [1e-150, 1e150] every this many
+#: orders; 32 factors of at least ~1e-3 each cannot underflow in between
+_RENORM_EVERY = 32
+
+#: orders per block of the precomputed (2n-1)/x table (bounds its memory)
+_BLOCK = 16
+
+
+def _sweep(ell, x):
+    """psi pair on an array x by the downward log-derivative continued fraction.
 
     D_n = psi_n'/psi_n obeys D_{n-1} = n/x - 1/(D_n + n/x); running it
     downward from well past max(ell, |x|) is stable for complex x (the
     upward three-term recurrence is not once the argument leaves the real
-    axis).  psi_ell itself is rebuilt from psi_0 = sin x and the ratio
-    chain psi_n/psi_{n-1} = 1/(D_n + n/x), with an exponent accumulator so
-    neither deep decay nor growth can overflow.
+    axis).  It is run on E_n = D_n + n/x, for which it reads E_{n-1} =
+    (2n-1)/x - 1/E_n.  One sweep, started at the index the largest |x| of
+    the batch needs, serves every element (starting higher only converges
+    further).  psi_ell itself is psi_0 = sin x times the ratios
+    psi_n/psi_{n-1} = 1/E_n, n = 1..ell, whose product is renormalized into
+    an exponent accumulator so neither deep decay nor growth can overflow.
 
     Returns (psi, dpsi, log_scale, mismatch); mismatch compares the sweep's
-    own D_0 with cot x and flags a failed recurrence.
+    own D_0 = E_0 with cot x and flags a failed recurrence.  A denominator
+    E_n that rounds to zero makes the element non-finite, and its mismatch
+    NaN.
     """
-    ax = abs(x)
-    start = max(ell, int(ax)) + 25 + int(4.0 * ax ** (1.0 / 3.0))
-    D = 0.0 + 0.0j
-    ratios = [0.0j] * (ell + 1)
-    D_ell = None
-    for n in range(start, 0, -1):
-        an = n / x
-        denom = D + an
-        if denom == 0.0:
-            denom = 1e-280 + 0.0j
-        if n <= ell:
-            ratios[n] = 1.0 / denom
-        D = an - 1.0 / denom
-        if n - 1 == ell:
-            D_ell = D
-    sn, cs = _sin_cos_scaled(x)
-    scale0 = max(abs(sn), abs(cs))
-    mismatch = abs(D * sn - cs) / scale0 if scale0 > 0.0 else 0.0
+    ax_max = float(np.max(np.abs(x)))
+    start = max(ell, int(ax_max)) + 25 + int(4.0 * ax_max ** (1.0 / 3.0))
+    orders = np.arange(start, 0, -1)
+    E = start / x
+    prod = np.ones_like(x)
+    log_extra = np.zeros(x.shape)
+    E_ell = E
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in range(0, start, _BLOCK):
+            block = orders[b:b + _BLOCK]
+            for n, step in zip(block.tolist(), (2 * block[:, None] - 1) / x):
+                ratio = np.reciprocal(E)
+                if n <= ell:
+                    prod *= ratio
+                    if n % _RENORM_EVERY == 0:
+                        m = np.abs(prod)
+                        far = (m > 1e150) | (m < 1e-150)
+                        if far.any():
+                            prod[far] /= m[far]
+                            log_extra[far] += np.log(m[far])
+                E = step - ratio
+                if n - 1 == ell:
+                    E_ell = E
+        sn, cs = _sin_cos_scaled(x)
+        mismatch = np.abs(E * sn - cs) / np.maximum(np.abs(sn), np.abs(cs))
+    log_scale = np.abs(x.imag) + log_extra
     if ell == 0:
-        return sn, cs, abs(x.imag), mismatch
-    psi = sn
-    log_extra = 0.0
-    for n in range(1, ell + 1):
-        psi = psi * ratios[n]
-        m = abs(psi)
-        if m > 1e150 or (0.0 < m < 1e-150):
-            psi /= m
-            log_extra += math.log(m)
-    return psi, psi * D_ell, abs(x.imag) + log_extra, mismatch
+        return sn, cs, log_scale, mismatch
+    psi = sn * prod
+    return psi, psi * (E_ell - ell / x), log_scale, mismatch
 
 
 def riccati_bessel(ell, x):
     """First-kind Riccati-Bessel pair (psi_ell(x), psi_ell'(x)) for complex x.
 
-    Returns a :class:`RiccatiPair`; when |Im x| is large the pair is returned
-    scaled by e^{-|Im x|} with ``log_scale = |Im x|`` (plus any renormalizing
-    exponent picked up along the ratio chain), otherwise the true values with
-    ``log_scale = 0``.  The sweep's own order-0 member is checked against
-    cot x; disagreement beyond 1e-8 switches to the Taylor series.
+    ``x`` is a scalar or an array; the returned :class:`RiccatiPair` holds
+    scalars or arrays of the same shape.  Each element is evaluated in its
+    own regime: x = 0 exactly, the Taylor series for |x| < max(1e-2,
+    0.2 sqrt(ell+1)), and otherwise one downward continued-fraction sweep
+    shared by the whole batch, whose own order-0 member is checked against
+    cot x (disagreement beyond 1e-8, or a non-finite sweep, switches that
+    element to the series).
+    Where the magnitude exponent stays within 300 (always when |Im x| <= 300
+    and psi is of moderate size) the true values are returned with
+    ``log_scale = 0``; otherwise the pair is returned scaled by
+    e^{-log_scale}, with log_scale = |Im x| plus any renormalizing exponent.
     """
-    x = complex(x)
-    if x == 0.0:
-        return RiccatiPair(0.0j, 1.0 + 0.0j if ell == 0 else 0.0j, 0.0)
-    ax = abs(x)
-    if ax < 0.2 * math.sqrt(ell + 1.0) or ax < 1e-2:
-        psi, dpsi, ls = _psi_series(ell, x)
-    else:
-        psi, dpsi, ls, mismatch = _psi_logderiv(ell, x)
-        if mismatch > 1e-8:
-            psi, dpsi, ls = _psi_series(ell, x)
-    if abs(ls) <= _SCALE_THRESHOLD:
-        fac = math.exp(ls)
-        return RiccatiPair(psi * fac, dpsi * fac, 0.0)
+    xa = np.atleast_1d(np.asarray(x, dtype=complex))
+    psi = np.zeros(xa.shape, dtype=complex)
+    dpsi = np.zeros(xa.shape, dtype=complex)
+    ls = np.zeros(xa.shape)
+    ax = np.abs(xa)
+    zero = xa == 0.0
+    series = ~zero & ((ax < 0.2 * math.sqrt(ell + 1.0)) | (ax < 1e-2))
+    sweep = ~zero & ~series
+    if sweep.any():
+        p, d, l, mismatch = _sweep(ell, xa[sweep])
+        psi[sweep], dpsi[sweep], ls[sweep] = p, d, l
+        series[sweep] = ~(mismatch <= 1e-8)
+    if series.any():
+        psi[series], dpsi[series], ls[series] = _psi_series(ell, xa[series])
+    if ell == 0:
+        dpsi[zero] = 1.0
+    fold = np.abs(ls) <= _SCALE_THRESHOLD
+    fac = np.exp(np.where(fold, ls, 0.0))
+    psi *= fac
+    dpsi *= fac
+    ls[fold] = 0.0
+    if np.ndim(x) == 0:
+        return RiccatiPair(complex(psi[0]), complex(dpsi[0]), float(ls[0]))
     return RiccatiPair(psi, dpsi, ls)
 
 

@@ -41,6 +41,21 @@ def test_against_reference(ell, x, psi_ref, dpsi_ref):
     assert abs(rp.dpsi * fac - dpsi_ref) < 1e-12 * abs(dpsi_ref)
 
 
+@pytest.mark.parametrize("ell", sorted({c[0] for c in REFERENCE}))
+def test_mixed_batch_matches_scalar(ell):
+    # one batch spans every regime at once: x = 0, the series, the sweep
+    # (whose start index is set by the batch's largest |x|) and the scaled
+    # |Im x| > 300 pairs; each element must equal its own scalar call
+    xs = np.array([c[1] for c in REFERENCE] + [0j, 10 + 400j])
+    batch = riccati_bessel(ell, xs)
+    assert batch.psi.shape == batch.dpsi.shape == batch.log_scale.shape == xs.shape
+    for i, x in enumerate(xs):
+        one = riccati_bessel(ell, complex(x))
+        shift = cmath.exp(batch.log_scale[i] - one.log_scale)
+        for got, want in ((batch.psi[i], one.psi), (batch.dpsi[i], one.dpsi)):
+            assert abs(got * shift - want) <= 1e-12 * abs(want)
+
+
 def test_closed_forms_low_order():
     rng = np.random.default_rng(8)
     for _ in range(50):

@@ -10,7 +10,8 @@ from maxdtn.errors import (CoincidentMedia, ContourThroughZero,
                            InteriorResonance)
 from maxdtn.mie import exact_mode_impedance, riccati_bessel
 from maxdtn.spectral import split_lambda
-from maxdtn.transmission import (TransmissionConfig, count_zeros, locate_zeros,
+from maxdtn.transmission import (TransmissionConfig, _value_and_slope,
+                                 calibrate_C, count_zeros, locate_zeros,
                                  mode_determinant, region_is_free, region_scan,
                                  symbol_T)
 
@@ -81,6 +82,63 @@ def test_located_roots_are_zeros():
         assert abs(z - ref) < 1e-6
         _, rel, _ = mode_determinant(CFG, 1, z, "TM", scaled=True)
         assert rel < 1e-10
+
+
+@pytest.mark.parametrize("half_width", [0.1, 0.2, 0.4])
+def test_zero_on_bisection_lines_located_once(half_width):
+    # centred on the zero, the first split lines pass through it; the four
+    # children must still partition the box and report it once
+    z = ROOTS_TM[0]
+    box = (z.real - half_width, z.real + half_width,
+           z.imag - half_width, z.imag + half_width)
+    assert count_zeros(CFG, 1, "TM", box) == 1
+    zs = locate_zeros(CFG, 1, "TM", box)
+    assert len(zs) == 1
+    assert abs(zs[0] - z) < 1e-6
+
+
+def test_origin_zero_does_not_alias():
+    # lam = 0 is a zero of order 2 ell + 3 (TE, c1/mu1 = c2/mu2) or
+    # 2 ell + 1 (TM); a contour passing close by it must not pick up whole
+    # turns of its phase, and one enclosing it counts all of them
+    tile = (0.0, 1.0 / 3.0, 0.0625, 10.197307823612162)
+    assert count_zeros(CFG, 4, "TE", tile) == 0
+    assert locate_zeros(CFG, 4, "TE", tile) == []
+    origin = (-0.3, 0.3, -0.3, 0.3)
+    assert count_zeros(CFG, 1, "TE", origin) == 5
+    assert count_zeros(CFG, 1, "TM", origin) == 3
+    with pytest.raises(ContourThroughZero):
+        count_zeros(CFG, 1, "TE", (0.0, 0.3, -0.3, 0.3))
+
+
+@pytest.mark.parametrize("lam", [3.1 + 0.8j, 0.4 + 2.5j, 7.0 + 0.05j, 1.0 + 150j])
+def test_analytic_slope_matches_central_difference(lam):
+    # 1 + 150j puts |Im x1| on the 300 scaling threshold, between the
+    # two difference points
+    h = 1e-5j
+    for ell in (1, 3, 12):
+        for pol in ("TE", "TM"):
+            val, slope = _value_and_slope(CFG, ell, lam, pol)
+            fd = (mode_determinant(CFG, ell, lam + h, pol)
+                  - mode_determinant(CFG, ell, lam - h, pol)) / (2 * h)
+            want = fd / mode_determinant(CFG, ell, lam, pol)
+            assert abs(slope / val - want) < 1e-7 * abs(want)
+
+
+def test_calibration_pinned():
+    # smallest zero-free C on the test_08 media at ell <= 4, Re <= 4, and
+    # the windings on each side of it: nothing at C, only the ell = 1 TM
+    # eigenvalue 2.6945+0.7092i once C drops by two calibration steps
+    C = calibrate_C(CFG, 4, 4.0)
+    assert C == 0.33125
+    reports = region_scan(CFG, 4, 4.0, C)
+    assert len(reports) == 4 * 2 * 12
+    assert all(r.winding == 0 for r in reports)
+    below = [r for r in region_scan(CFG, 4, 4.0, C - 0.1) if r.winding]
+    assert [(r.ell, r.pol, r.winding) for r in below] == [(1, "TM", 1)]
+    assert below[0].re0 < ROOTS_TM[0].real < below[0].re1
+    assert len(below[0].violators) == 1
+    assert abs(below[0].violators[0] - ROOTS_TM[0]) < 1e-6
 
 
 def test_empty_rectangle():
