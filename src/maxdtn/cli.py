@@ -106,51 +106,62 @@ def cmd_identities(cfg: RunConfig, fault_gamma=0.0):
         tcfg = TransmissionConfig(cfg.eps, cfg.mu, cfg.c1,
                                   cfg.eps2, cfg.mu2, cfg.c2, R=cfg.radius)
 
-    worst = {"tangent-frame": 0.0, "covector-orthogonality": 0.0,
-             "rank-one-square": 0.0, "cross-system-trace": 0.0,
-             "two-media-inverse": 0.0, "approximate-inverse": 0.0}
+    def pair(u, v):
+        return np.sum(u * v, axis=-1)
 
-    def run_point(i):
-        x2, x3, x1 = x2s[i], x3s[i], x1s[i]
-        xi = xis[i]
-        out = {}
-        gam = gamma_pointwise(chart, x2, x3, x1) + fault_gamma
-        nu = gamma_pointwise(chart, x2, x3, 0.0)[:, 0] + fault_gamma
-        out["tangent-frame"] = max(abs(nu @ gam[:, 1]), abs(nu @ gam[:, 2]))
-        beta, r0 = beta_pointwise(chart, x2, x3, xi[0], xi[1])
-        beta = np.asarray(beta) + fault_gamma
-        r0 = float(beta @ beta)
-        out["covector-orthogonality"] = abs(nu @ beta) / max(1.0, math.sqrt(r0))
-        B = np.outer(beta, beta)
-        out["rank-one-square"] = np.max(np.abs(B @ B - r0 * B)) / max(1.0, r0 ** 2)
-        if r0 > 1e-8:
-            if abs(nu @ beta) > 1e-8 * max(1.0, math.sqrt(r0)):
-                # the solver rejects a non-tangential covector outright;
-                # report it as the cross-system check failing, not a crash
-                out["cross-system-trace"] = float("inf")
-                return out
-            rho = sqrt_upper(sp.z ** 2 * cfg.eps * cfg.mu - r0)
-            g = np.cross(nu, gs[i])
-            a, b, nxb = solve_cross_system(CrossSystemInput(
-                rho=rho, nu=nu, beta=beta, z=sp.z, eps0=cfg.eps, mu0=cfg.mu,
-                a_sharp=np.zeros(3, complex), b_sharp=np.zeros(3, complex), g=g))
-            lhs = sp.z * cfg.mu * np.cross(nu, np.asarray(b))
-            rhs = rho * np.cross(nu, g) + (beta @ np.cross(nu, g)) / rho * beta
-            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
-            out["cross-system-trace"] = np.max(np.abs(lhs - rhs)) / scale
-            T, w, Tt, T1 = symbol_T(tcfg, sp, r0, beta)
-            rho1 = sqrt_upper(sp.z ** 2 * cfg.eps * cfg.mu - r0)
-            rho2 = sqrt_upper(sp.z ** 2 * cfg.eps2 * cfg.mu2 - r0)
-            eye = np.eye(3)
-            prod = (eye + B / (rho1 * rho2 - r0)) @ (eye - B / (rho1 * rho2))
-            out["two-media-inverse"] = np.max(np.abs(prod - eye))
-            bracket = math.sqrt(1.0 + r0)
-            out["approximate-inverse"] = np.max(np.abs(T1 @ Tt - eye / bracket))
-        return out
+    def max_abs(m):
+        return np.max(np.abs(m), axis=(-2, -1))
 
-    for res in _pmap(run_point, range(n), cfg.threads):
-        for k, v in res.items():
-            worst[k] = max(worst[k], v)
+    # every identity is evaluated over all points at once; a point's
+    # residual is its own, relative to its own scale
+    gam = gamma_pointwise(chart, x2s, x3s, x1s) + fault_gamma
+    nu = gamma_pointwise(chart, x2s, x3s, 0.0)[..., :, 0] + fault_gamma
+    beta, _ = beta_pointwise(chart, x2s, x3s, xis[:, 0], xis[:, 1])
+    beta = beta + fault_gamma
+    r0 = pair(beta, beta)
+    root = np.sqrt(np.maximum(1.0, r0))
+    nu_beta = np.abs(pair(nu, beta))
+    B = beta[:, :, None] * beta[:, None, :]
+    live = r0 > 1e-8
+    # the solver rejects a non-tangential covector outright; report it as
+    # the cross-system check failing, not a crash
+    tangential = live & (nu_beta <= 1e-8 * root)
+    worst = {
+        "tangent-frame": np.maximum(np.abs(pair(nu, gam[..., 1])),
+                                    np.abs(pair(nu, gam[..., 2]))),
+        "covector-orthogonality": nu_beta / root,
+        "rank-one-square": max_abs(B @ B - r0[:, None, None] * B)
+        / np.maximum(1.0, r0 ** 2),
+        "cross-system-trace": np.where(live, np.inf, 0.0),
+        "two-media-inverse": np.zeros(0),
+        "approximate-inverse": np.zeros(0),
+    }
+    keep = np.flatnonzero(tangential)
+    if keep.size:
+        nu_k, beta_k, r0_k, B_k = nu[keep], beta[keep], r0[keep], B[keep]
+        rho = sqrt_upper(sp.z ** 2 * cfg.eps * cfg.mu - r0_k)
+        g = np.cross(nu_k, gs[keep])
+        _, b, _ = solve_cross_system(CrossSystemInput(
+            rho=rho, nu=list(nu_k.T), beta=list(beta_k.T), z=sp.z, eps0=cfg.eps,
+            mu0=cfg.mu, a_sharp=np.zeros(3, complex), b_sharp=np.zeros(3, complex),
+            g=list(g.T)))
+        nu_x_g = np.cross(nu_k, g)
+        lhs = sp.z * cfg.mu * np.cross(nu_k, np.stack(b, axis=-1))
+        rhs = (rho[:, None] * nu_x_g
+               + (pair(beta_k, nu_x_g) / rho)[:, None] * beta_k)
+        scale = np.maximum(np.maximum(np.max(np.abs(lhs), axis=-1),
+                                      np.max(np.abs(rhs), axis=-1)), 1.0)
+        worst["cross-system-trace"][keep] = np.max(np.abs(lhs - rhs), axis=-1) / scale
+        _, _, Tt, T1 = symbol_T(tcfg, sp, r0_k, beta_k)
+        rho1 = sqrt_upper(sp.z ** 2 * cfg.eps * cfg.mu - r0_k)[:, None, None]
+        rho2 = sqrt_upper(sp.z ** 2 * cfg.eps2 * cfg.mu2 - r0_k)[:, None, None]
+        eye = np.eye(3)
+        prod = ((eye + B_k / (rho1 * rho2 - r0_k[:, None, None]))
+                @ (eye - B_k / (rho1 * rho2)))
+        worst["two-media-inverse"] = max_abs(prod - eye)
+        bracket = np.sqrt(1.0 + r0_k)[:, None, None]
+        worst["approximate-inverse"] = max_abs(T1 @ Tt - eye / bracket)
+    worst = {k: float(np.max(v, initial=0.0)) for k, v in worst.items()}
 
     rows, ok = [], True
     for name in sorted(worst):

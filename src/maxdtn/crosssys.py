@@ -49,18 +49,57 @@ class CrossSystemInput:
         def numeric(v):
             return isinstance(v, (int, float, complex, np.number, np.ndarray))
 
+        def abs_max(v):
+            return np.abs(np.asarray(v)).max()
+
         if all(numeric(c) for c in self.nu):
             if np.any(np.abs(np.asarray(self.rho)) < 1e-14):
                 raise DegenerateRho("|rho| below 1e-14")
-            scale_b = max(1.0, float(np.max(np.abs(np.asarray(self.beta)))))
-            bn = dot(self.beta, self.nu)
-            if np.max(np.abs(np.asarray(bn))) > 1e-13 * scale_b:
+            scale_b = max(1.0, float(abs_max(self.beta)))
+            if abs_max(dot(self.beta, self.nu)) > 1e-13 * scale_b:
                 raise ValueError("<beta,nu> != 0: input rejected, not projected")
             if all(numeric(c) for c in self.g):
-                scale_g = max(1.0, float(np.max(np.abs(np.asarray(self.g)))))
-                gn = dot(self.g, self.nu)
-                if np.max(np.abs(np.asarray(gn))) > 1e-13 * scale_g:
+                scale_g = max(1.0, float(abs_max(self.g)))
+                if abs_max(dot(self.g, self.nu)) > 1e-13 * scale_g:
                     raise ValueError("<g,nu> != 0: input rejected, not projected")
+
+
+class CrossSystem:
+    """The system's left-hand side at fixed (rho, nu, beta, z, mu0).
+
+    Holds 1/rho, 1/(z mu0) and psi0, so a recursion that solves many
+    right-hand sides against one left-hand side inverts nothing twice.
+    """
+
+    __slots__ = ("rho", "nu", "beta", "inv_rho", "inv_rho2", "zmu_inv_rho2",
+                 "inv_zmu", "psi0")
+
+    def __init__(self, rho, nu, beta, z, mu0):
+        self.rho, self.nu, self.beta = rho, nu, beta
+        self.inv_rho = 1.0 / rho if not hasattr(rho, "invert") else rho.invert()
+        self.inv_rho2 = self.inv_rho * self.inv_rho
+        zmu = z * mu0
+        self.zmu_inv_rho2 = zmu * self.inv_rho2
+        self.inv_zmu = 1.0 / zmu if not hasattr(zmu, "invert") else zmu.invert()
+        self.psi0 = vsub(vscale(rho, nu), beta)
+
+    def solve(self, a_sharp, b_sharp, g):
+        """Return (a, b, nu_cross_b) for the right-hand side (a#, b#, g)."""
+        rho, nu, beta = self.rho, self.nu, self.beta
+        nu_x_g = cross(nu, g)
+        # normal component of a
+        nu_a = (self.inv_rho * dot(nu, cross(beta, g))
+                - self.inv_rho2 * dot(cross(beta, a_sharp), nu)
+                + self.zmu_inv_rho2 * dot(b_sharp, nu))
+        a = vadd(vscale(-1.0, nu_x_g), vscale(nu_a, nu))
+
+        b = vscale(self.inv_zmu, vsub(cross(self.psi0, a), a_sharp))
+
+        # z*mu0 * (nu x b) = rho*(nu x g) - <nu,a>*beta - nu x a#
+        nu_cross_b = vscale(self.inv_zmu,
+                            vsub(vsub(vscale(rho, nu_x_g), vscale(nu_a, beta)),
+                                 cross(nu, a_sharp)))
+        return a, b, nu_cross_b
 
 
 def solve_cross_system(inp: CrossSystemInput):
@@ -69,26 +108,5 @@ def solve_cross_system(inp: CrossSystemInput):
     nu_cross_b is computed from its own closed form rather than as
     cross(nu, b), avoiding a cancellation-prone product at large |rho|.
     """
-    rho, nu, beta = inp.rho, inp.nu, inp.beta
-    z, mu0 = inp.z, inp.mu0
-    a_sharp, b_sharp, g = inp.a_sharp, inp.b_sharp, inp.g
-
-    inv_rho = 1.0 / rho if not hasattr(rho, "invert") else rho.invert()
-    inv_rho2 = inv_rho * inv_rho
-    zmu = z * mu0
-    inv_zmu = 1.0 / zmu if not hasattr(zmu, "invert") else zmu.invert()
-
-    nu_x_g = cross(nu, g)
-    # normal component of a
-    nu_a = (inv_rho * dot(nu, cross(beta, g))
-            - inv_rho2 * dot(cross(beta, a_sharp), nu)
-            + (zmu * inv_rho2) * dot(b_sharp, nu))
-    a = vadd(vscale(-1.0, nu_x_g), vscale(nu_a, nu))
-
-    psi0 = vsub(vscale(rho, nu), beta)
-    b = vscale(inv_zmu, vsub(cross(psi0, a), a_sharp))
-
-    # z*mu0 * (nu x b) = rho*(nu x g) - <nu,a>*beta - nu x a#
-    nu_cross_b = vscale(inv_zmu, vsub(vsub(vscale(rho, nu_x_g), vscale(nu_a, beta)),
-                                      cross(nu, a_sharp)))
-    return a, b, nu_cross_b
+    return CrossSystem(inp.rho, inp.nu, inp.beta, inp.z, inp.mu0).solve(
+        inp.a_sharp, inp.b_sharp, inp.g)

@@ -34,31 +34,59 @@ def _indices(nvars: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _mul_matrix(nvars: int, order: int):
-    """Sparse tensor folding outer(a, b) into the truncated product."""
-    from scipy.sparse import csr_matrix
+def _mul_matrix(nvars: int, order: int, order_a=None, order_b=None):
+    """The 0/1 matrix folding outer(a, b) into the truncated product, by nonzeros.
 
-    shape = (order + 1,) * nvars
-    size = (order + 1) ** nvars
+    Returns ``(ia, ib, starts, dest)`` over flattened coefficient tables: the
+    product's entry ``dest[k]`` is the sum of ``a[ia[j]] * b[ib[j]]`` over
+    ``starts[k] <= j < starts[k + 1]``.  The operands' tables may be of a
+    higher order than the product (``order_a``, ``order_b``, default
+    ``order``); only their entries of degree <= ``order`` are read.
+    """
+    def flat(i, o):
+        return int(np.ravel_multi_index(i, (o + 1,) * nvars))
+
+    oa = order if order_a is None else order_a
+    ob = order if order_b is None else order_b
     idx = _indices(nvars, order)
-    rows, cols = [], []
+    terms = []
     for ia in idx:
-        ra = np.ravel_multi_index(ia, shape)
         for ib in idx:
             s = tuple(x + y for x, y in zip(ia, ib))
             if sum(s) <= order:
-                rows.append(np.ravel_multi_index(s, shape))
-                cols.append(ra * size + np.ravel_multi_index(ib, shape))
-    data = np.ones(len(rows))
-    return csr_matrix((data, (rows, cols)), shape=(size, size * size))
+                terms.append((flat(s, order), flat(ia, oa), flat(ib, ob)))
+    terms.sort(key=lambda t: t[0])
+    dest, ia, ib = (np.array(t, dtype=np.intp) for t in zip(*terms))
+    first = np.flatnonzero(np.r_[True, dest[1:] != dest[:-1]])
+    return ia, ib, first, dest[first]
 
 
 @lru_cache(maxsize=None)
-def _degree_mask(nvars: int, order: int):
-    """Boolean mask selecting entries with total degree <= order."""
+def _powers(nvars: int, order: int, pos: int):
+    """Exponents 1..order along axis ``pos``, shaped to scale a derivative."""
+    shape = [1] * nvars
+    shape[pos] = order
+    return np.arange(1, order + 1, dtype=float).reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _above_degree(nvars: int, order: int):
+    """Boolean mask selecting entries with total degree > order."""
     shape = (order + 1,) * nvars
     grids = np.indices(shape).sum(axis=0)
-    return grids <= order
+    return grids > order
+
+
+def _jet(vars, order, coef):
+    """Jet around a complex table already of the right shape (no checks)."""
+    j = object.__new__(Jet)
+    j.vars = vars
+    j.order = order
+    j.coef = coef
+    return j
+
+
+_SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
 class Jet:
@@ -99,7 +127,7 @@ class Jet:
     @property
     def value(self):
         """Constant (base-point) coefficient."""
-        return complex(self.coef[(0,) * len(self.vars)])
+        return complex(self.coef.flat[0])
 
     def coefficient(self, **powers):
         idx = tuple(powers.get(v, 0) for v in self.vars)
@@ -125,62 +153,77 @@ class Jet:
         if order >= self.order:
             return self
         sl = (slice(0, order + 1),) * len(self.vars)
-        out = Jet(self.vars, order, self.coef[sl].copy())
-        out.coef[~_degree_mask(len(self.vars), order)] = 0.0
-        return out
+        coef = self.coef[sl].copy()
+        coef[_above_degree(len(self.vars), order)] = 0.0
+        return _jet(self.vars, order, coef)
 
     def max_abs(self):
         return float(np.max(np.abs(self.coef)))
 
     # -- ring operations ------------------------------------------------
-    def _coerce(self, other):
+    def _aligned(self, other):
+        """(order, a, b): both coefficient tables cut to the weaker order.
+
+        Entries above that degree are left in place; callers zero them.
+        """
+        if other.vars != self.vars:
+            raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
+        if other.order == self.order:
+            return self.order, self.coef, other.coef
+        order = min(self.order, other.order)
+        sl = (slice(0, order + 1),) * len(self.vars)
+        return order, self.coef[sl], other.coef[sl]
+
+    def _sum(self, other, sign):
         if isinstance(other, Jet):
-            if other.vars != self.vars:
-                raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
-            return other
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return Jet.constant(complex(other), self.vars, self.order)
-        return None
+            order, a, b = self._aligned(other)
+            coef = a + b if sign > 0 else a - b
+            if self.order != other.order:
+                coef[_above_degree(len(self.vars), order)] = 0.0
+            return _jet(self.vars, order, coef)
+        if isinstance(other, _SCALARS):
+            coef = self.coef.copy()
+            coef.flat[0] += other if sign > 0 else -other
+            return _jet(self.vars, self.order, coef)
+        return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        order = min(self.order, o.order)
-        a, b = self.truncate(order), o.truncate(order)
-        return Jet(self.vars, order, a.coef + b.coef)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.vars, self.order, -self.coef)
+        return _jet(self.vars, self.order, -self.coef)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return Jet(self.vars, self.order, self.coef * complex(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        order = min(self.order, o.order)
-        a, b = self.truncate(order), o.truncate(order)
-        n = len(self.vars)
-        av, bv = a.coef.ravel(), b.coef.ravel()
-        out = _mul_matrix(n, order) @ np.multiply.outer(av, bv).ravel()
-        return Jet(self.vars, order, out.reshape((order + 1,) * n))
+        if isinstance(other, Jet):
+            if other.vars != self.vars:
+                raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
+            n = len(self.vars)
+            if other.order == self.order:
+                order = self.order
+                ia, ib, starts, dest = _mul_matrix(n, order)
+            else:
+                order = min(self.order, other.order)
+                ia, ib, starts, dest = _mul_matrix(n, order, self.order, other.order)
+            terms = self.coef.ravel()[ia] * other.coef.ravel()[ib]
+            coef = np.zeros((order + 1,) * n, dtype=complex)
+            coef.ravel()[dest] = np.add.reduceat(terms, starts)
+            return _jet(self.vars, order, coef)
+        if isinstance(other, _SCALARS):
+            return _jet(self.vars, self.order, self.coef * complex(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(other, _SCALARS):
             return self * (1.0 / complex(other))
         if isinstance(other, Jet):
             return self * other.invert()
@@ -205,23 +248,21 @@ class Jet:
         pos = self.vars.index(var)
         n = len(self.vars)
         order = self.order - 1
-        out = np.zeros((order + 1,) * n, dtype=complex)
-        src = np.moveaxis(self.coef, pos, 0)
-        dst = np.moveaxis(out, pos, 0)
-        trim = (slice(0, order + 1),) * (n - 1)
-        for k in range(1, self.order + 1):
-            dst[(k - 1,) + trim] = k * src[(k,) + trim]
-        out[~_degree_mask(n, order)] = 0.0
-        return Jet(self.vars, order, out)
+        src = [slice(0, order + 1)] * n
+        src[pos] = slice(1, self.order + 1)
+        out = self.coef[tuple(src)] * _powers(n, self.order, pos)
+        out[_above_degree(n, order)] = 0.0
+        return _jet(self.vars, order, out)
 
     # -- analytic composition -------------------------------------------
     def compose_series(self, series_coef):
         """Sum series_coef[k] * (self - const)^k, k = 0..order."""
         u = self - self.value
         out = Jet.constant(series_coef[0], self.vars, self.order)
-        power = Jet.constant(1.0, self.vars, self.order)
+        power = u
         for k in range(1, min(len(series_coef), self.order + 1)):
-            power = power * u
+            if k > 1:
+                power = power * u
             out = out + series_coef[k] * power
         return out
 
@@ -318,7 +359,7 @@ class NormalSeries:
         if isinstance(other, Jet):
             zero = other * 0.0
             return NormalSeries([other] + [zero] * (self.n1 - 1))
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(other, _SCALARS):
             return NormalSeries.constant(other, self.n1, template=self.coeffs[0])
         return None
 
@@ -344,7 +385,7 @@ class NormalSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(other, _SCALARS):
             return NormalSeries([c * complex(other) for c in self.coeffs])
         if isinstance(other, Jet):
             return NormalSeries([c * other for c in self.coeffs])
@@ -363,7 +404,7 @@ class NormalSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(other, _SCALARS):
             return self * (1.0 / complex(other))
         if isinstance(other, Jet):
             return self * other.invert()

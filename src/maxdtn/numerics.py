@@ -85,29 +85,43 @@ def skew(v):
 
 
 def _lu_factor(a):
-    """In-place partial-pivot LU; returns (lu, perm)."""
-    n = a.shape[0]
-    perm = np.arange(n)
+    """In-place partial-pivot LU of a list of rows; returns (lu, perm).
+
+    Plain complex arithmetic: the oracle factors small dense systems one
+    at a time, where per-call array overhead would dominate.
+    """
+    n = len(a)
+    perm = list(range(n))
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < TINY:
-            raise Singular(f"pivot {abs(a[p, k]):.3e} below floor at column {k}")
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if abs(a[p][k]) < TINY:
+            raise Singular(f"pivot {abs(a[p][k]):.3e} below floor at column {k}")
         if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+            a[k], a[p] = a[p], a[k]
+            perm[k], perm[p] = perm[p], perm[k]
+        row = a[k]
+        pivot = row[k]
+        for i in range(k + 1, n):
+            r = a[i]
+            f = r[k] = r[k] / pivot
+            for j in range(k + 1, n):
+                r[j] -= f * row[j]
     return a, perm
 
 
 def _lu_solve(lu, perm, rhs):
-    n = lu.shape[0]
-    b = np.asarray(rhs, dtype=complex)[perm].copy()
+    n = len(lu)
+    b = [complex(rhs[i]) for i in perm]
     for k in range(n):
-        b[k + 1:] -= lu[k + 1:, k] * b[k]
+        for i in range(k + 1, n):
+            b[i] -= lu[i][k] * b[k]
     for k in range(n - 1, -1, -1):
-        b[k] = (b[k] - lu[k, k + 1:] @ b[k + 1:]) / lu[k, k]
-    return b
+        row = lu[k]
+        acc = b[k]
+        for j in range(k + 1, n):
+            acc -= row[j] * b[j]
+        b[k] = acc / row[k]
+    return np.array(b)
 
 
 def cross_solve_oracle(m, rhs, refine=2):
@@ -126,7 +140,7 @@ def cross_solve_oracle(m, rhs, refine=2):
     if a0.shape != (n, n) or b.shape != (n,):
         raise ValueError("square matrix and matching rhs required")
     norm_a = np.max(np.sum(np.abs(a0), axis=1))
-    lu, perm = _lu_factor(a0.copy())
+    lu, perm = _lu_factor(a0.tolist())
     x = _lu_solve(lu, perm, b)
     a_ld = a0.astype(np.clongdouble)
     b_ld = b.astype(np.clongdouble)

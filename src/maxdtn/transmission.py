@@ -403,27 +403,29 @@ def calibrate_C(cfg: TransmissionConfig, ell_max, re_max, C_hi=8.0,
 
 
 def symbol_T(cfg: TransmissionConfig, sp, r0, beta):
-    """(T, w, T_tilde, T_1) of the two-media matching at one cotangent point.
+    """(T, w, T_tilde, T_1) of the two-media matching at cotangent points.
 
     T = kappa (rho1 - rho2)(I - (rho1 rho2)^{-1} B) with kappa = c1/mu1;
     w = z^2 kappa (eps1 mu1 - eps2 mu2); T_tilde = T / w; and the
     approximate inverse T_1 = <xi'>^{-1} (rho1 + rho2)(I + (rho1 rho2 -
-    r0)^{-1} B), so T_1 T_tilde = <xi'>^{-1} I.  Raises
-    :class:`CoincidentMedia` when eps1 mu1 == eps2 mu2 (w = 0).
+    r0)^{-1} B), so T_1 T_tilde = <xi'>^{-1} I.  Batched: r0 of shape
+    (...) and beta of shape (..., 3) give matrices of shape (..., 3, 3).
+    Raises :class:`CoincidentMedia` when eps1 mu1 == eps2 mu2 (w = 0).
     """
     dm = cfg.eps1 * cfg.mu1 - cfg.eps2 * cfg.mu2
     if abs(dm) <= 1e-12 * (cfg.eps1 * cfg.mu1):
         raise CoincidentMedia("eps1*mu1 == eps2*mu2: w vanishes")
     z = sp.z
     kappa = cfg.c1 / cfg.mu1
+    r0 = np.asarray(r0)[..., None, None]
     rho1 = sqrt_upper(z * z * cfg.eps1 * cfg.mu1 - r0)
     rho2 = sqrt_upper(z * z * cfg.eps2 * cfg.mu2 - r0)
     beta = np.asarray(beta, dtype=complex)
-    B = np.outer(beta, beta)
+    B = beta[..., :, None] * beta[..., None, :]
     eye = np.eye(3)
     T = kappa * (rho1 - rho2) * (eye - B / (rho1 * rho2))
     w = z * z * kappa * dm
     T_tilde = T / w
-    bracket = math.sqrt(1.0 + float(np.real(r0)))
+    bracket = np.sqrt(1.0 + np.real(r0))
     T1 = (rho1 + rho2) * (eye + B / (rho1 * rho2 - r0)) / bracket
     return T, w, T_tilde, T1

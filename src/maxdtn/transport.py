@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crosssys import CrossSystemInput, solve_cross_system
+from .crosssys import CrossSystem
 from .eikonal import PhaseSeries, eikonal_coeffs
 from .errors import OrderBudgetExceeded, OutsideRetainedRegion
 from .geometry import GammaSeries, beta_jets, gamma_pointwise
@@ -122,7 +122,8 @@ def _grad_cross(gamma_cols, vec):
 
 
 class _Recursion:
-    """Shared state for one basis column of the transport build."""
+    """State of the transport build: the datum-independent series, shared by
+    the three basis columns, and the slots (a, b, nu x b) of the current one."""
 
     def __init__(self, ps, media, N, J, media_corrections):
         gs = ps.gs
@@ -142,10 +143,9 @@ class _Recursion:
         self.beta = beta_jets(gs, ps.xiprime)
         self.rho = ps.rho_jet
         self.z = ps.sp.z
-        self.zmu0 = self.z * self.mu_k[0]
-        self.zeps0 = self.z * self.eps_k[0]
-        self.inv_zeps0 = self.zeps0.invert()
-        self.psi0 = [self.rho * self.nu[i] - self.beta[i] for i in range(3)]
+        self.inv_zeps0 = (self.z * self.eps_k[0]).invert()
+        self.system = CrossSystem(self.rho, self.nu, self.beta, self.z, self.mu_k[0])
+        self.psi0 = self.system.psi0
         self.gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
                       for m in range(ntot)]
         self.zero = self.nu[0] * 0.0
@@ -204,9 +204,7 @@ class _Recursion:
         return out
 
     def solve_slot(self, j, k, a_sh, b_sh, g):
-        inp = CrossSystemInput(self.rho, self.nu, self.beta, self.z,
-                               self.eps_k[0], self.mu_k[0], a_sh, b_sh, g)
-        return solve_cross_system(inp)
+        return self.system.solve(a_sh, b_sh, g)
 
     def tangential_datum(self, j, k, a_sh, b_sh, scheme):
         """Datum g for slot (j,k): bc at k=0, else the solvability choice."""
@@ -242,9 +240,9 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
     a = [dict() for _ in range(3)]
     b = [dict() for _ in range(3)]
     nxb = [dict() for _ in range(3)]
-    rec = None
+    rec = _Recursion(ps, media, N, J, media_corrections)
     for i, e in enumerate(_BASIS):
-        rec = _Recursion(ps, media, N, J, media_corrections)
+        rec.a, rec.b, rec.nxb = {}, {}, {}
         g0 = vscale(-1.0, cross(rec.nu, list(e)))
         for s in range(N + J):
             for j in range(min(s, J) + 1):

@@ -88,6 +88,28 @@ def test_truncate():
     assert t.order == 1
 
 
+def test_mixed_order_operands_truncate_to_the_weaker():
+    # products and sums of jets of different orders read only the entries
+    # of degree <= the weaker order, with any table layout of the stronger
+    rng = np.random.default_rng(5)
+
+    def random_jet(order):
+        shape = (order + 1,) * 2
+        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coef[np.add.outer(np.arange(order + 1), np.arange(order + 1)) > order] = 0.0
+        return Jet(VARS, order, coef)
+
+    for hi, lo in ((6, 2), (3, 0), (8, 7)):
+        a, b = random_jet(hi), random_jet(lo)
+        a_lo, b_lo = a.truncate(lo), b.truncate(lo)
+        for got, want in ((a * b, a_lo * b_lo), (b * a, b_lo * a_lo),
+                          (a + b, a_lo + b_lo), (b - a, b_lo - a_lo)):
+            assert got.order == lo
+            assert np.max(np.abs(got.coef - want.coef)) < 1e-13
+    with pytest.raises(ValueError):
+        Jet.constant(1.0, VARS, 2) * Jet.constant(1.0, ("x2",), 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-2, 2), min_size=3, max_size=3),
        st.lists(st.floats(-2, 2), min_size=3, max_size=3))

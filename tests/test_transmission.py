@@ -184,6 +184,20 @@ def test_symbol_T_identities():
     assert np.max(np.abs(T1 @ Tt - np.eye(3) / bracket)) < 1e-13
 
 
+def test_symbol_T_batched_matches_pointwise():
+    sp = split_lambda(5 + 2j)
+    rng = np.random.default_rng(11)
+    beta = rng.uniform(-2.0, 2.0, (7, 3))
+    r0 = np.sum(beta * beta, axis=-1)
+    T, w, Tt, T1 = symbol_T(CFG, sp, r0, beta)
+    assert T.shape == Tt.shape == T1.shape == (7, 3, 3)
+    for i in range(7):
+        Ti, wi, Tti, T1i = symbol_T(CFG, sp, float(r0[i]), beta[i])
+        assert wi == w
+        for got, want in ((T[i], Ti), (Tt[i], Tti), (T1[i], T1i)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_symbol_T_coincident_media():
     sp = split_lambda(5 + 2j)
     with pytest.warns(UserWarning):
