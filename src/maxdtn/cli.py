@@ -14,12 +14,11 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import RunConfig, load_config
-from .crosssys import CrossSystemInput, solve_cross_system
+from .crosssys import TANGENCY_TOL, CrossSystemInput, solve_cross_system
 from .eikonal import eikonal_coeffs, eikonal_residual
 from .errors import ConfigError, MaxdtnError
 from .geometry import GammaSeries, MediaField, SurfaceChart, \
@@ -31,7 +30,7 @@ from .numerics import sqrt_upper
 from .spectral import split_lambda
 from .transmission import TransmissionConfig, calibrate_C, region_is_free, \
     region_scan, symbol_T
-from .transport import boundary_symbol, maxwell_residual, transport_coeffs
+from .transport import maxwell_residual, transport_coeffs
 
 
 def _fmt(v):
@@ -56,13 +55,6 @@ def _write_csv(path, cfg: RunConfig, columns, rows, summary=()):
         f.write(",".join(columns) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _chart(cfg: RunConfig):
@@ -124,8 +116,9 @@ def cmd_identities(cfg: RunConfig, fault_gamma=0.0):
     B = beta[:, :, None] * beta[:, None, :]
     live = r0 > 1e-8
     # the solver rejects a non-tangential covector outright; report it as
-    # the cross-system check failing, not a crash
-    tangential = live & (nu_beta <= 1e-8 * root)
+    # the cross-system check failing, not a crash (each point on its own scale)
+    beta_max = np.max(np.abs(beta), axis=-1)
+    tangential = live & (nu_beta <= TANGENCY_TOL * np.maximum(1.0, beta_max))
     worst = {
         "tangent-frame": np.maximum(np.abs(pair(nu, gam[..., 1])),
                                     np.abs(pair(nu, gam[..., 2]))),
@@ -248,14 +241,10 @@ def cmd_dtn_compare(cfg: RunConfig):
     rows = []
     errs = {}
     media = (cfg.eps, cfg.mu)
-
-    def one(h):
+    for h in sorted(cfg.h_list, reverse=True):
         lam = complex(1.0, cfg.theta) / h
         ell = max(1, round(1.0 / (2.0 * h)))
-        return h, dtn_compare([ell], lam, media, R=cfg.radius, orders=(0, 1))
-
-    for h, reps in _pmap(one, sorted(cfg.h_list, reverse=True), cfg.threads):
-        for r in reps:
+        for r in dtn_compare([ell], lam, media, R=cfg.radius):
             if r["resonant"]:
                 rows.append((r["ell"], r["pol"], r["lam_re"], r["lam_im"],
                              float("nan"), float("nan"),
@@ -297,9 +286,11 @@ def cmd_te_scan(cfg: RunConfig):
             for r in reports]
     free = region_is_free(reports)
     violators = [z for r in reports for z in r.violators]
+    top = max(r.im1 for r in reports)
     summary = [f"C = {_fmt(float(C))}",
                f"total winding = {sum(r.winding for r in reports)}",
-               f"region free = {free}"]
+               f"region free = {free}",
+               f"scanned up to Im = {_fmt(top)}; the band above is not examined"]
     summary += [f"violator: {_fmt(z)}" for z in violators[:20]]
     ok = free if cfg.certify else True
     cols = ["re0", "re1", "im0", "im1", "ell", "pol", "winding"]
@@ -371,7 +362,6 @@ def build_parser():
                    help="which verification suite to run")
     p.add_argument("--config", help="INI file with a [run] section")
     p.add_argument("--output-dir", help="directory for the CSV report")
-    p.add_argument("--threads", type=int, help="worker pool width")
     p.add_argument("--seed", type=int, help="seed for random test points")
     p.add_argument("--fault-gamma", type=float, default=0.0,
                    help="test hook: perturb the boundary frame by this much")
@@ -387,8 +377,6 @@ def main(argv=None):
         cfg.command = args.command
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()

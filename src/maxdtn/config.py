@@ -65,7 +65,6 @@ class RunConfig:
     # plumbing
     tol: float = field(default_factory=default_tol)
     output_dir: str = "."
-    threads: int = 1
 
     @property
     def lam(self):
@@ -79,7 +78,7 @@ class RunConfig:
             if not (isinstance(v, (int, float)) and v == v and
                     abs(v) != float("inf") and v > 0.0):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
-        for name in ["N", "J", "npoints", "ell_max", "grid_n", "threads", "seed"]:
+        for name in ["N", "J", "npoints", "ell_max", "grid_n", "seed"]:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 0):
                 raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
@@ -103,7 +102,7 @@ class RunConfig:
 
 
 _TUPLE_KEYS = {"axes", "h_list", "thetas"}
-_INT_KEYS = {"N", "J", "npoints", "seed", "ell_max", "grid_n", "threads"}
+_INT_KEYS = {"N", "J", "npoints", "seed", "ell_max", "grid_n"}
 _BOOL_KEYS = {"certify", "calibrate"}
 _STR_KEYS = {"command", "chart", "output_dir"}
 

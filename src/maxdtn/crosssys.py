@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DegenerateRho
 from .numerics import cross, dot, vadd, vscale, vsub
 
+#: largest accepted |<beta,nu>| (|<g,nu>|) relative to max(1, max |beta_i|)
+TANGENCY_TOL = 1e-13
+
 
 class CrossSystemInput:
     """Validated input bundle for the cross-product system.
@@ -56,11 +59,11 @@ class CrossSystemInput:
             if np.any(np.abs(np.asarray(self.rho)) < 1e-14):
                 raise DegenerateRho("|rho| below 1e-14")
             scale_b = max(1.0, float(abs_max(self.beta)))
-            if abs_max(dot(self.beta, self.nu)) > 1e-13 * scale_b:
+            if abs_max(dot(self.beta, self.nu)) > TANGENCY_TOL * scale_b:
                 raise ValueError("<beta,nu> != 0: input rejected, not projected")
             if all(numeric(c) for c in self.g):
                 scale_g = max(1.0, float(abs_max(self.g)))
-                if abs_max(dot(self.g, self.nu)) > 1e-13 * scale_g:
+                if abs_max(dot(self.g, self.nu)) > TANGENCY_TOL * scale_g:
                     raise ValueError("<g,nu> != 0: input rejected, not projected")
 
 

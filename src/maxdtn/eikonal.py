@@ -23,6 +23,7 @@ from .numerics import dot, matvec, sqrt_upper
 
 log = logging.getLogger(__name__)
 
+#: initial delta of the retained region x1 <= 2 delta min(1, |rho|^3)
 DELTA_DEFAULT = 0.1
 
 
@@ -30,7 +31,7 @@ class PhaseSeries:
     """Phase coefficients phi_k (jets) at a fixed cotangent base point."""
 
     def __init__(self, gs: GammaSeries, sp, xiprime, phis, rho_jet, media,
-                 delta=DELTA_DEFAULT, flattened=False):
+                 flattened=False):
         self.gs = gs
         self.sp = sp
         self.base = gs.base
@@ -40,7 +41,7 @@ class PhaseSeries:
         self.rho = rho_jet.value
         self.media = media
         self.N = len(phis)
-        self.delta = delta
+        self.delta = DELTA_DEFAULT
         self.flattened = flattened
 
     def x1_max(self):
@@ -62,6 +63,14 @@ class PhaseSeries:
 
         return [pad(dx1), pad(d2), pad(d3)]
 
+    def grad_at(self, x1):
+        """grad_x phi at (base, x1) as a numeric 3-vector."""
+        return np.array([
+            sum(k * self.phis[k].value * x1 ** (k - 1) for k in range(1, self.N)),
+            sum(self.phis[k].derivative("x2").value * x1 ** k for k in range(self.N)),
+            sum(self.phis[k].derivative("x3").value * x1 ** k for k in range(self.N)),
+        ])
+
     def phi_value(self, x1):
         """phi at (base, x1) minus the constant phi_0 term (which is 0 at base)."""
         return sum(self.phis[k].value * x1 ** k for k in range(self.N))
@@ -72,8 +81,7 @@ class PhaseSeries:
         return bool(np.all(vals >= x1s * self.rho.imag / 2.0 - 1e-13))
 
 
-def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N,
-                   delta=DELTA_DEFAULT, flattened=False):
+def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     """Solve the eikonal recursion at the base point of gs.
 
     Produces phi_0..phi_N, zeroing the x1-coefficients of the defect through
@@ -112,8 +120,7 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N,
     zero = phi0 * 0.0
     for k in range(1, N):
         # S_k with phi_{k+1} = 0
-        ps = PhaseSeries(gs, sp, xiprime, phis + [zero], rho_jet, media,
-                         delta, flattened)
+        ps = PhaseSeries(gs, sp, xiprime, phis + [zero], rho_jet, media, flattened)
         grad = ps.grad_series(n1=k + 1)
         psi = matvec([[gs.gamma[i][j] for j in range(3)] for i in range(3)], grad)
         S = dot(psi, psi)
@@ -121,7 +128,7 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N,
         rhs = -Sk if flattened else sp.z ** 2 * epsmu.coeffs[k] - Sk
         phis.append((rhs * inv_2rho) * (1.0 / (k + 1)))
 
-    ps = PhaseSeries(gs, sp, xiprime, phis[:N + 1], rho_jet, media, delta, flattened)
+    ps = PhaseSeries(gs, sp, xiprime, phis[:N + 1], rho_jet, media, flattened)
     while not flattened and not ps.imag_lower_bound_ok():
         ps.delta *= 0.5
         log.warning("phase positivity violated; delta halved to %g at base %s",
@@ -141,13 +148,7 @@ def eikonal_residual(ps: PhaseSeries, x1):
         raise OutsideRetainedRegion(f"x1={x1} outside (0, {ps.x1_max():.3g}]")
     gs = ps.gs
     b2, b3 = gs.base
-    grad = np.array([
-        sum(k * ps.phis[k].value * x1 ** (k - 1) for k in range(1, ps.N)),
-        sum(ps.phis[k].derivative("x2").value * x1 ** k for k in range(ps.N)),
-        sum(ps.phis[k].derivative("x3").value * x1 ** k for k in range(ps.N)),
-    ])
-    gam = gamma_pointwise(gs.chart, b2, b3, x1)
-    v = gam @ grad
+    v = gamma_pointwise(gs.chart, b2, b3, x1) @ ps.grad_at(x1)
     quad = np.sum(v * v)
     if ps.flattened:
         return complex(quad)

@@ -39,12 +39,7 @@ def _sqrt_pos(u):
         c = u.value
         if abs(c.imag) > 1e-13 * (1 + abs(c)) or c.real <= 0.0:
             raise ZeroConstantTerm("positive-branch sqrt needs a positive real constant term")
-        s0 = np.sqrt(c.real)
-        coefs, binom = [], 1.0
-        for k in range(u.order + 1):
-            coefs.append(s0 * binom / c.real ** k)
-            binom *= (0.5 - k) / (k + 1)
-        return u.compose_series(coefs)
+        return u.sqrt_series(np.sqrt(c.real), c.real)
     return np.sqrt(u)
 
 
@@ -230,15 +225,6 @@ class GammaSeries:
         return np.array([[self.gamma[i][j].coeffs[0].value for j in range(3)]
                          for i in range(3)])
 
-    def column(self, j):
-        """gamma zeta_j as a NormalSeries 3-vector (j in {0,1,2})."""
-        return [self.gamma[i][j] for i in range(3)]
-
-
-def gamma_series(chart, xprime, order):
-    """x1-series of gamma at a boundary point, with jet order equal to the length."""
-    return GammaSeries(chart, xprime, n1=order, order=order)
-
 
 # ---------------------------------------------------------------------------
 # pointwise gamma / beta (vectorized)
@@ -260,12 +246,6 @@ def beta_pointwise(chart, x2, x3, xi2, xi3):
             + np.asarray(xi3)[..., None] * g0[..., :, 2])
     r0 = np.sum(beta * beta, axis=-1)
     return beta, r0
-
-
-def beta(chart, xprime, xiprime):
-    """beta and r0 at a single point (thin wrapper over the batched path)."""
-    b, r0 = beta_pointwise(chart, xprime[0], xprime[1], xiprime[0], xiprime[1])
-    return b, float(r0)
 
 
 def beta_jets(gs: GammaSeries, xiprime):

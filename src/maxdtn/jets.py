@@ -273,6 +273,15 @@ class Jet:
         coefs = [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)]
         return self.compose_series(coefs)
 
+    def sqrt_series(self, s0, c):
+        """sqrt(c + u) = s0 sum_k binom(1/2, k) (u/c)^k, u the non-constant part."""
+        coefs = []
+        binom = 1.0
+        for k in range(self.order + 1):
+            coefs.append(s0 * binom / c ** k)
+            binom *= (0.5 - k) / (k + 1)
+        return self.compose_series(coefs)
+
     def sqrt_upper(self):
         """Square root with Im > 0 constant term; series continuation."""
         c = self.value
@@ -281,13 +290,7 @@ class Jet:
         s0 = np.sqrt(c)
         if s0.imag <= 0.0:
             s0 = -s0
-        # binomial series for sqrt(c + u) = s0 * sum binom(1/2, k) (u/c)^k
-        coefs = []
-        binom = 1.0
-        for k in range(self.order + 1):
-            coefs.append(s0 * binom / c ** k)
-            binom *= (0.5 - k) / (k + 1)
-        return self.compose_series(coefs)
+        return self.sqrt_series(s0, c)
 
     def exp(self):
         e = np.exp(self.value)
@@ -335,14 +338,6 @@ class NormalSeries:
             c0 = Jet.constant(complex(jet_or_scalar), template.vars, template.order)
         zero = c0 * 0.0
         return cls([c0] + [zero] * (n1 - 1))
-
-    @classmethod
-    def x1(cls, n1, template):
-        """The series of the normal coordinate itself."""
-        zero = Jet.constant(0.0, template.vars, template.order)
-        one = Jet.constant(1.0, template.vars, template.order)
-        coeffs = [zero, one] + [zero] * (n1 - 2)
-        return cls(coeffs[:n1])
 
     @property
     def n1(self):

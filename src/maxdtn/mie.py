@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InteriorResonance
 from .geometry import GammaSeries, SurfaceChart, MediaField, beta_pointwise
 from .eikonal import eikonal_coeffs
-from .spectral import split_lambda, rho as rho_symbol
+from .spectral import split_lambda
 from .transport import transport_coeffs, boundary_symbol
 
 #: global sign convention: the impedance is the one whose high-frequency
@@ -213,7 +213,6 @@ class ModeImpedance:
     pol: str                     # "TE" | "TM"
     lam: complex
     value: complex
-    resonant: bool = False
 
 
 #: relative floor under which a mode denominator counts as resonant
@@ -251,8 +250,13 @@ def exact_mode_impedance(ell, lam, eps, mu, R, pol):
 # per-mode comparison against the boundary symbol
 
 
-def _symbol_eigenvalues(sp, chart, media, base, r0_target, order):
-    """(TE, TM) eigenvalues of the truncated boundary symbol at fixed r0.
+#: truncation orders compared: m, then m + h m_tilde_full
+ORDERS = (0, 1)
+
+
+def _symbol_eigenvalues(sp, chart, media, base, r0_target):
+    """(TE, TM) eigenvalues of the truncated boundary symbol at fixed r0,
+    one pair per order in ORDERS, all read from one symbol build.
 
     The covector is aligned with the first coordinate direction; TE is the
     tangential direction perpendicular to beta, TM the beta direction.
@@ -264,26 +268,24 @@ def _symbol_eigenvalues(sp, chart, media, base, r0_target, order):
     ps = eikonal_coeffs(gs, media, sp, xi, N=3)
     tab = transport_coeffs(ps, media, N=2, J=1)
     sym = boundary_symbol(tab)
-    M = sym.m if order == 0 else sym.m + sp.h * sym.m_tilde_full
     nu = np.array([c.value for c in gs.nu])
     beta = np.array(beta_unit) * s
     bhat = (beta / np.linalg.norm(beta.real)).astype(complex)
     phat = np.cross(nu.real, bhat.real).astype(complex)
-    blk = np.array([[u @ M @ v for v in (phat, bhat)] for u in (phat, bhat)])
-    w, V = np.linalg.eig(blk)
-    if abs(V[0, 0]) >= abs(V[0, 1]):
-        te, tm = w[0], w[1]
-    else:
-        te, tm = w[1], w[0]
-    return te, tm
+    out = []
+    for M in (sym.m, sym.m + sp.h * sym.m_tilde_full):
+        blk = np.array([[u @ M @ v for v in (phat, bhat)] for u in (phat, bhat)])
+        w, V = np.linalg.eig(blk)
+        out.append((w[0], w[1]) if abs(V[0, 0]) >= abs(V[0, 1]) else (w[1], w[0]))
+    return out
 
 
-def dtn_compare(ell_list, lam, media, R=1.0, orders=(0, 1)):
+def dtn_compare(ell_list, lam, media, R=1.0):
     """Exact mode impedances vs boundary-symbol eigenvalues on the ball.
 
     ``media`` is either a MediaField of constant fields or an (eps, mu) pair.
     Each row covers one (ell, pol): the exact value and the relative error of
-    every requested truncation order at r0 = h^2 ell(ell+1)/R^2.  Modes at an
+    every truncation order in ORDERS at r0 = h^2 ell(ell+1)/R^2.  Modes at an
     interior resonance are skipped and flagged.  Requires theta >= h^{2/5}
     (the admissible-frequency region of the symbol estimates).
     """
@@ -301,7 +303,7 @@ def dtn_compare(ell_list, lam, media, R=1.0, orders=(0, 1)):
     rows = []
     for ell in ell_list:
         r0 = sp.h ** 2 * ell * (ell + 1.0) / R ** 2
-        cache = {}
+        eigs = None
         for pol in ("TE", "TM"):
             row = {"ell": ell, "pol": pol,
                    "lam_re": lam.real, "lam_im": lam.imag}
@@ -312,11 +314,9 @@ def dtn_compare(ell_list, lam, media, R=1.0, orders=(0, 1)):
                 rows.append(row)
                 continue
             row.update(resonant=False, exact=exact)
-            for order in orders:
-                if order not in cache:
-                    cache[order] = _symbol_eigenvalues(
-                        sp, chart, media, base, r0, order)
-                te, tm = cache[order]
+            if eigs is None:
+                eigs = _symbol_eigenvalues(sp, chart, media, base, r0)
+            for order, (te, tm) in zip(ORDERS, eigs):
                 pred = te if pol == "TE" else tm
                 row[f"err_order{order}"] = abs(pred - exact) / max(abs(exact), 1e-30)
             rows.append(row)

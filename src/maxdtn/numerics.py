@@ -69,11 +69,6 @@ def matvec(m, v):
     return [dot(m[0], v), dot(m[1], v), dot(m[2], v)]
 
 
-def outer(a, b):
-    """Rank-one matrix a b^T as a nested list."""
-    return [[a[i] * b[j] for j in range(3)] for i in range(3)]
-
-
 def skew(v):
     """Antisymmetric matrix of v, i.e. skew(v) @ w == v x w."""
     zero = 0.0 * v[0]

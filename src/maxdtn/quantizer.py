@@ -27,7 +27,6 @@ class GridOperator:
     n: int
     h: float
     matrix: np.ndarray
-    tag: str = "symbol"
 
 
 def _grid(n):
@@ -43,7 +42,7 @@ def _flat(n):
     return X1, X2, K1, K2
 
 
-def quantize(a, h, n, tag="symbol"):
+def quantize(a, h, n):
     """Dense matrix of the left quantization of ``a(x1, x2, xi1, xi2)``.
 
     ``a`` must broadcast over numpy arrays; it is sampled at the grid
@@ -60,14 +59,14 @@ def quantize(a, h, n, tag="symbol"):
         A = np.broadcast_to(A, (n * n, n * n)).copy()
     # exact short-circuits: constants and pure multiplication operators
     if np.ptp(A.real) == 0.0 and np.ptp(A.imag) == 0.0:
-        return GridOperator(n, h, A[0, 0] * np.eye(n * n, dtype=complex), tag)
+        return GridOperator(n, h, A[0, 0] * np.eye(n * n, dtype=complex))
     if np.all(A == A[:, :1]):
-        return GridOperator(n, h, np.diag(A[:, 0]), tag)
+        return GridOperator(n, h, np.diag(A[:, 0]))
     _alias_check(A, n)
     G = np.exp(1j * (X1[:, None] * K1[None, :] + X2[:, None] * K2[None, :]))
     H = np.exp(-1j * (K1[:, None] * X1[None, :] + K2[:, None] * X2[None, :]))
     M = (A * G) @ H / (n * n)
-    return GridOperator(n, h, M, tag)
+    return GridOperator(n, h, M)
 
 
 def _alias_check(A, n):

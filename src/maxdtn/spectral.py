@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RealFrequency, ZeroFrequencyCovector
-from .geometry import _sqrt_pos, beta_pointwise
-from .numerics import outer, sqrt_upper
+from .geometry import beta_pointwise
+from .numerics import sqrt_upper
 
 #: default cutoff scale for eta (the transition sits in r0 in [C0, 2*C0])
 C0_DEFAULT = 10.0
@@ -54,10 +54,8 @@ def rho(r0, sp: SpectralParameter, eps0mu0):
 
 
 def calB(beta):
-    """Rank-one matrix B = beta beta^T (Bg = <beta,g> beta)."""
-    if isinstance(beta, np.ndarray):
-        return beta[..., :, None] * beta[..., None, :]
-    return outer(beta, beta)
+    """Rank-one matrix B = beta beta^T (Bg = <beta,g> beta), batched over points."""
+    return beta[..., :, None] * beta[..., None, :]
 
 
 def m_matrix(z, mu0, rho_val, beta):
@@ -82,24 +80,8 @@ def m0_matrix(z, mu0, r0, beta):
     return 1j * (s * eye - B / s) / denom
 
 
-class SymbolMatrix:
-    """Named 3x3 matrix field on the cotangent bundle of the boundary."""
-
-    def __init__(self, name, fn, depends_eps=True, depends_mu=True):
-        self.name = name
-        self._fn = fn
-        self.depends_eps = depends_eps
-        self.depends_mu = depends_mu
-
-    def __call__(self, x2, x3, xi2, xi3):
-        return self._fn(x2, x3, xi2, xi3)
-
-    def __repr__(self):
-        return f"SymbolMatrix({self.name})"
-
-
 def symbol_m(sp: SpectralParameter, chart, media):
-    """Principal DtN symbol m as a SymbolMatrix."""
+    """Principal DtN symbol m as a function of (x2, x3, xi2, xi3)."""
 
     def fn(x2, x3, xi2, xi3):
         beta, r0 = beta_pointwise(chart, x2, x3, xi2, xi3)
@@ -107,18 +89,19 @@ def symbol_m(sp: SpectralParameter, chart, media):
         rv = rho(r0, sp, eps0 * mu0)
         return m_matrix(sp.z, mu0, rv, beta)
 
-    return SymbolMatrix("m", fn)
+    return fn
 
 
 def symbol_m0(sp: SpectralParameter, chart, media):
-    """Flattened principal symbol m0 (rho replaced by i sqrt(r0))."""
+    """Flattened principal symbol m0 (rho replaced by i sqrt(r0)); it reads
+    mu0 only, so it is the same function for media that differ in eps."""
 
     def fn(x2, x3, xi2, xi3):
         beta, r0 = beta_pointwise(chart, x2, x3, xi2, xi3)
         _, mu0 = media.boundary_values(chart, x2, x3)
         return m0_matrix(sp.z, mu0, r0, beta)
 
-    return SymbolMatrix("m0", fn, depends_eps=False)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +153,6 @@ def cutoff_eta_prime(r0, C0=C0_DEFAULT):
 
 __all__ = [
     "SpectralParameter", "split_lambda", "rho", "calB", "m_matrix",
-    "m0_matrix", "SymbolMatrix", "symbol_m", "symbol_m0",
-    "cutoff_eta", "cutoff_eta_prime", "C0_DEFAULT", "_sqrt_pos",
+    "m0_matrix", "symbol_m", "symbol_m0",
+    "cutoff_eta", "cutoff_eta_prime", "C0_DEFAULT",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class TransmissionConfig:
     mu2: float
     c2: float
     R: float = 1.0
-    exponent: float = REGION_EXPONENT
+    exponent: ClassVar[float] = REGION_EXPONENT
 
     def __post_init__(self):
         for name in ("eps1", "mu1", "c1", "eps2", "mu2", "c2", "R"):
@@ -154,6 +155,11 @@ _NEARZERO_REL = 1e-10
 _JITTER = 1e-3
 _ATTEMPTS = 5
 
+#: refinement levels of a contour edge, and the box size at which
+#: locate_zeros polishes a box's zeros by Newton from its centre
+_MAX_DEPTH = 24
+_BOX_TOL = 1e-3
+
 
 def _wrap(d):
     """Phase differences wrapped into [-pi, pi]."""
@@ -176,7 +182,7 @@ def _origin_order(cfg: TransmissionConfig, ell, pol):
     return 2 * ell + (3 if abs(a - b) <= 1e-12 * max(a, b) else 1)
 
 
-def count_zeros(cfg: TransmissionConfig, ell, pol, rect, max_depth=24):
+def count_zeros(cfg: TransmissionConfig, ell, pol, rect):
     """Number of determinant zeros inside a closed rectangle, by winding.
 
     ``rect`` is (re0, re1, im0, im1).  Edges are sampled adaptively until
@@ -210,7 +216,7 @@ def count_zeros(cfg: TransmissionConfig, ell, pol, rect, max_depth=24):
     val, rel, _ = mode_determinant(cfg, ell, knots, pol, scaled=True)
     a, b, va, vb, ra, rb = knots[:-1], knots[1:], val[:-1], val[1:], rel[:-1], rel[1:]
     total = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         if depth >= 3:
             hit = np.minimum(ra, rb) < _NEARZERO_REL
             if hit.any():
@@ -223,7 +229,7 @@ def count_zeros(cfg: TransmissionConfig, ell, pol, rect, max_depth=24):
         total += float(np.sum(d[fine]))
         if fine.all():
             break
-        if depth == max_depth:
+        if depth == _MAX_DEPTH:
             i = int(np.argmin(fine))
             raise ContourThroughZero(
                 f"phase step {d[i]:.2f} rad unresolved at depth {depth} near {a[i]:.6g}")
@@ -291,7 +297,7 @@ def _split(cfg, ell, pol, rect, n):
         f"its {n} zeros")
 
 
-def locate_zeros(cfg: TransmissionConfig, ell, pol, rect, box_tol=1e-3):
+def locate_zeros(cfg: TransmissionConfig, ell, pol, rect):
     """All zeros in a rectangle by recursive subdivision + Newton polish.
 
     Each box is split into four children that partition it exactly, so a
@@ -307,7 +313,7 @@ def locate_zeros(cfg: TransmissionConfig, ell, pol, rect, box_tol=1e-3):
         if n == 0:
             continue
         re0, re1, im0, im1 = r
-        if max(re1 - re0, im1 - im0) < box_tol:
+        if max(re1 - re0, im1 - im0) < _BOX_TOL:
             z = _newton(cfg, ell, pol, complex(0.5 * (re0 + re1), 0.5 * (im0 + im1)))
             out.extend([z] * n)
             continue
@@ -335,10 +341,16 @@ class TileReport:
     violators: list = field(default_factory=list)
 
 
-def region_scan(cfg: TransmissionConfig, ell_max, re_max, C,
-                im_max=None, n_tiles=12):
+#: height of the scanned band above the curve's top, and the upper end
+#: and step of the bisection in calibrate_C
+_IM_MARGIN = 10.0
+_C_HI = 8.0
+_C_TOL = 0.05
+
+
+def region_scan(cfg: TransmissionConfig, ell_max, re_max, C, n_tiles=12):
     """Winding counts over the region Re in (0, re_max],
-    Im >= C (Re + 1)^exponent (capped at im_max).
+    Im >= C (Re + 1)^exponent, capped _IM_MARGIN above the curve's top.
 
     Tiles extend slightly below the curved boundary so the union covers the
     region; any zero found in a tile is located and kept as a violator only
@@ -347,8 +359,7 @@ def region_scan(cfg: TransmissionConfig, ell_max, re_max, C,
     violator.
     """
     p = cfg.exponent
-    if im_max is None:
-        im_max = C * (re_max + 1.0) ** p + 10.0
+    im_max = C * (re_max + 1.0) ** p + _IM_MARGIN
     edges = np.linspace(0.0, re_max, n_tiles + 1)
     tiles = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -379,23 +390,22 @@ def region_is_free(reports):
     return not any(r.violators for r in reports)
 
 
-def calibrate_C(cfg: TransmissionConfig, ell_max, re_max, C_hi=8.0,
-                tol=0.05, n_tiles=12):
-    """Smallest C (to within tol) whose parabolic region is zero-free.
+def calibrate_C(cfg: TransmissionConfig, ell_max, re_max):
+    """Smallest C (to within _C_TOL) whose parabolic region is zero-free.
 
     Plain bisection on C; the returned value carries a one-tol safety
     margin so the certified region stays clear of the last violator found.
     """
-    if not region_is_free(region_scan(cfg, ell_max, re_max, C_hi, n_tiles=n_tiles)):
-        raise ValueError(f"region not zero-free even at C = {C_hi}")
-    lo, hi = 0.0, C_hi
-    while hi - lo > tol:
+    if not region_is_free(region_scan(cfg, ell_max, re_max, _C_HI)):
+        raise ValueError(f"region not zero-free even at C = {_C_HI}")
+    lo, hi = 0.0, _C_HI
+    while hi - lo > _C_TOL:
         mid = 0.5 * (lo + hi)
-        if region_is_free(region_scan(cfg, ell_max, re_max, mid, n_tiles=n_tiles)):
+        if region_is_free(region_scan(cfg, ell_max, re_max, mid)):
             hi = mid
         else:
             lo = mid
-    return hi + tol
+    return hi + _C_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -85,12 +85,6 @@ class AmplitudeTable:
         cols = [[comp.value for comp in self.nu_cross_b[i][(j, 0)]] for i in range(3)]
         return np.array(cols).T
 
-    def apply(self, ftilde, j, k):
-        """a_{j,k} and b_{j,k} as jet 3-vectors for a numeric datum ftilde."""
-        av = [sum(ftilde[i] * self.a[i][(j, k)][c] for i in range(3)) for c in range(3)]
-        bv = [sum(ftilde[i] * self.b[i][(j, k)][c] for i in range(3)) for c in range(3)]
-        return av, bv
-
 
 def _psi_coeffs(ps: PhaseSeries, n):
     """psi_k = [x1^k] gamma grad phi as jet 3-vectors, k = 0..n-1."""
@@ -203,9 +197,6 @@ class _Recursion:
             out.append(dot(u, a_sh) + self.inv_zeps0 * dot(cross(self.psi0, u), b_sh))
         return out
 
-    def solve_slot(self, j, k, a_sh, b_sh, g):
-        return self.system.solve(a_sh, b_sh, g)
-
     def tangential_datum(self, j, k, a_sh, b_sh, scheme):
         """Datum g for slot (j,k): bc at k=0, else the solvability choice."""
         if k == 0 or scheme == "literal" or j == self.J or self.r0 < 1e-12:
@@ -214,7 +205,7 @@ class _Recursion:
         # curl term k*(nu x a_{j,k}, nu x b_{j,k}); solve the 2x2 system
         vals = []
         for g in (self.zerov, self.tau[0], self.tau[1]):
-            av, bv, _ = self.solve_slot(j, k, a_sh, b_sh, g)
+            av, bv, _ = self.system.solve(a_sh, b_sh, g)
             ra, rb = self.rhs(j + 1, k - 1, extra=((j, k), av, bv))
             vals.append(self.defect(ra, rb))
         d0 = vals[0]
@@ -254,7 +245,7 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
                     g = g0 if j == 0 else rec.zerov
                 else:
                     g = rec.tangential_datum(j, k, a_sh, b_sh, scheme)
-                ajk, bjk, nxbjk = rec.solve_slot(j, k, a_sh, b_sh, g)
+                ajk, bjk, nxbjk = rec.system.solve(a_sh, b_sh, g)
                 rec.a[(j, k)], rec.b[(j, k)], rec.nxb[(j, k)] = ajk, bjk, nxbjk
         a[i], b[i], nxb[i] = rec.a, rec.b, rec.nxb
     return AmplitudeTable(ps, N, J, a, b, nxb, rec.psis,
@@ -287,14 +278,14 @@ def _dxi_m(z, mu0, beta, r0, dbeta, dr0, rho):
     return out
 
 
-def _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0, C0):
+def _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0):
     """xi'-gradient of (1-eta) m0, m0 = i(z mu0)^{-1}(sqrt(r0) I - r0^{-1/2} B)."""
     eye = np.eye(3)
     B = np.outer(beta, beta)
     s = np.sqrt(r0)
     m0 = 1j * (s * eye - B / s) / (z * mu0)
-    cut = 1.0 - cutoff_eta(r0, C0)
-    dcut_dr0 = -cutoff_eta_prime(r0, C0)
+    cut = 1.0 - cutoff_eta(r0)
+    dcut_dr0 = -cutoff_eta_prime(r0)
     out = []
     for db, dr in zip(dbeta, dr0):
         ds = dr / (2.0 * s)
@@ -331,7 +322,11 @@ class BoundarySymbol:
         self.table = table
 
 
-def boundary_symbol(table: AmplitudeTable, J=1, C0=10.0):
+#: highest level j in the truncated symbol M_h
+SYMBOL_J = 1
+
+
+def boundary_symbol(table: AmplitudeTable):
     """Assemble the truncated boundary symbol sum_j h^j iota_nu B_{j,0}.
 
     Returns a BoundarySymbol with the principal block m (= iota_nu B_{0,0}),
@@ -342,7 +337,7 @@ def boundary_symbol(table: AmplitudeTable, J=1, C0=10.0):
     gs = table.gs
     sp = table.sp
     h = sp.h
-    J = min(J, table.J)
+    J = min(SYMBOL_J, table.J)
     M_h = sum(h ** j * table.iota_nu_B(j) for j in range(J + 1))
     m_block = table.iota_nu_B(0)
 
@@ -358,11 +353,11 @@ def boundary_symbol(table: AmplitudeTable, J=1, C0=10.0):
 
     # flattened corrector: cutoff m0 in the commutator, flattened (1,0) block
     if r0 > 0.0:
-        dm0 = _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0, C0)
+        dm0 = _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0)
         n_flat = _commutator_n(gs, dm0)
         ps_flat = eikonal_coeffs(gs, table.ps.media, sp, xi, N=3, flattened=True)
         t_flat = transport_coeffs(ps_flat, table.ps.media, N=2, J=1)
-        B_flat = (1.0 - cutoff_eta(r0, C0)) * t_flat.iota_nu_B(1)
+        B_flat = (1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
         m_tilde = n_flat + B_flat
     else:
         n_flat = np.zeros((3, 3), dtype=complex)
@@ -412,12 +407,7 @@ def maxwell_residual(table: AmplitudeTable, x1, h, ftilde=(1.0, 0.0, 0.0)):
     b2, b3 = gs.base
     gam = gamma_pointwise(gs.chart, b2, b3, x1)
     eps, mu = ps.media.values_at(gs.chart, b2, b3, x1)
-    grad_phi = np.array([
-        sum(k * ps.phis[k].value * x1 ** (k - 1) for k in range(1, len(ps.phis))),
-        sum(ps.phis[k].derivative("x2").value * x1 ** k for k in range(len(ps.phis))),
-        sum(ps.phis[k].derivative("x3").value * x1 ** k for k in range(len(ps.phis))),
-    ])
-    gphi = gam @ grad_phi
+    gphi = gam @ ps.grad_at(x1)
     z = sp.z
     V1 = np.zeros(3, complex)
     V2 = np.zeros(3, complex)
@@ -445,18 +435,8 @@ def maxwell_residual(table: AmplitudeTable, x1, h, ftilde=(1.0, 0.0, 0.0)):
     return V1, V2
 
 
-def _bump(t):
-    """1 for t <= 1, 0 for t >= 2, smooth monotone in between."""
-    t = np.asarray(t, dtype=float)
-    up = np.where(2.0 - t > 0, np.exp(-1.0 / np.maximum(2.0 - t, 1e-300)), 0.0)
-    dn = np.where(t - 1.0 > 0, np.exp(-1.0 / np.maximum(t - 1.0, 1e-300)), 0.0)
-    out = up / (up + dn + (up + dn == 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
 def cutoff_chi(x1, rho, delta):
     """Normal cutoff: 1 for x1 <= delta*min(1,|rho|^3), 0 beyond twice that."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    r3 = abs(rho) ** 3
-    return _bump(np.asarray(x1) / delta) * _bump(np.asarray(x1) / (r3 * delta))
+    return cutoff_eta(x1, delta) * cutoff_eta(x1, abs(rho) ** 3 * delta)

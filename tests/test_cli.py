@@ -1,9 +1,15 @@
 """End-to-end runs of the command-line front end (in-process)."""
 
+import dataclasses
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+from maxdtn import cli
 from maxdtn.cli import main
+from maxdtn.config import RunConfig
 
 
 def write_cfg(tmp_path, extra=""):
@@ -41,9 +47,40 @@ def test_identities_fault_hook_fails(tmp_path):
     assert "FAIL" in text
 
 
-def test_unknown_config_key(tmp_path):
-    cfg = write_cfg(tmp_path, "bogus = 1\n")
+def test_identities_fault_near_tangency_fails(tmp_path):
+    # the fault leaves some covectors within the pre-filter's old 1e-8 but
+    # outside the solver's tangency bound; they must be reported, not raised
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nchart = ellipsoid\nnpoints = 5000\nseed = 1\n")
+    rc = main(["identities", "--config", str(cfg), "--output-dir", str(tmp_path),
+               "--fault-gamma", "1e-3"])
+    assert rc == 1
+    assert "FAIL" in (tmp_path / "identities.csv").read_text()
+
+
+@pytest.mark.parametrize("line", ["bogus = 1", "threads = 2"],
+                         ids=["bogus", "threads"])
+def test_unknown_config_key(tmp_path, line):
+    cfg = write_cfg(tmp_path, line + "\n")
     assert main(["identities", "--config", cfg]) == 2
+
+
+def test_threads_flag_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_every_config_field_is_read():
+    # a RunConfig field that cli.py never reads is a knob without effect
+    src = inspect.getsource(cli)
+    used = set(re.findall(r"\bcfg\.(\w+)", src))
+    for name in list(used):
+        prop = getattr(RunConfig, name, None)
+        if isinstance(prop, property):
+            used |= set(re.findall(r"\bself\.(\w+)", inspect.getsource(prop.fget)))
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert fields - used == set()
 
 
 def test_invalid_config_value(tmp_path):
@@ -75,3 +112,6 @@ def test_te_scan_certified(tmp_path):
     assert rc == 0
     text = (tmp_path / "te_scan.csv").read_text()
     assert "region free = True" in text
+    top = 2.0 * 9.0 ** (5.0 / 7.0) + 10.0
+    assert (f"# scanned up to Im = {top:.17g}; the band above is not examined\n"
+            in text)

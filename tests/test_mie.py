@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import maxdtn.mie
 from maxdtn.errors import ConfigError, InteriorResonance
 from maxdtn.mie import (dtn_compare, exact_mode_impedance, riccati_bessel,
                         riccati_second)
@@ -171,3 +172,19 @@ def test_dtn_compare_errors_shrink_with_h():
         assert small["err_order1"] < big["err_order1"]
         # the corrector helps at fixed h
         assert small["err_order1"] < small["err_order0"]
+
+
+def test_dtn_compare_builds_one_symbol_per_ell(monkeypatch):
+    # both truncation orders are read from one boundary-symbol build
+    calls = []
+    build = maxdtn.mie.boundary_symbol
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(maxdtn.mie, "boundary_symbol", counting)
+    rows = dtn_compare([20], complex(1.0, 0.5) / (1 / 40), (1.0, 1.0))
+    assert [r["pol"] for r in rows] == ["TE", "TM"]
+    assert all("err_order0" in r and "err_order1" in r for r in rows)
+    assert len(calls) == 1

@@ -90,11 +90,16 @@ def test_symbol_m_media_scaling():
 
 
 def test_symbol_m0_flags():
+    # m0 does not depend on eps: media differing only in eps give the same bits
     sp = split_lambda(5 + 2j)
     chart = SurfaceChart.sphere(1.0)
-    s0 = symbol_m0(sp, chart, MediaField.constant(2.0, 1.0))
-    assert s0.depends_eps is False
-    assert symbol_m(sp, chart, MediaField.constant(2.0, 1.0)).depends_eps is True
+    x = (1.1, 0.4, 0.8, -0.3)
+    a = symbol_m0(sp, chart, MediaField.constant(2.0, 1.3))(*x)
+    b = symbol_m0(sp, chart, MediaField.constant(5.0, 1.3))(*x)
+    assert a.shape == (3, 3)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(symbol_m(sp, chart, MediaField.constant(2.0, 1.3))(*x),
+                              symbol_m(sp, chart, MediaField.constant(5.0, 1.3))(*x))
 
 
 def test_cutoff_eta_plateaus():
