@@ -13,8 +13,9 @@ from .jets import Jet, NormalSeries
 from .mie import (ModeImpedance, RiccatiPair, dtn_compare,
                   exact_mode_impedance, riccati_bessel, riccati_second)
 from .numerics import cross, cross_solve_oracle, dot, sqrt_upper
-from .quantizer import (AliasWarning, GridOperator, boundedness_check,
-                        composition_defect, operator_norm, quantize)
+from .quantizer import (AliasWarning, ConvergenceWarning, GridOperator,
+                        boundedness_check, composition_defect, operator_norm,
+                        quantize)
 from .spectral import (SpectralParameter, cutoff_eta, m0_matrix, m_matrix,
                        split_lambda, symbol_m, symbol_m0)
 from .transmission import (TransmissionConfig, calibrate_C, count_zeros,

@@ -92,6 +92,8 @@ class RunConfig:
             raise ConfigError("h_list entries must be positive")
         if any(t <= 0.0 for t in self.thetas):
             raise ConfigError("thetas entries must be positive")
+        if self.grid_n < 1:
+            raise ConfigError("grid_n must be at least 1")
         if self.grid_n > 64:
             raise ConfigError("grid_n is capped at 64 (dense quantizer)")
         return self
@@ -111,7 +113,10 @@ def load_config(path, base=None):
     """Read an INI file ([run] section) into a RunConfig."""
     cfg = base or RunConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:     # names the file, line and key
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     if "run" not in parser:
@@ -121,15 +126,18 @@ def load_config(path, base=None):
         if key.lower() not in known:
             raise ConfigError(f"{path}: unknown key {key!r}")
         key = known[key.lower()]
-        if key in _STR_KEYS:
-            val = raw
-        elif key in _BOOL_KEYS:
-            val = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            val = int(raw)
-        elif key in _TUPLE_KEYS:
-            val = tuple(float(t) for t in raw.replace(",", " ").split())
-        else:
-            val = float(raw)
+        try:
+            if key in _STR_KEYS:
+                val = raw
+            elif key in _BOOL_KEYS:
+                val = raw.strip().lower() in ("1", "true", "yes", "on")
+            elif key in _INT_KEYS:
+                val = int(raw)
+            elif key in _TUPLE_KEYS:
+                val = tuple(float(t) for t in raw.replace(",", " ").split())
+            else:
+                val = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for {key!r}: {raw!r}") from exc
         setattr(cfg, key, val)
     return cfg

@@ -2,17 +2,20 @@
 
 Left quantization on a periodic n x n grid: the operator multiplies the
 k-th Fourier coefficient by a(x', h k) and transforms back, realized as a
-dense n^2 x n^2 matrix (this module exists to verify norm and composition
-estimates, not for performance).  Pure multiplication and pure multiplier
-symbols short-circuit to their exact matrices so the algebraic invariants
-hold to the last bit.
+dense n^2 x n^2 matrix.  Row j of that matrix is a cyclic shift of the
+2-D FFT of the symbol's row a(x_j, h k), so assembly costs n^2 FFTs of
+size n x n.  Constant, pure multiplication and pure multiplier symbols
+short-circuit to their exact matrices so the algebraic invariants hold to
+the last bit; a pure multiplier is a circulant whose norm is max |a(h k)|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,12 +24,22 @@ class AliasWarning(UserWarning):
     """Symbol carries non-negligible mass at the highest grid frequencies."""
 
 
+class ConvergenceWarning(UserWarning):
+    """Power iteration stopped at its iteration cap before meeting tol."""
+
+
 @dataclass
 class GridOperator:
-    """Dense realization of Op_h(a) on the n x n periodic grid."""
+    """Dense realization of Op_h(a) on the n x n periodic grid.
+
+    ``multiplier`` holds the grid values a(h k), in the order of the
+    matrix columns' frequencies, when the symbol does not depend on x
+    (the operator is then a circulant of norm max |a(h k)|), else None.
+    """
     n: int
     h: float
     matrix: np.ndarray
+    multiplier: Optional[np.ndarray]
 
 
 def _grid(n):
@@ -40,6 +53,26 @@ def _flat(n):
     X1, X2 = [v.ravel() for v in np.meshgrid(x, x, indexing="ij")]
     K1, K2 = [v.ravel() for v in np.meshgrid(k, k, indexing="ij")]
     return X1, X2, K1, K2
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_index(n, per_row):
+    """Flat index taking FFT values to the n^2 x n^2 quantization matrix.
+
+    For integer k, e^{-i k.(x_m - x_j)} = e^{-2 pi i k.(m - j)/n}, so row
+    j of the matrix is the 2-D FFT of the symbol's row j read at m - j,
+    the index taken mod n on each axis.  With ``per_row`` the index points
+    into the stacked spectra of all n^2 rows, else into one spectrum
+    shared by every row.
+    """
+    j = np.arange(n, dtype=np.int32)
+    shift = (j[None, :] - j[:, None]) % n            # [j, m] -> m - j mod n
+    idx = shift[:, None, :, None] * n + shift[None, :, None, :]
+    if per_row:
+        idx = idx + (np.arange(n * n, dtype=np.int32) * (n * n)).reshape(n, n, 1, 1)
+    idx = idx.reshape(n * n, n * n)
+    idx.flags.writeable = False
+    return idx
 
 
 def quantize(a, h, n):
@@ -57,24 +90,47 @@ def quantize(a, h, n):
                      h * K1[None, :], h * K2[None, :]), dtype=complex)
     if A.shape != (n * n, n * n):
         A = np.broadcast_to(A, (n * n, n * n)).copy()
-    # exact short-circuits: constants and pure multiplication operators
+    # exact short-circuits: constants, pure multiplication operators and
+    # pure multipliers (every row equal: the symbol does not depend on x)
     if np.ptp(A.real) == 0.0 and np.ptp(A.imag) == 0.0:
-        return GridOperator(n, h, A[0, 0] * np.eye(n * n, dtype=complex))
+        return GridOperator(n, h, A[0, 0] * np.eye(n * n, dtype=complex),
+                            A[0].copy())
     if np.all(A == A[:, :1]):
-        return GridOperator(n, h, np.diag(A[:, 0]))
+        return GridOperator(n, h, np.diag(A[:, 0]), None)
+    if np.all(A == A[:1, :]):
+        spec = np.fft.fft2(A[0].reshape(n, n), norm="forward")
+        return GridOperator(n, h, np.take(spec, _gather_index(n, False)),
+                            A[0].copy())
     _alias_check(A, n)
-    G = np.exp(1j * (X1[:, None] * K1[None, :] + X2[:, None] * K2[None, :]))
-    H = np.exp(-1j * (K1[:, None] * X1[None, :] + K2[:, None] * X2[None, :]))
-    M = (A * G) @ H / (n * n)
-    return GridOperator(n, h, M)
+    spec = np.fft.fft2(A.reshape(n * n, n, n), norm="forward")
+    return GridOperator(n, h, np.take(spec, _gather_index(n, True)), None)
+
+
+def _nyquist_mass(A, n):
+    """Spatial spectral mass of A in the Nyquist band, and its total mass.
+
+    The band is |k| >= n // 2 on either spatial axis: one frequency per
+    axis for even n, two for odd n.  Only those coefficients are formed,
+    as weighted sums over one axis, with Parseval over the other; the
+    total is n^2 sum |A|^2, also by Parseval.
+    """
+    A = A.reshape(n, n, n * n)
+    x = np.arange(n)
+    band = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= n // 2)
+    W = np.exp(-2j * np.pi * np.outer(band, x) / n)      # (band, x)
+    S1 = (W @ A.reshape(n, -1)).reshape(len(band), n, -1)  # axis-1 band
+    S2 = W @ A                                           # axis-2 band
+    corner = W @ S1                                      # counted twice
+
+    def sq(v):
+        return np.vdot(v, v).real
+
+    mass = n * (sq(S1) + sq(S2)) - sq(corner)
+    return mass, n * n * sq(A)
 
 
 def _alias_check(A, n):
-    spec = np.fft.fft2(A.reshape(n, n, n * n), axes=(0, 1))
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    top = (k[:, None] >= n // 2) | (k[None, :] >= n // 2)
-    mass = np.sum(np.abs(spec[top, :]) ** 2)
-    total = np.sum(np.abs(spec) ** 2)
+    mass, total = _nyquist_mass(A, n)
     if total > 0.0 and mass > 1e-8 * total:
         warnings.warn(
             f"{mass / total:.2e} of spatial spectral mass at the Nyquist band",
@@ -82,7 +138,11 @@ def _alias_check(A, n):
 
 
 def operator_norm(M, iters=300, tol=1e-9, seed=0):
-    """Spectral norm by power iteration on M* M (deterministic seed)."""
+    """Spectral norm by power iteration on M* M (deterministic seed).
+
+    Emits :class:`ConvergenceWarning` when ``iters`` run out before two
+    successive estimates agree to ``tol``; the last estimate is returned.
+    """
     rng = np.random.default_rng(seed)
     v = rng.normal(size=M.shape[1]) + 1j * rng.normal(size=M.shape[1])
     v /= np.linalg.norm(v)
@@ -99,6 +159,9 @@ def operator_norm(M, iters=300, tol=1e-9, seed=0):
         if abs(s - s_old) <= tol * max(s, 1.0):
             return float(np.linalg.norm(M @ v))
         s_old = s
+    warnings.warn(f"power iteration stopped after {iters} iterations "
+                  f"without meeting tol = {tol:g}", ConvergenceWarning,
+                  stacklevel=2)
     return float(np.linalg.norm(M @ v))
 
 
@@ -129,14 +192,18 @@ def boundedness_check(symbol_factory, h_list, thetas, n=32):
     """Operator norms over an (h, theta) sweep and the fitted theta exponent.
 
     ``symbol_factory(h, theta)`` returns the symbol callable for that cell.
-    Rows are (h, theta, norm); the exponent is the mean over h of the
-    per-h slope of log(norm) against log(theta).
+    Rows are (h, theta, norm); a multiplier's norm is exact, max |a(h k)|,
+    and only an x-dependent symbol's comes from power iteration.  The
+    exponent is the mean over h of the per-h slope of log(norm) against
+    log(theta).
     """
     rows = []
     for h in h_list:
         for th in thetas:
             op = quantize(symbol_factory(h, th), h, n)
-            rows.append((h, th, operator_norm(op.matrix)))
+            norm = (float(np.max(np.abs(op.multiplier)))
+                    if op.multiplier is not None else operator_norm(op.matrix))
+            rows.append((h, th, norm))
     slopes = []
     for h in h_list:
         pts = [(math.log(th), math.log(r)) for (hh, th, r) in rows

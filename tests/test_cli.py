@@ -10,6 +10,7 @@ import pytest
 from maxdtn import cli
 from maxdtn.cli import main
 from maxdtn.config import RunConfig
+from maxdtn.quantizer import quantize
 
 
 def write_cfg(tmp_path, extra=""):
@@ -115,3 +116,56 @@ def test_te_scan_certified(tmp_path):
     top = 2.0 * 9.0 ** (5.0 / 7.0) + 10.0
     assert (f"# scanned up to Im = {top:.17g}; the band above is not examined\n"
             in text)
+
+
+def test_identities_points_column(tmp_path):
+    # every identity of a clean run is evaluated at every point; under the
+    # fault no point survives the tangency filter, so the two checks that
+    # need the cross-system solution run over zero points and must FAIL
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nchart = ellipsoid\nnpoints = 5000\nseed = 1\n")
+    argv = ["identities", "--config", str(cfg), "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    rows = _csv_rows(tmp_path / "identities.csv")
+    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+    assert all(r[1] == "5000" and r[4] == "pass" for r in rows)
+    assert main(argv + ["--fault-gamma", "1e-3"]) == 1
+    rows = {r[0]: r for r in _csv_rows(tmp_path / "identities.csv")}
+    for name in ("two-media-inverse", "approximate-inverse"):
+        assert rows[name][1] == "0" and rows[name][4] == "FAIL"
+
+
+def _csv_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+def test_quantizer_command(tmp_path):
+    cfg = write_cfg(tmp_path, "h_list = 0.125 0.0625 0.03125 0.015625 0.0078125\n")
+    rc = main(["quantizer", "--config", cfg, "--output-dir", str(tmp_path)])
+    assert rc == 0
+    rows = _csv_rows(tmp_path / "quantizer.csv")
+    assert len(rows) == 9
+    bound = [(float(h), float(th), float(r)) for h, th, _, r in rows
+             if th != "nan"]
+    assert len(bound) == len(RunConfig().thetas)
+    factory = cli._rho_inverse_factory(1.0, 1.0)
+    n = max(RunConfig().grid_n, 32)
+    for h, th, norm in bound:
+        ref = np.linalg.svd(quantize(factory(h, th), h, n).matrix,
+                            compute_uv=False)[0]
+        assert abs(norm - ref) <= 1e-12 * ref
+
+
+def test_quantizer_command_converges(recwarn):
+    # the defect norms converge and the boundedness norms are exact
+    _, _, ok, _ = cli.cmd_quantizer(RunConfig())
+    assert ok
+    assert recwarn.list == []
+
+
+@pytest.mark.parametrize("text", ["npoints = 60\n", "eps = abc\n"],
+                         ids=["repeated", "not-a-number"])
+def test_config_parse_errors_exit_2(tmp_path, text):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["identities", "--config", cfg]) == 2

@@ -74,9 +74,24 @@ def test_load_config_missing_section(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_repeated_key(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[run]\nnpoints = 60\nnpoints = 70\n")
+    with pytest.raises(ConfigError, match=r"run\.ini.*'npoints'"):
+        load_config(str(p))
+
+
+def test_load_config_bad_number(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[run]\nnpoints = abc\n")
+    with pytest.raises(ConfigError, match=r"run\.ini.*'npoints'"):
+        load_config(str(p))
+
+
 @pytest.mark.parametrize("field,value", [
     ("eps", -1.0), ("radius", 0.0), ("theta", float("nan")),
     ("N", 1), ("chart", "torus"), ("grid_n", 100), ("npoints", -3),
+    ("grid_n", 0),
 ])
 def test_validate_rejects(field, value):
     cfg = RunConfig()
