@@ -130,14 +130,14 @@ def load_config(path, base=None):
             if key in _STR_KEYS:
                 val = raw
             elif key in _BOOL_KEYS:
-                val = raw.strip().lower() in ("1", "true", "yes", "on")
+                val = parser.BOOLEAN_STATES[raw.lower()]
             elif key in _INT_KEYS:
                 val = int(raw)
             elif key in _TUPLE_KEYS:
                 val = tuple(float(t) for t in raw.replace(",", " ").split())
             else:
                 val = float(raw)
-        except ValueError as exc:
+        except (ValueError, KeyError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {raw!r}") from exc
         setattr(cfg, key, val)
     return cfg

@@ -9,6 +9,15 @@ used by the phase/amplitude recursions.
 Coefficients are stored densely up to a total order (default 8); binary
 operations truncate to the weaker operand, which automatically tracks the
 accuracy lost by differentiation.
+
+A jet may carry leading batch axes: ``coef`` has shape
+``(*batch, order+1, ..., order+1)`` and holds one polynomial per batch
+element (Taylor arithmetic over a vector of directions).  Every operation
+broadcasts the batch axes like numpy, so a batched jet combines with an
+unbatched one (batch shape ``()``) element by element; ``.value`` is then an
+array of the batch shape, and a numpy array of that shape acts as one scalar
+per element in ``+``, ``-`` and ``*``.  The transport recursion runs its three
+boundary data as one batch of size 3.
 """
 
 from __future__ import annotations
@@ -62,19 +71,51 @@ def _mul_matrix(nvars: int, order: int, order_a=None, order_b=None):
 
 
 @lru_cache(maxsize=None)
-def _powers(nvars: int, order: int, pos: int):
-    """Exponents 1..order along axis ``pos``, shaped to scale a derivative."""
-    shape = [1] * nvars
-    shape[pos] = order
-    return np.arange(1, order + 1, dtype=float).reshape(shape)
+def _product_plan(nvars: int, order_a: int, order_b: int, shape_a, shape_b):
+    """:func:`_mul_matrix` laid over the operands' whole flattened arrays.
+
+    ``shape_a`` and ``shape_b`` are the operands' coefficient shapes
+    ``(*batch, o+1, ..., o+1)``; their batch axes broadcast.  Returns
+    ``(ia, ib, starts, dest, shape)``: the same gather/reduce/scatter
+    indices, repeated for every batch element of the product, and the
+    product's coefficient shape.
+    """
+    order = min(order_a, order_b)
+    if order_a == order_b:
+        ia, ib, starts, dest = _mul_matrix(nvars, order)
+    else:
+        ia, ib, starts, dest = _mul_matrix(nvars, order, order_a, order_b)
+    batch_a = shape_a[:len(shape_a) - nvars]
+    batch_b = shape_b[:len(shape_b) - nvars]
+    batch = np.broadcast_shapes(batch_a, batch_b)
+
+    def tiled(idx, step, src_batch):
+        # offset of each product element's source table, then its indices
+        src = np.arange(math.prod(src_batch)).reshape(src_batch)
+        offsets = np.broadcast_to(src, batch).ravel() * step
+        return (offsets[:, None] + idx).ravel()
+
+    return (tiled(ia, (order_a + 1) ** nvars, batch_a),
+            tiled(ib, (order_b + 1) ** nvars, batch_b),
+            tiled(starts, len(ia), batch),
+            tiled(dest, (order + 1) ** nvars, batch),
+            batch + (order + 1,) * nvars)
 
 
 @lru_cache(maxsize=None)
-def _above_degree(nvars: int, order: int):
-    """Boolean mask selecting entries with total degree > order."""
-    shape = (order + 1,) * nvars
-    grids = np.indices(shape).sum(axis=0)
-    return grids > order
+def _keep(nvars: int, order: int):
+    """Complex 0/1 table zeroing the entries of total degree > order."""
+    grids = np.indices((order + 1,) * nvars).sum(axis=0)
+    return (grids <= order).astype(complex)
+
+
+@lru_cache(maxsize=None)
+def _dpowers(nvars: int, order: int, pos: int):
+    """Exponents 1..order along axis ``pos``, zero above the derivative's degree."""
+    shape = [1] * nvars
+    shape[pos] = order
+    powers = np.arange(1, order + 1, dtype=float).reshape(shape)
+    return powers * _keep(nvars, order - 1)
 
 
 def _jet(vars, order, coef):
@@ -86,13 +127,43 @@ def _jet(vars, order, coef):
     return j
 
 
+def _number(c):
+    """An unbatched entry as a complex; a batched one as a fresh array."""
+    return complex(c) if np.ndim(c) == 0 else np.array(c, dtype=complex)
+
+
+def _at(mask):
+    """Where a per-element check first fails, for an error message."""
+    if np.ndim(mask) == 0:
+        return ""
+    return f" at batch index {tuple(int(i) for i in np.argwhere(mask)[0])}"
+
+
+def _sqrt_coefs(s0, c, order):
+    """Taylor coefficients of sqrt(c + u) = s0 sum_k binom(1/2, k) (u/c)^k."""
+    coefs = []
+    binom = 1.0
+    for k in range(order + 1):
+        coefs.append(s0 * binom / c ** k)
+        binom *= (0.5 - k) / (k + 1)
+    return coefs
+
+
+def _trig_coefs(f, df, order):
+    """Taylor coefficients of sin or cos at c from f = sin/cos(c), df = f'(c)."""
+    cycle = [f, df, -f, -df]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
 class Jet:
-    """Truncated Taylor polynomial in named variables."""
+    """Truncated Taylor polynomial in named variables, optionally batched."""
 
     __slots__ = ("vars", "order", "coef")
+    #: numpy defers to the jet's reflected operators (``array * jet``)
+    __array_ufunc__ = None
 
     def __init__(self, vars, order, coef=None):
         self.vars = tuple(vars)
@@ -102,59 +173,67 @@ class Jet:
             self.coef = np.zeros(shape, dtype=complex)
         else:
             self.coef = np.asarray(coef, dtype=complex)
-            if self.coef.shape != shape:
+            if self.coef.shape[self.coef.ndim - len(shape):] != shape:
                 raise ValueError("coefficient table shape mismatch")
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, c, vars, order=DEFAULT_ORDER):
-        j = cls(vars, order)
-        j.coef[(0,) * len(j.vars)] = c
-        return j
+        """Constant jet; an array ``c`` gives one constant per batch element."""
+        vars, order = tuple(vars), int(order)
+        coef = np.zeros(np.shape(c) + (order + 1,) * len(vars), dtype=complex)
+        coef[(Ellipsis,) + (0,) * len(vars)] = c
+        return _jet(vars, order, coef)
 
     @classmethod
     def variable(cls, name, value, vars, order=DEFAULT_ORDER):
         """Jet of the coordinate ``name`` with base value ``value``."""
         j = cls.constant(value, vars, order)
         if order >= 1:
-            pos = j.vars.index(name)
             idx = [0] * len(j.vars)
-            idx[pos] = 1
-            j.coef[tuple(idx)] = 1.0
+            idx[j.vars.index(name)] = 1
+            j.coef[(Ellipsis,) + tuple(idx)] = 1.0
         return j
 
     # -- basic access ---------------------------------------------------
     @property
+    def batch(self):
+        """Shape of the leading batch axes (``()`` for a single jet)."""
+        return self.coef.shape[:self.coef.ndim - len(self.vars)]
+
+    @property
     def value(self):
-        """Constant (base-point) coefficient."""
-        return complex(self.coef.flat[0])
+        """Constant (base-point) coefficient, per batch element."""
+        return _number(self.coef[(Ellipsis,) + (0,) * len(self.vars)])
+
+    def __getitem__(self, index):
+        """The jet of batch element(s) ``index``; never indexes coefficients."""
+        if len(index if isinstance(index, tuple) else (index,)) > len(self.batch):
+            raise IndexError(f"jet with batch shape {self.batch} indexed by {index!r}")
+        return _jet(self.vars, self.order, self.coef[index])
 
     def coefficient(self, **powers):
         idx = tuple(powers.get(v, 0) for v in self.vars)
         if sum(idx) > self.order:
-            return 0.0 + 0.0j
-        return complex(self.coef[idx])
+            return _number(np.zeros(self.batch))
+        return _number(self.coef[(Ellipsis,) + idx])
 
     def evaluate(self, **offsets):
         """Evaluate the polynomial at base + offsets."""
         total = 0.0 + 0.0j
         for idx in _indices(len(self.vars), self.order):
-            c = self.coef[idx]
-            if c == 0.0:
-                continue
-            term = c
+            term = self.coef[(Ellipsis,) + idx]
             for v, k in zip(self.vars, idx):
                 if k:
                     term = term * offsets.get(v, 0.0) ** k
-            total += term
-        return total
+            total = total + term
+        return _number(total)
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        sl = (slice(0, order + 1),) * len(self.vars)
-        coef = self.coef[sl].copy()
-        coef[_above_degree(len(self.vars), order)] = 0.0
+        n = len(self.vars)
+        coef = self.coef[(Ellipsis,) + (slice(0, order + 1),) * n] * _keep(n, order)
         return _jet(self.vars, order, coef)
 
     def max_abs(self):
@@ -171,21 +250,26 @@ class Jet:
         if other.order == self.order:
             return self.order, self.coef, other.coef
         order = min(self.order, other.order)
-        sl = (slice(0, order + 1),) * len(self.vars)
+        sl = (Ellipsis,) + (slice(0, order + 1),) * len(self.vars)
         return order, self.coef[sl], other.coef[sl]
 
     def _sum(self, other, sign):
+        n = len(self.vars)
         if isinstance(other, Jet):
             order, a, b = self._aligned(other)
             coef = a + b if sign > 0 else a - b
             if self.order != other.order:
-                coef[_above_degree(len(self.vars), order)] = 0.0
+                coef *= _keep(n, order)
             return _jet(self.vars, order, coef)
         if isinstance(other, _SCALARS):
             coef = self.coef.copy()
-            coef.flat[0] += other if sign > 0 else -other
-            return _jet(self.vars, self.order, coef)
-        return NotImplemented
+        elif isinstance(other, np.ndarray):   # one scalar per batch element
+            batch = np.broadcast_shapes(self.batch, other.shape)
+            coef = np.array(np.broadcast_to(self.coef, batch + self.coef.shape[-n:]))
+        else:
+            return NotImplemented
+        coef[(Ellipsis,) + (0,) * n] += other if sign > 0 else -other
+        return _jet(self.vars, self.order, coef)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -205,19 +289,17 @@ class Jet:
         if isinstance(other, Jet):
             if other.vars != self.vars:
                 raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
-            n = len(self.vars)
-            if other.order == self.order:
-                order = self.order
-                ia, ib, starts, dest = _mul_matrix(n, order)
-            else:
-                order = min(self.order, other.order)
-                ia, ib, starts, dest = _mul_matrix(n, order, self.order, other.order)
+            ia, ib, starts, dest, shape = _product_plan(
+                len(self.vars), self.order, other.order, self.coef.shape, other.coef.shape)
             terms = self.coef.ravel()[ia] * other.coef.ravel()[ib]
-            coef = np.zeros((order + 1,) * n, dtype=complex)
+            coef = np.zeros(shape, dtype=complex)
             coef.ravel()[dest] = np.add.reduceat(terms, starts)
-            return _jet(self.vars, order, coef)
+            return _jet(self.vars, min(self.order, other.order), coef)
         if isinstance(other, _SCALARS):
             return _jet(self.vars, self.order, self.coef * complex(other))
+        if isinstance(other, np.ndarray):     # one scalar per batch element
+            scale = other.reshape(other.shape + (1,) * len(self.vars))
+            return _jet(self.vars, self.order, self.coef * scale)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -250,13 +332,15 @@ class Jet:
         order = self.order - 1
         src = [slice(0, order + 1)] * n
         src[pos] = slice(1, self.order + 1)
-        out = self.coef[tuple(src)] * _powers(n, self.order, pos)
-        out[_above_degree(n, order)] = 0.0
+        out = self.coef[(Ellipsis, *src)] * _dpowers(n, self.order, pos)
         return _jet(self.vars, order, out)
 
     # -- analytic composition -------------------------------------------
     def compose_series(self, series_coef):
-        """Sum series_coef[k] * (self - const)^k, k = 0..order."""
+        """Sum series_coef[k] * (self - const)^k, k = 0..order.
+
+        Each coefficient is a number or an array with one per batch element.
+        """
         u = self - self.value
         out = Jet.constant(series_coef[0], self.vars, self.order)
         power = u
@@ -266,51 +350,58 @@ class Jet:
             out = out + series_coef[k] * power
         return out
 
-    def invert(self):
+    def _compose(self, coefs_of):
+        """compose_series with the coefficients ``coefs_of(c)`` of the constant
+        term c, computed per batch element in Python complex arithmetic: a
+        batched jet then matches its unbatched elements bit for bit."""
         c = self.value
-        if abs(c) == 0.0:
-            raise ZeroConstantTerm("jet inversion requires a nonzero constant term")
-        coefs = [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)]
-        return self.compose_series(coefs)
+        if np.ndim(c) == 0:
+            return self.compose_series(coefs_of(c))
+        per = np.array([coefs_of(complex(x)) for x in c.ravel()])
+        return self.compose_series(list(per.T.reshape((-1,) + c.shape)))
+
+    def invert(self):
+        zero = np.abs(self.value) == 0.0
+        if np.any(zero):
+            raise ZeroConstantTerm(
+                "jet inversion requires a nonzero constant term" + _at(zero))
+        return self._compose(
+            lambda c: [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)])
 
     def sqrt_series(self, s0, c):
         """sqrt(c + u) = s0 sum_k binom(1/2, k) (u/c)^k, u the non-constant part."""
-        coefs = []
-        binom = 1.0
-        for k in range(self.order + 1):
-            coefs.append(s0 * binom / c ** k)
-            binom *= (0.5 - k) / (k + 1)
-        return self.compose_series(coefs)
+        return self.compose_series(_sqrt_coefs(s0, c, self.order))
 
     def sqrt_upper(self):
         """Square root with Im > 0 constant term; series continuation."""
         c = self.value
-        if c.imag == 0.0 and c.real >= 0.0:
-            raise AmbiguousBranch("jet sqrt_upper with constant term on [0, +inf)")
-        s0 = np.sqrt(c)
-        if s0.imag <= 0.0:
-            s0 = -s0
-        return self.sqrt_series(s0, c)
+        on_cut = (np.imag(c) == 0.0) & (np.real(c) >= 0.0)
+        if np.any(on_cut):
+            raise AmbiguousBranch(
+                "jet sqrt_upper with constant term on [0, +inf)" + _at(on_cut))
+
+        def coefs(c):
+            s0 = np.sqrt(c)
+            return _sqrt_coefs(s0 if s0.imag > 0.0 else -s0, c, self.order)
+        return self._compose(coefs)
 
     def exp(self):
-        e = np.exp(self.value)
-        coefs = [e / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(coefs)
+        def coefs(c):
+            e = np.exp(c)
+            return [e / math.factorial(k) for k in range(self.order + 1)]
+        return self._compose(coefs)
 
     def sin(self):
-        s, c = np.sin(self.value), np.cos(self.value)
-        cycle = [s, c, -s, -c]
-        coefs = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(coefs)
+        return self._compose(lambda c: _trig_coefs(np.sin(c), np.cos(c), self.order))
 
     def cos(self):
-        s, c = np.sin(self.value), np.cos(self.value)
-        cycle = [c, -s, -c, s]
-        coefs = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(coefs)
+        return self._compose(lambda c: _trig_coefs(np.cos(c), -np.sin(c), self.order))
 
     def __repr__(self):
-        return f"Jet(vars={self.vars}, order={self.order}, value={self.value:.6g})"
+        if not self.batch:
+            return f"Jet(vars={self.vars}, order={self.order}, value={self.value:.6g})"
+        value = np.array2string(self.value, precision=6)
+        return f"Jet(vars={self.vars}, order={self.order}, batch={self.batch}, value={value})"
 
 
 class NormalSeries:

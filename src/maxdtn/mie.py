@@ -228,9 +228,13 @@ def exact_mode_impedance(ell, lam, eps, mu, R, pol):
     1e-12 of the pair's scale (reported, never regularized).
     """
     lam = complex(lam)
-    k = lam * cmath.sqrt(eps * mu)
-    x = k * R
-    rp = riccati_bessel(ell, x)
+    x = lam * cmath.sqrt(eps * mu) * R
+    return _mode_impedance(ell, lam, eps, mu, x, riccati_bessel(ell, x), pol)
+
+
+def _mode_impedance(ell, lam, eps, mu, x, rp, pol):
+    """The (ell, pol) impedance from the Riccati pair ``rp`` at x = kR, which
+    TE and TM share."""
     scale = max(abs(rp.psi), abs(rp.dpsi))
     imp = 1j * cmath.sqrt(eps / mu) * IMPEDANCE_SIGN
     if pol == "TE":
@@ -300,15 +304,17 @@ def dtn_compare(ell_list, lam, media, R=1.0):
         raise ConfigError(
             f"theta={sp.theta:.3g} below h^(2/5)={sp.h ** 0.4:.3g}: "
             "outside the admissible frequency region")
+    x = complex(lam) * cmath.sqrt(eps0 * mu0) * R
     rows = []
     for ell in ell_list:
         r0 = sp.h ** 2 * ell * (ell + 1.0) / R ** 2
         eigs = None
+        rp = riccati_bessel(ell, x)
         for pol in ("TE", "TM"):
             row = {"ell": ell, "pol": pol,
                    "lam_re": lam.real, "lam_im": lam.imag}
             try:
-                exact = exact_mode_impedance(ell, lam, eps0, mu0, R, pol).value
+                exact = _mode_impedance(ell, lam, eps0, mu0, x, rp, pol).value
             except InteriorResonance:
                 row.update(resonant=True, exact=None)
                 rows.append(row)

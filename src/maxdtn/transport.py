@@ -4,9 +4,10 @@ The two-form amplitude pair (a, b) is expanded in powers of h and of the
 normal variable x1; each coefficient pair (a_{j,k}, b_{j,k}) solves the
 algebraic cross-product system whose right-hand sides collect lower x1-order
 terms and tangential derivatives of the previous h-level.  Everything is
-linear in the boundary datum f~, so the table is assembled column-by-column
-on the three coordinate basis vectors, with jet-valued entries carrying the
-tangential dependence.
+linear in the boundary datum f~, so one pass of the recursion carries the
+three coordinate basis vectors together: every amplitude entry is a jet with
+a batch axis of size 3 (one column of the table per element), while the
+geometry, the media and the phase stay unbatched and broadcast against it.
 
 Two schemes are provided.  The "literal" scheme gauges the tangential part
 of a_{j,k} to zero for k >= 1; it satisfies the mu-equations exactly but
@@ -29,6 +30,8 @@ per-mode convergence comparisons keeps rho and the consistent scheme.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .crosssys import CrossSystem
@@ -43,7 +46,11 @@ from .spectral import cutoff_eta, cutoff_eta_prime
 #: against the exact per-mode impedances on the ball.
 COMM_COEF = 1j
 
-_BASIS = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
+#: the three basis data as one batch: component c holds (e_0[c], e_1[c], e_2[c])
+_BASIS = list(np.eye(3))
+#: weights of (tau0, tau1) in the trial data 0, tau0, tau1 of the
+#: solvability choice, on a batch axis ahead of the basis axis
+_TRIALS = (np.array([[0.0], [1.0], [0.0]]), np.array([[0.0], [0.0], [1.0]]))
 #: constant antisymmetric basis: iota_nu = sum_j nu_j * I_j
 I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
           np.array([[0.0, 0, 1.0], [0, 0, 0], [-1.0, 0, 0]]),
@@ -56,34 +63,47 @@ class AmplitudeTable:
     Levels j = 0..J carry x1-orders k = 0..K[j]-1 with K[j] = N + J - j.
     ``nu_cross_b[i][(j,k)]`` holds nu x b from the dedicated closed form.
     All entries are jet 3-vectors; ``.value`` of the components gives the
-    base-point numbers.
+    base-point numbers.  The per-basis dicts are views of the batched
+    tables ``batched[name][(j,k)]``, whose jets carry the basis index i as
+    their batch axis.
     """
 
-    def __init__(self, ps: PhaseSeries, N, J, a, b, nu_cross_b, psis,
-                 media_series, scheme):
+    def __init__(self, ps: PhaseSeries, N, J, batched, psis, media_series, scheme):
         self.ps = ps
         self.gs = ps.gs
         self.sp = ps.sp
         self.N = N
         self.J = J
         self.K = {j: N + J - j for j in range(J + 1)}
-        self.a = a
-        self.b = b
-        self.nu_cross_b = nu_cross_b
+        self.batched = batched
         self.psis = psis
         self.eps_k, self.mu_k = media_series
         self.scheme = scheme
 
+    def _per_basis(self, name):
+        return [{slot: [c[i] for c in vec] for slot, vec in self.batched[name].items()}
+                for i in range(3)]
+
+    @cached_property
+    def a(self):
+        return self._per_basis("a")
+
+    @cached_property
+    def b(self):
+        return self._per_basis("b")
+
+    @cached_property
+    def nu_cross_b(self):
+        return self._per_basis("nu_cross_b")
+
     def matrix(self, which, j, k):
         """A_{j,k} or B_{j,k} as a numeric 3x3 array (columns = basis data)."""
-        table = self.a if which == "A" else self.b
-        cols = [[comp.value for comp in table[i][(j, k)]] for i in range(3)]
-        return np.array(cols).T
+        vec = self.batched["a" if which == "A" else "b"][(j, k)]
+        return np.array([comp.value for comp in vec])
 
     def iota_nu_B(self, j):
         """iota_nu B_{j,0} from the dedicated nu x b closed forms."""
-        cols = [[comp.value for comp in self.nu_cross_b[i][(j, 0)]] for i in range(3)]
-        return np.array(cols).T
+        return np.array([comp.value for comp in self.batched["nu_cross_b"][(j, 0)]])
 
 
 def _psi_coeffs(ps: PhaseSeries, n):
@@ -116,8 +136,8 @@ def _grad_cross(gamma_cols, vec):
 
 
 class _Recursion:
-    """State of the transport build: the datum-independent series, shared by
-    the three basis columns, and the slots (a, b, nu x b) of the current one."""
+    """State of the transport build: the datum-independent series and the
+    slots (a, b, nu x b), whose jets are batched over the three basis data."""
 
     def __init__(self, ps, media, N, J, media_corrections):
         gs = ps.gs
@@ -202,14 +222,13 @@ class _Recursion:
         if k == 0 or scheme == "literal" or j == self.J or self.r0 < 1e-12:
             return self.zerov
         # the defect of level j+1 at order k-1 is linear in g through the
-        # curl term k*(nu x a_{j,k}, nu x b_{j,k}); solve the 2x2 system
-        vals = []
-        for g in (self.zerov, self.tau[0], self.tau[1]):
-            av, bv, _ = self.system.solve(a_sh, b_sh, g)
-            ra, rb = self.rhs(j + 1, k - 1, extra=((j, k), av, bv))
-            vals.append(self.defect(ra, rb))
-        d0 = vals[0]
-        m = [[vals[c + 1][r] - d0[r] for c in range(2)] for r in range(2)]
+        # curl term k*(nu x a_{j,k}, nu x b_{j,k}); evaluate it at the trial
+        # data 0, tau0, tau1 (a leading batch axis) and solve the 2x2 system
+        g = vadd(vscale(_TRIALS[0], self.tau[0]), vscale(_TRIALS[1], self.tau[1]))
+        av, bv, _ = self.system.solve(a_sh, b_sh, g)
+        vals = self.defect(*self.rhs(j + 1, k - 1, extra=((j, k), av, bv)))
+        d0 = [v[0] for v in vals]
+        m = [[vals[r][c + 1] - d0[r] for c in range(2)] for r in range(2)]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         inv_det = det.invert()
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
@@ -223,33 +242,27 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
 
     Levels j = 0..J (default N-1) with x1-orders k < N + J - j.  The
     flattened phase forces the literal scheme with constant-trace media.
+    One pass carries the three basis data as a batch of size 3.
     """
     J = N - 1 if J is None else J
     if ps.flattened:
         media_corrections = False
         scheme = "literal"
-    a = [dict() for _ in range(3)]
-    b = [dict() for _ in range(3)]
-    nxb = [dict() for _ in range(3)]
     rec = _Recursion(ps, media, N, J, media_corrections)
-    for i, e in enumerate(_BASIS):
-        rec.a, rec.b, rec.nxb = {}, {}, {}
-        g0 = vscale(-1.0, cross(rec.nu, list(e)))
-        for s in range(N + J):
-            for j in range(min(s, J) + 1):
-                k = s - j
-                if k >= rec.K[j]:
-                    continue
-                a_sh, b_sh = rec.rhs(j, k)
-                if k == 0:
-                    g = g0 if j == 0 else rec.zerov
-                else:
-                    g = rec.tangential_datum(j, k, a_sh, b_sh, scheme)
-                ajk, bjk, nxbjk = rec.system.solve(a_sh, b_sh, g)
-                rec.a[(j, k)], rec.b[(j, k)], rec.nxb[(j, k)] = ajk, bjk, nxbjk
-        a[i], b[i], nxb[i] = rec.a, rec.b, rec.nxb
-    return AmplitudeTable(ps, N, J, a, b, nxb, rec.psis,
-                          (rec.eps_k, rec.mu_k), scheme)
+    g0 = vscale(-1.0, cross(rec.nu, _BASIS))
+    for s in range(N + J):
+        for j in range(min(s, J) + 1):
+            k = s - j
+            if k >= rec.K[j]:
+                continue
+            a_sh, b_sh = rec.rhs(j, k)
+            if k == 0:
+                g = g0 if j == 0 else rec.zerov
+            else:
+                g = rec.tangential_datum(j, k, a_sh, b_sh, scheme)
+            rec.a[(j, k)], rec.b[(j, k)], rec.nxb[(j, k)] = rec.system.solve(a_sh, b_sh, g)
+    return AmplitudeTable(ps, N, J, {"a": rec.a, "b": rec.b, "nu_cross_b": rec.nxb},
+                          rec.psis, (rec.eps_k, rec.mu_k), scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,13 @@ def test_quantizer_command_converges(recwarn):
     assert recwarn.list == []
 
 
+def test_te_scan_bad_boolean_exits_2(tmp_path):
+    # a misspelt boolean would otherwise skip certification and exit 0
+    cfg = write_cfg(tmp_path, "ell_max = 2\nre_max = 8.0\ncertify = ture\n")
+    assert main(["te-scan", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "te-scan.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["npoints = 60\n", "eps = abc\n"],
                          ids=["repeated", "not-a-number"])
 def test_config_parse_errors_exit_2(tmp_path, text):

@@ -88,6 +88,28 @@ def test_load_config_bad_number(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("raw,want", [
+    ("1", True), ("yes", True), ("TRUE", True), ("On", True),
+    ("0", False), ("No", False), ("false", False), ("OFF", False),
+])
+def test_load_config_booleans(tmp_path, raw, want):
+    p = tmp_path / "run.ini"
+    p.write_text(f"[run]\ncertify = {raw}\ncalibrate = {raw}\n")
+    cfg = load_config(str(p))
+    assert cfg.certify is want and cfg.calibrate is want
+
+
+@pytest.mark.parametrize("text", ["certify = maybe\n", "calibrate = ture\n"],
+                         ids=["maybe", "ture"])
+def test_load_config_bad_boolean(tmp_path, text):
+    # an unrecognised boolean must not load as False
+    p = tmp_path / "run.ini"
+    p.write_text("[run]\n" + text)
+    key = text.split()[0]
+    with pytest.raises(ConfigError, match=rf"run\.ini.*'{key}'"):
+        load_config(str(p))
+
+
 @pytest.mark.parametrize("field,value", [
     ("eps", -1.0), ("radius", 0.0), ("theta", float("nan")),
     ("N", 1), ("chart", "torus"), ("grid_n", 100), ("npoints", -3),

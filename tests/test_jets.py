@@ -1,11 +1,14 @@
 """Jet and NormalSeries arithmetic against direct polynomial evaluation."""
 
+import operator
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxdtn.jets import Jet, NormalSeries
-from maxdtn.errors import ZeroConstantTerm
+from maxdtn.errors import AmbiguousBranch, ZeroConstantTerm
 
 VARS = ("x2", "x3")
 
@@ -157,3 +160,105 @@ def test_normal_series_eval_x1():
     s = NormalSeries([x2 * 0.0 + 1.0, x2 * 0.0 + 2.0, x2 * 0.0 - 1.0])
     v = s.eval_x1(0.1)
     assert abs(v.value - (1.0 + 0.2 - 0.01)) < 1e-13
+
+
+# -- batched jets --------------------------------------------------------
+
+BATCHES = st.sampled_from([(3,), (2, 3)])
+
+
+def _random_jet(rng, batch, order, const=None):
+    shape = batch + (order + 1,) * 2
+    coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coef[..., np.add.outer(np.arange(order + 1), np.arange(order + 1)) > order] = 0.0
+    if const is not None:
+        coef[..., 0, 0] = const
+    return Jet(VARS, order, coef)
+
+
+def _assert_elementwise(got, batch, op, *operands):
+    # every element of a batched result equals, bit for bit, op on that
+    # element's operands (unbatched operands broadcast)
+    assert got.batch == batch
+    for idx in np.ndindex(*batch):
+        want = op(*(x[idx] if isinstance(x, Jet) and x.batch else x for x in operands))
+        assert want.batch == () and got.order == want.order
+        assert np.array_equal(got[idx].coef, want.coef)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=BATCHES,
+       orders=st.tuples(st.integers(0, 6), st.integers(0, 6)), both=st.booleans())
+def test_batched_ring_ops_match_elementwise(seed, batch, orders, both):
+    # bitwise, with mixed orders and a batched x batched or batched x
+    # unbatched pair in either order
+    rng = np.random.default_rng(seed)
+    a = _random_jet(rng, batch, orders[0])
+    b = _random_jet(rng, batch if both else (), orders[1])
+    c = complex(*rng.normal(size=2))
+    for op in (operator.mul, operator.add, operator.sub):
+        _assert_elementwise(op(a, b), batch, op, a, b)
+        _assert_elementwise(op(b, a), batch, op, b, a)
+    _assert_elementwise(-a, batch, operator.neg, a)
+    _assert_elementwise(c * a, batch, operator.mul, c, a)
+    _assert_elementwise(a * 2.5, batch, operator.mul, a, 2.5)
+    _assert_elementwise(a + c, batch, operator.add, a, c)
+    _assert_elementwise(1.0 - a, batch, operator.sub, 1.0, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=BATCHES, order=st.integers(1, 7))
+def test_batched_calculus_matches_elementwise(seed, batch, order):
+    rng = np.random.default_rng(seed)
+    a = _random_jet(rng, batch, order)
+    for var in VARS:
+        _assert_elementwise(a.derivative(var), batch, Jet.derivative, a, var)
+    for lower in range(order):
+        _assert_elementwise(a.truncate(lower), batch, Jet.truncate, a, lower)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=BATCHES, order=st.integers(0, 6))
+def test_batched_series_match_elementwise(seed, batch, order):
+    # per-element series coefficients (the constant terms differ by element)
+    # are computed in the unbatched jet's scalar arithmetic: bitwise equal
+    rng = np.random.default_rng(seed)
+    const = 1.0 + 0.5 * (rng.uniform(size=batch) + 1j * rng.uniform(size=batch))
+    a = _random_jet(rng, batch, order, const=const)
+    for f in (Jet.invert, Jet.sqrt_upper, Jet.exp, Jet.sin, Jet.cos):
+        _assert_elementwise(f(a), batch, f, a)
+    series = [rng.normal(size=batch) + 1j * rng.normal(size=batch) for _ in range(order + 1)]
+    got = a.compose_series(series)
+    for idx in np.ndindex(*batch):
+        want = a[idx].compose_series([s[idx] for s in series])
+        assert np.array_equal(got[idx].coef, want.coef)
+
+
+def test_batched_value_and_views():
+    rng = np.random.default_rng(3)
+    a = _random_jet(rng, (2, 3), 4)
+    assert a.value.shape == (2, 3)
+    assert a.value[1, 2] == a[1, 2].value == a[1][2].value
+    assert isinstance(a[0, 1].value, complex)
+    assert a[1].batch == (3,)
+    with pytest.raises(IndexError):
+        a[0, 0][0]
+    # numpy arrays of the batch shape act as one scalar per element
+    w = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal((w * a).coef, (a * w).coef)
+    assert np.array_equal((a + w).value, a.value + w)
+
+
+@pytest.mark.parametrize("batch,bad", [((3,), (1,)), ((2, 3), (1, 2))],
+                         ids=["3", "2x3"])
+def test_batched_zero_constant_raises(batch, bad):
+    rng = np.random.default_rng(4)
+    const = np.ones(batch, dtype=complex)
+    const[bad] = 0.0
+    a = _random_jet(rng, batch, 3, const=const)
+    with pytest.raises(ZeroConstantTerm, match=re.escape(f"batch index {bad}")):
+        a.invert()
+    const = np.full(batch, 1j)
+    const[bad] = 2.0   # on the cut [0, +inf) of sqrt_upper
+    with pytest.raises(AmbiguousBranch, match=re.escape(f"batch index {bad}")):
+        _random_jet(rng, batch, 3, const=const).sqrt_upper()

@@ -188,3 +188,21 @@ def test_dtn_compare_builds_one_symbol_per_ell(monkeypatch):
     assert [r["pol"] for r in rows] == ["TE", "TM"]
     assert all("err_order0" in r and "err_order1" in r for r in rows)
     assert len(calls) == 1
+
+
+def test_dtn_compare_one_riccati_pair_per_ell(monkeypatch):
+    # TE and TM impedances are read from one Riccati pair at x = kR, and
+    # match exact_mode_impedance exactly
+    calls = []
+    pair = maxdtn.mie.riccati_bessel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(maxdtn.mie, "riccati_bessel", counting)
+    lam = complex(1.0, 0.5) / (1 / 40)
+    rows = dtn_compare([20], lam, (1.3, 0.9))
+    assert len(calls) == 1
+    for r in rows:
+        assert r["exact"] == exact_mode_impedance(20, lam, 1.3, 0.9, 1.0, r["pol"]).value

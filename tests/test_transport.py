@@ -5,6 +5,7 @@ import pytest
 
 from maxdtn.errors import OrderBudgetExceeded, OutsideRetainedRegion
 from maxdtn.eikonal import eikonal_coeffs
+from maxdtn.jets import Jet
 from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
 from maxdtn.numerics import cross, dot
 from maxdtn.spectral import split_lambda, symbol_m
@@ -159,6 +160,39 @@ def test_corrector_media_independence():
         vals.append(m0 * boundary_symbol(tb).m_tilde)
     spread = max(np.max(np.abs(v - vals[0])) for v in vals[1:])
     assert spread < 1e-12
+
+
+def test_table_views_match_batched_storage(table):
+    # the per-basis dicts are element views of the one batched pass that
+    # matrix() and iota_nu_B() read
+    for j in range(table.J + 1):
+        for k in range(table.K[j]):
+            for which, views in (("A", table.a), ("B", table.b)):
+                cols = [[c.value for c in views[i][(j, k)]] for i in range(3)]
+                assert np.array_equal(table.matrix(which, j, k), np.array(cols).T)
+        cols = [[c.value for c in table.nu_cross_b[i][(j, 0)]] for i in range(3)]
+        assert np.array_equal(table.iota_nu_B(j), np.array(cols).T)
+
+
+def test_one_batched_pass_op_count(monkeypatch):
+    # the three basis data share one recursion: a consistent N=2, J=1 build
+    # makes at most 40% of the 4,941 jet products (__mul__ and __rmul__) of
+    # the former column-by-column build, which ran the recursion per datum
+    med = MediaField.constant(1.3, 0.9)
+    gs = GammaSeries(CHART, BASE, n1=3, order=6)
+    ps = eikonal_coeffs(gs, med, SP, XI, N=3)
+    calls = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    tab = transport_coeffs(ps, med, N=2, J=1)
+    assert tab.scheme == "consistent"
+    assert len(calls) <= 0.4 * 4941
 
 
 def test_cutoff_chi_plateaus():
