@@ -27,7 +27,7 @@ from .mie import dtn_compare
 from .quantizer import boundedness_check, composition_defect, operator_norm, \
     quantize
 from .numerics import sqrt_upper
-from .spectral import split_lambda
+from .spectral import calB, split_lambda
 from .transmission import TransmissionConfig, calibrate_C, region_is_free, \
     region_scan, symbol_T
 from .transport import maxwell_residual, transport_coeffs
@@ -113,7 +113,7 @@ def cmd_identities(cfg: RunConfig, fault_gamma=0.0):
     r0 = pair(beta, beta)
     root = np.sqrt(np.maximum(1.0, r0))
     nu_beta = np.abs(pair(nu, beta))
-    B = beta[:, :, None] * beta[:, None, :]
+    B = calB(beta)
     live = r0 > 1e-8
     # the solver rejects a non-tangential covector outright; report it as
     # the cross-system check failing, not a crash (each point on its own scale)
@@ -146,7 +146,7 @@ def cmd_identities(cfg: RunConfig, fault_gamma=0.0):
                                       np.max(np.abs(rhs), axis=-1)), 1.0)
         trace[keep] = np.max(np.abs(lhs - rhs), axis=-1) / scale
         _, _, Tt, T1 = symbol_T(tcfg, sp, r0_k, beta_k)
-        rho1 = sqrt_upper(sp.z ** 2 * cfg.eps * cfg.mu - r0_k)[:, None, None]
+        rho1 = rho[:, None, None]
         rho2 = sqrt_upper(sp.z ** 2 * cfg.eps2 * cfg.mu2 - r0_k)[:, None, None]
         eye = np.eye(3)
         prod = ((eye + B_k / (rho1 * rho2 - r0_k[:, None, None]))
@@ -185,7 +185,7 @@ def cmd_eikonal(cfg: RunConfig):
         gs = GammaSeries(chart, (x2, x3), n1=N + 1, order=N + 3)
         ps = eikonal_coeffs(gs, media, sp, xi, N=N)
         x1s = np.geomspace(1e-3, 0.5, 12) * ps.x1_max()
-        res = np.array([abs(eikonal_residual(ps, t)) for t in x1s])
+        res = np.abs(eikonal_residual(ps, x1s))
         keep = res > 3e-14
         slope = (np.polyfit(np.log(x1s[keep]), np.log(res[keep]), 1)[0]
                  if np.count_nonzero(keep) >= 3 else float("inf"))
@@ -196,8 +196,8 @@ def cmd_eikonal(cfg: RunConfig):
     gsf = GammaSeries(SurfaceChart.plane(), (0.1, -0.2), n1=5, order=7)
     psf = eikonal_coeffs(gsf, MediaField.constant(cfg.eps, cfg.mu), sp,
                          (0.7, -0.4), N=4)
-    flat = max(abs(eikonal_residual(psf, t))
-               for t in np.linspace(1e-3, psf.x1_max(), 8))
+    flat = float(np.max(np.abs(eikonal_residual(
+        psf, np.linspace(1e-3, psf.x1_max(), 8)))))
     good = flat <= 1e-13
     ok = ok and good
     rows.append(("flat", 0.0, flat, "pass" if good else "FAIL"))
@@ -220,16 +220,10 @@ def cmd_residual(cfg: RunConfig):
     ps = eikonal_coeffs(gs, media, sp, xi, N=N + J)
     table = transport_coeffs(ps, media, N=N, J=J)
     x1s = np.geomspace(3e-4, 3e-2, 8)
-    rows = []
-    res = []
-    for x1 in x1s:
-        V1, V2 = maxwell_residual(table, float(x1), h=1e-6,
-                                  ftilde=(0.3, -0.5, 0.8))
-        r = max(np.max(np.abs(V1)), np.max(np.abs(V2)))
-        res.append(r)
-        rows.append((float(x1), float(np.max(np.abs(V1))),
-                     float(np.max(np.abs(V2)))))
-    res = np.array(res)
+    r1, r2 = np.max(np.abs(maxwell_residual(table, x1s, h=1e-6,
+                                            ftilde=(0.3, -0.5, 0.8))), axis=-1)
+    rows = [(float(x1), float(a), float(b)) for x1, a, b in zip(x1s, r1, r2)]
+    res = np.maximum(r1, r2)
     keep = res > 3e-14
     slope = (np.polyfit(np.log(x1s[keep]), np.log(res[keep]), 1)[0]
              if np.count_nonzero(keep) >= 3 else float("inf"))

@@ -1,32 +1,15 @@
 """Run configuration: defaults, INI-file loading, validation.
 
 A single flat RunConfig drives every CLI command; unknown keys in the file
-are rejected so typos fail fast.  The default residual tolerance can be
-overridden with the MAXDTN_TOL environment variable.
+are rejected so typos fail fast.
 """
 
 from __future__ import annotations
 
 import configparser
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-
-ENV_TOL = "MAXDTN_TOL"
-
-
-def default_tol():
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return 1e-10
-    try:
-        v = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_TOL}={raw!r} is not a number") from exc
-    if not v > 0.0:
-        raise ConfigError(f"{ENV_TOL} must be positive")
-    return v
 
 
 @dataclass
@@ -63,7 +46,7 @@ class RunConfig:
     grid_n: int = 16
     thetas: tuple = (0.1, 0.2, 0.4, 0.8)
     # plumbing
-    tol: float = field(default_factory=default_tol)
+    tol: float = 1e-10
     output_dir: str = "."
 
     @property

@@ -7,7 +7,8 @@ comes from zeroing the x1^k coefficient of <gamma grad phi, gamma grad phi>
 d/dx1 acting on x1^{k+1}).
 
 A "flattened" variant replaces rho by i sqrt(r0) and drops the z^2 eps mu
-term; it feeds the high-frequency corrector of the boundary symbol.
+term; it feeds the high-frequency corrector of the boundary symbol.  The
+pointwise checks take every x1 of an array in one call.
 """
 
 from __future__ import annotations
@@ -64,12 +65,12 @@ class PhaseSeries:
         return [pad(dx1), pad(d2), pad(d3)]
 
     def grad_at(self, x1):
-        """grad_x phi at (base, x1) as a numeric 3-vector."""
-        return np.array([
-            sum(k * self.phis[k].value * x1 ** (k - 1) for k in range(1, self.N)),
-            sum(self.phis[k].derivative("x2").value * x1 ** k for k in range(self.N)),
-            sum(self.phis[k].derivative("x3").value * x1 ** k for k in range(self.N)),
-        ])
+        """grad_x phi at (base, x1): shape x1.shape + (3,) for scalar or array x1."""
+        x1 = np.asarray(x1, dtype=float)
+        d1 = sum(k * self.phis[k].value * x1 ** (k - 1) for k in range(1, self.N))
+        d2 = sum(self.phis[k].derivative("x2").value * x1 ** k for k in range(self.N))
+        d3 = sum(self.phis[k].derivative("x3").value * x1 ** k for k in range(self.N))
+        return np.stack([d1, d2, d3], axis=-1)
 
     def phi_value(self, x1):
         """phi at (base, x1) minus the constant phi_0 term (which is 0 at base)."""
@@ -77,8 +78,17 @@ class PhaseSeries:
 
     def imag_lower_bound_ok(self, samples=40):
         x1s = np.linspace(0.0, self.x1_max(), samples + 1)[1:]
-        vals = np.array([self.phi_value(t).imag for t in x1s])
-        return bool(np.all(vals >= x1s * self.rho.imag / 2.0 - 1e-13))
+        return bool(np.all(self.phi_value(x1s).imag >= x1s * self.rho.imag / 2.0 - 1e-13))
+
+    def retained(self, x1, closed):
+        """x1 as an array in (0, x1_max], or [0, x1_max] when ``closed``;
+        raises OutsideRetainedRegion naming the first x1 outside."""
+        x1 = np.asarray(x1, dtype=float)
+        outside = ~(((x1 >= 0.0) if closed else (x1 > 0.0)) & (x1 <= self.x1_max()))
+        if outside.any():
+            raise OutsideRetainedRegion(f"x1={x1[outside][0]} outside "
+                                        f"{'[' if closed else '('}0, {self.x1_max():.3g}]")
+        return x1
 
 
 def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
@@ -142,15 +152,15 @@ def eikonal_residual(ps: PhaseSeries, x1):
     """<gamma grad phi, gamma grad phi> - z^2 eps mu at (base, x1), exactly.
 
     gamma, eps, mu are evaluated pointwise in closed form (not from series),
-    so the value honestly measures the truncation error of the phase.
+    so the value honestly measures the truncation error of the phase.  A
+    scalar x1 gives a complex, an array one value per element.
     """
-    if not (0.0 < x1 <= ps.x1_max()):
-        raise OutsideRetainedRegion(f"x1={x1} outside (0, {ps.x1_max():.3g}]")
+    x1 = ps.retained(x1, closed=False)
     gs = ps.gs
     b2, b3 = gs.base
-    v = gamma_pointwise(gs.chart, b2, b3, x1) @ ps.grad_at(x1)
-    quad = np.sum(v * v)
-    if ps.flattened:
-        return complex(quad)
-    eps, mu = ps.media.values_at(gs.chart, b2, b3, x1)
-    return complex(quad - ps.sp.z ** 2 * eps * mu)
+    v = (gamma_pointwise(gs.chart, b2, b3, x1) @ ps.grad_at(x1)[..., None])[..., 0]
+    out = np.sum(v * v, axis=-1)
+    if not ps.flattened:
+        eps, mu = ps.media.values_at(gs.chart, b2, b3, x1)
+        out = out - ps.sp.z ** 2 * eps * mu
+    return complex(out) if out.ndim == 0 else out

@@ -235,7 +235,8 @@ def gamma_pointwise(chart, x2, x3, x1=0.0):
     x1 = np.asarray(x1, dtype=float)[..., None]
     j2 = fr["t2"] + x1 * fr["dnu2"]
     j3 = fr["t3"] + x1 * fr["dnu3"]
-    jac = np.stack([fr["nu"], j2, j3], axis=-1)  # columns
+    nu = np.broadcast_to(fr["nu"], j2.shape)     # against an array x1
+    jac = np.stack([nu, j2, j3], axis=-1)  # columns
     return np.linalg.inv(jac).swapaxes(-1, -2)
 
 
@@ -275,11 +276,6 @@ def _f_constant(p, y):
 @_register("affine")
 def _f_affine(p, y):
     return p["c0"] + p["g1"] * y[0] + p["g2"] * y[1] + p["g3"] * y[2]
-
-
-@_register("radial2")
-def _f_radial2(p, y):
-    return p["c0"] + p["c2"] * dot(y, y)
 
 
 @_register("gauss")

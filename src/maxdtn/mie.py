@@ -1,12 +1,11 @@
 """Exact per-mode impedances on the ball (separated-variables oracle).
 
-Riccati-Bessel functions psi_l(x) = x j_l(x) and chi_l(x) = -x y_l(x) are
-evaluated for complex argument by regime-switched recurrences (psi: series
-near zero, a downward continued fraction elsewhere, element by element over
-an array of arguments; chi: upward).  The exact
-interior impedance of each vector spherical mode is a ratio of psi_l and its
-derivative; it serves as the reference the boundary-symbol eigenvalues are
-tested against.
+The first-kind Riccati-Bessel function psi_l(x) = x j_l(x) is evaluated
+for complex argument by regime switching (a series near zero, a downward
+continued fraction elsewhere), element by element over an array of
+arguments.  The exact interior impedance of each vector spherical mode is a
+ratio of psi_l and its derivative; it serves as the reference the
+boundary-symbol eigenvalues are tested against.
 """
 
 from __future__ import annotations
@@ -185,26 +184,6 @@ def riccati_bessel(ell, x):
     if np.ndim(x) == 0:
         return RiccatiPair(complex(psi[0]), complex(dpsi[0]), float(ls[0]))
     return RiccatiPair(psi, dpsi, ls)
-
-
-def riccati_second(ell, x):
-    """Second-kind pair (chi_ell(x), chi_ell'(x)), chi_l = -x y_l(x).
-
-    The forward recurrence is stable for chi at every order (it is the
-    dominant solution), so a single branch suffices.
-    """
-    x = complex(x)
-    s = abs(x.imag)
-    sn, cs = _sin_cos_scaled(x)
-    pm, p = sn, cs               # chi_{-1} = -sin x ... chi_0 = cos x
-    pm = -sn
-    for n in range(ell):
-        pm, p = p, (2.0 * n + 1.0) / x * p - pm
-    dchi = pm - (ell / x) * p if ell > 0 else -sn
-    if s <= _SCALE_THRESHOLD:
-        fac = math.exp(s)
-        return RiccatiPair(p * fac, dchi * fac, 0.0)
-    return RiccatiPair(p, dchi, s)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Left quantization on a periodic n x n grid: the operator multiplies the
 k-th Fourier coefficient by a(x', h k) and transforms back, realized as a
 dense n^2 x n^2 matrix.  Row j of that matrix is a cyclic shift of the
 2-D FFT of the symbol's row a(x_j, h k), so assembly costs n^2 FFTs of
-size n x n.  Constant, pure multiplication and pure multiplier symbols
-short-circuit to their exact matrices so the algebraic invariants hold to
-the last bit; a pure multiplier is a circulant whose norm is max |a(h k)|.
+size n x n.  Pure multiplication and multiplier symbols (a constant is
+both) short-circuit to their exact matrices so the algebraic invariants hold
+to the last bit; a pure multiplier is a circulant of norm max |a(h k)|.
 """
 
 from __future__ import annotations
@@ -90,13 +90,11 @@ def quantize(a, h, n):
                      h * K1[None, :], h * K2[None, :]), dtype=complex)
     if A.shape != (n * n, n * n):
         A = np.broadcast_to(A, (n * n, n * n)).copy()
-    # exact short-circuits: constants, pure multiplication operators and
-    # pure multipliers (every row equal: the symbol does not depend on x)
-    if np.ptp(A.real) == 0.0 and np.ptp(A.imag) == 0.0:
-        return GridOperator(n, h, A[0, 0] * np.eye(n * n, dtype=complex),
-                            A[0].copy())
+    # exact short-circuits: pure multiplication operators (a constant sets
+    # multiplier too) and pure multipliers (the symbol does not depend on x)
     if np.all(A == A[:, :1]):
-        return GridOperator(n, h, np.diag(A[:, 0]), None)
+        const = np.all(A[:, 0] == A[0, 0])
+        return GridOperator(n, h, np.diag(A[:, 0]), A[0].copy() if const else None)
     if np.all(A == A[:1, :]):
         spec = np.fft.fft2(A[0].reshape(n, n), norm="forward")
         return GridOperator(n, h, np.take(spec, _gather_index(n, False)),
@@ -142,6 +140,7 @@ def operator_norm(M, iters=300, tol=1e-9, seed=0):
 
     Emits :class:`ConvergenceWarning` when ``iters`` run out before two
     successive estimates agree to ``tol``; the last estimate is returned.
+    The estimate is ||M v|| / ||v||: the iterate's length is not assumed 1.
     """
     rng = np.random.default_rng(seed)
     v = rng.normal(size=M.shape[1]) + 1j * rng.normal(size=M.shape[1])
@@ -157,12 +156,12 @@ def operator_norm(M, iters=300, tol=1e-9, seed=0):
         v /= nv
         s = math.sqrt(nv)
         if abs(s - s_old) <= tol * max(s, 1.0):
-            return float(np.linalg.norm(M @ v))
+            return float(np.linalg.norm(M @ v) / np.linalg.norm(v))
         s_old = s
     warnings.warn(f"power iteration stopped after {iters} iterations "
                   f"without meeting tol = {tol:g}", ConvergenceWarning,
                   stacklevel=2)
-    return float(np.linalg.norm(M @ v))
+    return float(np.linalg.norm(M @ v) / np.linalg.norm(v))
 
 
 def composition_defect(a, b, h_list, n=32):

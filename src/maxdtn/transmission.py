@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CoincidentMedia, ContourThroughZero
 from .mie import IMPEDANCE_SIGN, riccati_bessel
 from .numerics import sqrt_upper
+from .spectral import calB
 
 #: default exponent of the parabolic region boundary Im = C (Re + 1)^p
 REGION_EXPONENT = 5.0 / 7.0
@@ -430,8 +431,7 @@ def symbol_T(cfg: TransmissionConfig, sp, r0, beta):
     r0 = np.asarray(r0)[..., None, None]
     rho1 = sqrt_upper(z * z * cfg.eps1 * cfg.mu1 - r0)
     rho2 = sqrt_upper(z * z * cfg.eps2 * cfg.mu2 - r0)
-    beta = np.asarray(beta, dtype=complex)
-    B = beta[..., :, None] * beta[..., None, :]
+    B = calB(np.asarray(beta, dtype=complex))
     eye = np.eye(3)
     T = kappa * (rho1 - rho2) * (eye - B / (rho1 * rho2))
     w = z * z * kappa * dm

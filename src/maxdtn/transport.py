@@ -25,7 +25,9 @@ first-order corrector combines a commutator term n (from the two-point
 normal factor in the datum) with the (1,0) block.  The high-frequency
 flattened corrector (media-independent after scaling by mu0) uses the
 literal scheme with rho replaced by i sqrt(r0); the full corrector used for
-per-mode convergence comparisons keeps rho and the consistent scheme.
+per-mode convergence comparisons keeps rho and the consistent scheme.  The
+pointwise residual contracts the basis axis with the datum f~ and takes
+every x1 of an array in one call.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import numpy as np
 
 from .crosssys import CrossSystem
 from .eikonal import PhaseSeries, eikonal_coeffs
-from .errors import OrderBudgetExceeded, OutsideRetainedRegion
+from .errors import OrderBudgetExceeded
 from .geometry import GammaSeries, beta_jets, gamma_pointwise
 from .numerics import cross, dot, vadd, vscale, vsub
-from .spectral import cutoff_eta, cutoff_eta_prime
+from .spectral import calB, cutoff_eta, cutoff_eta_prime, m0_matrix
 
 #: sign of the first-order commutator coefficient in n; fixed by the
 #: quantization convention (kernel exp(-(i/h)<x'-y',xi'>)) and validated
@@ -283,7 +285,7 @@ def _dxi_m(z, mu0, beta, r0, dbeta, dr0, rho):
     """xi'-gradient of m = (z mu0)^{-1}(rho I + rho^{-1} B)."""
     eye = np.eye(3)
     out = []
-    B = np.outer(beta, beta)
+    B = calB(beta)
     for db, dr in zip(dbeta, dr0):
         drho = -dr / (2.0 * rho)
         dB = np.outer(db, beta) + np.outer(beta, db)
@@ -294,9 +296,9 @@ def _dxi_m(z, mu0, beta, r0, dbeta, dr0, rho):
 def _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0):
     """xi'-gradient of (1-eta) m0, m0 = i(z mu0)^{-1}(sqrt(r0) I - r0^{-1/2} B)."""
     eye = np.eye(3)
-    B = np.outer(beta, beta)
+    B = calB(beta)
     s = np.sqrt(r0)
-    m0 = 1j * (s * eye - B / s) / (z * mu0)
+    m0 = m0_matrix(z, mu0, r0, beta)
     cut = 1.0 - cutoff_eta(r0)
     dcut_dr0 = -cutoff_eta_prime(r0)
     out = []
@@ -382,69 +384,47 @@ def boundary_symbol(table: AmplitudeTable):
 # ---------------------------------------------------------------------------
 # residuals and the normal cutoff
 
-def _poly_eval(table, i, j, x1):
-    """a_j, b_j for basis i at numeric x1, plus tangential-derivative arrays."""
-    av = np.zeros(3, complex)
-    bv = np.zeros(3, complex)
-    dav = np.zeros((3, 3), complex)  # dav[m] = d_m a (m=0: x1)
-    dbv = np.zeros((3, 3), complex)
-    for k in range(table.K[j]):
-        ak = table.a[i][(j, k)]
-        bk = table.b[i][(j, k)]
-        w = x1 ** k
-        for c in range(3):
-            av[c] += w * ak[c].value
-            bv[c] += w * bk[c].value
-            if k >= 1:
-                dav[0, c] += k * x1 ** (k - 1) * ak[c].value
-                dbv[0, c] += k * x1 ** (k - 1) * bk[c].value
-            dav[1, c] += w * ak[c].derivative("x2").value
-            dav[2, c] += w * ak[c].derivative("x3").value
-            dbv[1, c] += w * bk[c].derivative("x2").value
-            dbv[2, c] += w * bk[c].derivative("x3").value
-    return av, bv, dav, dbv
+def _amplitude_at(table, name, j, w, pw, dpw, gam):
+    """Level-j amplitude ``name`` of datum w, and (gamma nabla) x it, at x1^k = pw."""
+    K = table.K[j]
+    # [k, component, (value, d2, d3)], contracted over the basis batch axis
+    c = np.array([[[comp.value, comp.derivative("x2").value,
+                    comp.derivative("x3").value]
+                   for comp in table.batched[name][(j, k)]] for k in range(K)]) @ w
+    pw, dpw = pw[..., :K, None], dpw[..., :K, None]
+    val, d2, d3 = (np.sum(pw * c[..., i], axis=-2) for i in range(3))
+    grads = (np.sum(dpw * c[..., 0], axis=-2), d2, d3)
+    return val, sum(np.cross(gam[..., :, m], grads[m]) for m in range(3))
 
 
 def maxwell_residual(table: AmplitudeTable, x1, h, ftilde=(1.0, 0.0, 0.0)):
     """Amplitude-level residuals of the first-order system at (base, x1).
 
     Returns (V1, V2): the residuals of the mu- and eps-equations at
-    amplitude level, evaluated with exact pointwise gamma, eps, mu.
+    amplitude level for the datum ftilde, evaluated with exact pointwise
+    gamma, eps, mu, each of shape x1.shape + (3,) for scalar or array x1.
     Both decay like O(x1^N) + O(h^(J+1)) for the consistent scheme.
     """
     ps = table.ps
     gs = table.gs
-    sp = table.sp
-    if not (0.0 <= x1 <= ps.x1_max()):
-        raise OutsideRetainedRegion(f"x1={x1} outside [0, {ps.x1_max():.3g}]")
+    x1 = ps.retained(x1, closed=True)
     b2, b3 = gs.base
     gam = gamma_pointwise(gs.chart, b2, b3, x1)
-    eps, mu = ps.media.values_at(gs.chart, b2, b3, x1)
-    gphi = gam @ ps.grad_at(x1)
-    z = sp.z
-    V1 = np.zeros(3, complex)
-    V2 = np.zeros(3, complex)
-    prev_curl_a = prev_curl_b = None
+    eps, mu = (np.asarray(v)[..., None] for v in ps.media.values_at(gs.chart, b2, b3, x1))
+    gphi = (gam @ ps.grad_at(x1)[..., None])[..., 0]
+    k = np.arange(table.K[0])
+    pw = x1[..., None] ** k
+    dpw = k * x1[..., None] ** np.maximum(k - 1, 0)
+    z = table.sp.z
+    V1, V2 = np.zeros((2,) + x1.shape + (3,), complex)
     for j in range(table.J + 1):
-        av = np.zeros(3, complex); bv = np.zeros(3, complex)
-        dav = np.zeros((3, 3), complex); dbv = np.zeros((3, 3), complex)
-        for i in range(3):
-            w = ftilde[i]
-            if w == 0.0:
-                continue
-            a_i, b_i, da_i, db_i = _poly_eval(table, i, j, x1)
-            av += w * a_i; bv += w * b_i; dav += w * da_i; dbv += w * db_i
-        curl_a = np.zeros(3, complex)
-        curl_b = np.zeros(3, complex)
-        for mcol in range(3):
-            curl_a += np.cross(gam[:, mcol], dav[mcol])
-            curl_b += np.cross(gam[:, mcol], dbv[mcol])
+        av, curl_a = _amplitude_at(table, "a", j, ftilde, pw, dpw, gam)
+        bv, curl_b = _amplitude_at(table, "b", j, ftilde, pw, dpw, gam)
         V1 += h ** j * (1j * np.cross(gphi, av) - 1j * z * mu * bv)
         V2 += h ** j * (1j * np.cross(gphi, bv) + 1j * z * eps * av)
-        if j >= 1:
-            V1 += h ** j * prev_curl_a
-            V2 += h ** j * prev_curl_b
-        prev_curl_a, prev_curl_b = curl_a, curl_b
+        if j < table.J:     # the curl of level j enters the level-(j+1) equations
+            V1 += h ** (j + 1) * curl_a
+            V2 += h ** (j + 1) * curl_b
     return V1, V2
 
 

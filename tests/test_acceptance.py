@@ -39,6 +39,12 @@ def _skew(v):
                      [-v[1], v[0], 0]], dtype=complex)
 
 
+def _cross(u, v):
+    # bitwise equal to np.cross for real and complex 3-vectors, at a
+    # tenth of its per-call overhead (test_02 makes 50,000 calls)
+    return u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -73,7 +79,7 @@ def test_02_cross_system_oracle():
         t = rng.normal(size=3)
         t -= (t @ nu) * nu
         t /= np.linalg.norm(t)
-        t2 = np.cross(nu, t)
+        t2 = _cross(nu, t)
         rho = 10 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0.05, np.pi - 0.05))
         beta = ((rng.normal() + 1j * rng.normal()) * t
                 + (rng.normal() + 1j * rng.normal()) * t2)
@@ -88,7 +94,7 @@ def test_02_cross_system_oracle():
         psi0 = rho * nu - beta
         a_sh = rng.normal(size=3) + 1j * rng.normal(size=3)
         c = rng.normal() + 1j * rng.normal()
-        b_sh = (c * psi0 - np.cross(psi0, a_sh)) / (z * mu0)
+        b_sh = (c * psi0 - _cross(psi0, a_sh)) / (z * mu0)
         g = ((rng.normal() + 1j * rng.normal()) * t
              + (rng.normal() + 1j * rng.normal()) * t2)
         a, b, _ = solve_cross_system(CrossSystemInput(
@@ -117,9 +123,9 @@ def test_02_cross_system_oracle():
         data = max(np.linalg.norm(a_sh), np.linalg.norm(b_sh), np.linalg.norm(g))
         sc = max(np.linalg.norm(a), np.linalg.norm(b), amp * data, 1e-300)
         agree = max(np.linalg.norm(ao - a), np.linalg.norm(bo - b)) / sc
-        r1 = np.linalg.norm(np.cross(psi0, a) - z * mu0 * b - a_sh)
-        r2 = np.linalg.norm(np.cross(psi0, b) + z * eps0 * a - b_sh)
-        r3 = np.linalg.norm(np.cross(nu, a) - g)
+        r1 = np.linalg.norm(_cross(psi0, a) - z * mu0 * b - a_sh)
+        r2 = np.linalg.norm(_cross(psi0, b) + z * eps0 * a - b_sh)
+        r3 = np.linalg.norm(_cross(nu, a) - g)
         res = max(r1, r2, r3) / sc
         worst_agree = max(worst_agree, agree)
         worst_res = max(worst_res, res)

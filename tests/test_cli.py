@@ -158,10 +158,12 @@ def test_quantizer_command(tmp_path):
 
 
 def test_quantizer_command_converges(recwarn):
-    # the defect norms converge and the boundedness norms are exact
-    _, _, ok, _ = cli.cmd_quantizer(RunConfig())
+    # the defect norms converge and the boundedness norms are exact; the
+    # identity's norm, read from its assembled matrix, is exactly 1
+    _, _, ok, summary = cli.cmd_quantizer(RunConfig())
     assert ok
     assert recwarn.list == []
+    assert "|Op(1)| = 1" in summary
 
 
 def test_te_scan_bad_boolean_exits_2(tmp_path):

@@ -1,8 +1,8 @@
-"""RunConfig defaults, INI loading, and the tolerance environment override."""
+"""RunConfig defaults and INI loading."""
 
 import pytest
 
-from maxdtn.config import ENV_TOL, RunConfig, default_tol, load_config
+from maxdtn.config import RunConfig, load_config
 from maxdtn.errors import ConfigError
 
 
@@ -12,20 +12,10 @@ def test_defaults_validate():
     assert cfg.lam == complex(cfg.lam_re, cfg.lam_im)
 
 
-def test_env_tol_override(monkeypatch):
-    monkeypatch.setenv(ENV_TOL, "1e-8")
-    assert default_tol() == 1e-8
-    monkeypatch.delenv(ENV_TOL)
-    assert default_tol() == 1e-10
-
-
-def test_env_tol_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(ENV_TOL, "not-a-number")
-    with pytest.raises(ConfigError):
-        default_tol()
-    monkeypatch.setenv(ENV_TOL, "-1e-8")
-    with pytest.raises(ConfigError):
-        default_tol()
+def test_environment_does_not_set_tol(monkeypatch):
+    # tol is set by the [run] key only; the environment is not read
+    monkeypatch.setenv("MAXDTN_TOL", "1e-8")
+    assert RunConfig().tol == 1e-10
 
 
 def test_load_config_roundtrip(tmp_path):

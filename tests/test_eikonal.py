@@ -111,3 +111,28 @@ def test_series_too_short_rejected():
     gs = GammaSeries(chart, (1.1, 0.3), n1=2, order=5)
     with pytest.raises(ValueError):
         eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, (0.5, 0.1), N=4)
+
+
+@pytest.mark.parametrize("flattened", [False, True])
+def test_batched_residual_matches_pointwise(flattened):
+    media = MediaField(
+        ScalarField("affine", c0=1.3, g1=0.1, g2=-0.05, g3=0.2),
+        ScalarField("affine", c0=1.1, g1=-0.07, g2=0.12, g3=0.03))
+    ps = _phase(SurfaceChart.ellipsoid(1.0, 1.2, 0.8), media,
+                (1.2, 0.5), (0.5, 0.3), N=5, flattened=flattened)
+    x1s = np.geomspace(1e-3, ps.x1_max(), 12).reshape(3, 4)
+    res = eikonal_residual(ps, x1s)
+    assert res.shape == x1s.shape
+    assert ps.grad_at(x1s).shape == x1s.shape + (3,)
+    for idx in np.ndindex(x1s.shape):
+        assert res[idx] == eikonal_residual(ps, float(x1s[idx]))
+    assert isinstance(eikonal_residual(ps, float(x1s[0, 0])), complex)
+
+
+def test_batched_region_guard_names_first_bad():
+    ps = _phase(SurfaceChart.sphere(1.0), MediaField.constant(1.0, 1.0),
+                (1.1, 0.3), (0.7, -0.4), N=3)
+    top = ps.x1_max()
+    x1s = np.array([0.5 * top, 2.0 * top, 0.25 * top, 3.0 * top])
+    with pytest.raises(OutsideRetainedRegion, match=f"x1={2.0 * top}"):
+        eikonal_residual(ps, x1s)

@@ -204,3 +204,20 @@ def test_cutoff_chi_plateaus():
     assert 0.0 <= v <= 1.0
     with pytest.raises(ValueError):
         cutoff_chi(0.1, 1.0, 0.0)
+
+
+def test_batched_residual_matches_pointwise(table):
+    # x1 = 0 is inside the closed region the residual accepts
+    x1s = np.concatenate([[0.0], np.geomspace(3e-4, 3e-2, 7)]).reshape(2, 4)
+    V1, V2 = maxwell_residual(table, x1s, h=1e-3, ftilde=(0.3, -0.5, 0.8))
+    assert V1.shape == V2.shape == x1s.shape + (3,)
+    for idx in np.ndindex(x1s.shape):
+        W1, W2 = maxwell_residual(table, float(x1s[idx]), h=1e-3,
+                                  ftilde=(0.3, -0.5, 0.8))
+        assert np.array_equal(V1[idx], W1) and np.array_equal(V2[idx], W2)
+
+
+def test_batched_residual_region_guard(table):
+    x1s = np.array([1e-3, 10.0, 2e-3])
+    with pytest.raises(OutsideRetainedRegion, match="x1=10.0"):
+        maxwell_residual(table, x1s, h=1e-6)
