@@ -22,7 +22,7 @@ from .crosssys import TANGENCY_TOL, CrossSystemInput, solve_cross_system
 from .eikonal import eikonal_coeffs, eikonal_residual
 from .errors import ConfigError, MaxdtnError
 from .geometry import GammaSeries, MediaField, SurfaceChart, \
-    beta_pointwise, gamma_pointwise
+    beta_from_gamma, gamma_pointwise
 from .mie import dtn_compare
 from .quantizer import boundedness_check, composition_defect, operator_norm, \
     quantize
@@ -107,9 +107,9 @@ def cmd_identities(cfg: RunConfig, fault_gamma=0.0):
     # every identity is evaluated over all points at once; a point's
     # residual is its own, relative to its own scale
     gam = gamma_pointwise(chart, x2s, x3s, x1s) + fault_gamma
-    nu = gamma_pointwise(chart, x2s, x3s, 0.0)[..., :, 0] + fault_gamma
-    beta, _ = beta_pointwise(chart, x2s, x3s, xis[:, 0], xis[:, 1])
-    beta = beta + fault_gamma
+    gam0 = gamma_pointwise(chart, x2s, x3s)         # gamma(x', 0): nu and beta
+    nu = gam0[..., :, 0] + fault_gamma
+    beta = beta_from_gamma(gam0, xis[:, 0], xis[:, 1]) + fault_gamma
     r0 = pair(beta, beta)
     root = np.sqrt(np.maximum(1.0, r0))
     nu_beta = np.abs(pair(nu, beta))

@@ -240,11 +240,15 @@ def gamma_pointwise(chart, x2, x3, x1=0.0):
     return np.linalg.inv(jac).swapaxes(-1, -2)
 
 
+def beta_from_gamma(g0, xi2, xi3):
+    """beta = xi2*gamma0 zeta2 + xi3*gamma0 zeta3 from gamma(x', 0), batched."""
+    return (np.asarray(xi2)[..., None] * g0[..., :, 1]
+            + np.asarray(xi3)[..., None] * g0[..., :, 2])
+
+
 def beta_pointwise(chart, x2, x3, xi2, xi3):
     """beta = xi2*gamma0 zeta2 + xi3*gamma0 zeta3 and r0 = <beta,beta>, batched."""
-    g0 = gamma_pointwise(chart, x2, x3)
-    beta = (np.asarray(xi2)[..., None] * g0[..., :, 1]
-            + np.asarray(xi3)[..., None] * g0[..., :, 2])
+    beta = beta_from_gamma(gamma_pointwise(chart, x2, x3), xi2, xi3)
     r0 = np.sum(beta * beta, axis=-1)
     return beta, r0
 

@@ -1,12 +1,16 @@
 """Discrete semiclassical quantization on the flat 2-torus.
 
 Left quantization on a periodic n x n grid: the operator multiplies the
-k-th Fourier coefficient by a(x', h k) and transforms back, realized as a
-dense n^2 x n^2 matrix.  Row j of that matrix is a cyclic shift of the
-2-D FFT of the symbol's row a(x_j, h k), so assembly costs n^2 FFTs of
-size n x n.  Pure multiplication and multiplier symbols (a constant is
-both) short-circuit to their exact matrices so the algebraic invariants hold
-to the last bit; a pure multiplier is a circulant of norm max |a(h k)|.
+k-th Fourier coefficient by a(x', h k) and transforms back.  On the grid it
+factors as Op_h(a) = K F, with F the forward 2-D FFT (normalized by n^2)
+and K[j, k] = a(x_j, h k) e^{i k.x_j} the sampled symbol times a phase
+table.  ``quantize`` realizes it as a dense n^2 x n^2 matrix, row j being
+the FFT of K's row j.  ``composition_defect`` assembles no operator
+matrix: it applies Op(a)Op(b) - Op(ab) and its adjoint through the
+factors, so no n^2 x n^2 product is formed.  Pure multiplication and
+multiplier symbols (a constant is both) short-circuit in ``quantize`` to
+their exact matrices so the algebraic invariants hold to the last bit; a
+pure multiplier is a circulant of norm max |a(h k)|.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ class GridOperator:
 
 
 def _grid(n):
+    if n > 64:
+        raise ValueError("dense quantizer budget is n <= 64")
     x = np.arange(n) * (2.0 * np.pi / n)
     k = np.fft.fftfreq(n, d=1.0 / n)          # integer frequencies
     return x, k
@@ -55,22 +61,55 @@ def _flat(n):
     return X1, X2, K1, K2
 
 
+def _sample(a, h, n):
+    """The symbol on the grid, A[j, k] = a(x_j, h k), and its kind.
+
+    The kind is "multiplication" when A does not vary along k (a constant
+    included), "multiplier" when it does not vary along x, else "mixed".
+    A mixed symbol emits :class:`AliasWarning` when more than 1e-8 of its
+    spatial spectral mass sits in the highest-frequency band of the grid.
+    """
+    X1, X2, K1, K2 = _flat(n)
+    A = np.asarray(a(X1[:, None], X2[:, None],
+                     h * K1[None, :], h * K2[None, :]), dtype=complex)
+    if A.shape != (n * n, n * n):
+        A = np.broadcast_to(A, (n * n, n * n)).copy()
+    # a varying first row (column) rules a kind out before the full scan
+    if np.all(A[0] == A[0, 0]) and np.all(A == A[:, :1]):
+        return A, "multiplication"
+    if np.all(A[:, 0] == A[0, 0]) and np.all(A == A[:1, :]):
+        return A, "multiplier"
+    mass, total = _nyquist_mass(A, n)
+    if total > 0.0 and mass > 1e-8 * total:
+        warnings.warn(
+            f"{mass / total:.2e} of spatial spectral mass at the Nyquist band",
+            AliasWarning, stacklevel=3)
+    return A, "mixed"
+
+
+def _phases(n):
+    """E[j, k] = e^{i k.x_j} on the flattened grid, an n^2 x n^2 array.
+
+    Broadcast from the n x n table e^{2 pi i (j k mod n) / n}, whose
+    reduced exponent keeps the argument of exp below 2 pi.
+    """
+    _, k = _grid(n)
+    j = np.arange(n)
+    t = np.exp(2j * np.pi * (np.outer(j, k.astype(int)) % n) / n)
+    return (t[:, None, :, None] * t[None, :, None, :]).reshape(n * n, n * n)
+
+
 @functools.lru_cache(maxsize=8)
-def _gather_index(n, per_row):
-    """Flat index taking FFT values to the n^2 x n^2 quantization matrix.
+def _gather_index(n):
+    """Flat index taking one spectrum to the n^2 x n^2 circulant.
 
     For integer k, e^{-i k.(x_m - x_j)} = e^{-2 pi i k.(m - j)/n}, so row
-    j of the matrix is the 2-D FFT of the symbol's row j read at m - j,
-    the index taken mod n on each axis.  With ``per_row`` the index points
-    into the stacked spectra of all n^2 rows, else into one spectrum
-    shared by every row.
+    j of a multiplier's matrix is the 2-D FFT of its symbol read at m - j,
+    the index taken mod n on each axis.
     """
     j = np.arange(n, dtype=np.int32)
     shift = (j[None, :] - j[:, None]) % n            # [j, m] -> m - j mod n
-    idx = shift[:, None, :, None] * n + shift[None, :, None, :]
-    if per_row:
-        idx = idx + (np.arange(n * n, dtype=np.int32) * (n * n)).reshape(n, n, 1, 1)
-    idx = idx.reshape(n * n, n * n)
+    idx = (shift[:, None, :, None] * n + shift[None, :, None, :]).reshape(n * n, n * n)
     idx.flags.writeable = False
     return idx
 
@@ -83,25 +122,16 @@ def quantize(a, h, n):
     :class:`AliasWarning` when more than 1e-8 of the symbol's spatial
     spectral mass sits in the highest-frequency band of the grid.
     """
-    if n > 64:
-        raise ValueError("dense quantizer budget is n <= 64")
-    X1, X2, K1, K2 = _flat(n)
-    A = np.asarray(a(X1[:, None], X2[:, None],
-                     h * K1[None, :], h * K2[None, :]), dtype=complex)
-    if A.shape != (n * n, n * n):
-        A = np.broadcast_to(A, (n * n, n * n)).copy()
-    # exact short-circuits: pure multiplication operators (a constant sets
-    # multiplier too) and pure multipliers (the symbol does not depend on x)
-    if np.all(A == A[:, :1]):
+    A, kind = _sample(a, h, n)
+    if kind == "multiplication":
         const = np.all(A[:, 0] == A[0, 0])
         return GridOperator(n, h, np.diag(A[:, 0]), A[0].copy() if const else None)
-    if np.all(A == A[:1, :]):
+    if kind == "multiplier":
         spec = np.fft.fft2(A[0].reshape(n, n), norm="forward")
-        return GridOperator(n, h, np.take(spec, _gather_index(n, False)),
-                            A[0].copy())
-    _alias_check(A, n)
-    spec = np.fft.fft2(A.reshape(n * n, n, n), norm="forward")
-    return GridOperator(n, h, np.take(spec, _gather_index(n, True)), None)
+        return GridOperator(n, h, np.take(spec, _gather_index(n)), A[0].copy())
+    K = (A * _phases(n)).reshape(n * n, n, n)
+    return GridOperator(n, h, np.fft.fft2(K, norm="forward").reshape(n * n, n * n),
+                        None)
 
 
 def _nyquist_mass(A, n):
@@ -127,12 +157,30 @@ def _nyquist_mass(A, n):
     return mass, n * n * sq(A)
 
 
-def _alias_check(A, n):
-    mass, total = _nyquist_mass(A, n)
-    if total > 0.0 and mass > 1e-8 * total:
-        warnings.warn(
-            f"{mass / total:.2e} of spatial spectral mass at the Nyquist band",
-            AliasWarning, stacklevel=3)
+def _power_norm(apply, adjoint, size, iters=300, tol=1e-9, seed=0):
+    """Largest singular value of a map given as (apply, adjoint) callables.
+
+    Power iteration on adjoint(apply(.)); the rule is :func:`operator_norm`'s.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    v /= np.linalg.norm(v)
+    s_old = 0.0
+    for _ in range(iters):
+        v = adjoint(apply(v))
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            return 0.0
+        v /= nv
+        s = math.sqrt(nv)
+        if abs(s - s_old) <= tol * max(s, 1.0):
+            break
+        s_old = s
+    else:
+        warnings.warn(f"power iteration stopped after {iters} iterations "
+                      f"without meeting tol = {tol:g}", ConvergenceWarning,
+                      stacklevel=3)
+    return float(np.linalg.norm(apply(v)) / np.linalg.norm(v))
 
 
 def operator_norm(M, iters=300, tol=1e-9, seed=0):
@@ -142,41 +190,59 @@ def operator_norm(M, iters=300, tol=1e-9, seed=0):
     successive estimates agree to ``tol``; the last estimate is returned.
     The estimate is ||M v|| / ||v||: the iterate's length is not assumed 1.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=M.shape[1]) + 1j * rng.normal(size=M.shape[1])
-    v /= np.linalg.norm(v)
     Mh = M.conj().T
-    s_old = 0.0
-    for _ in range(iters):
-        w = M @ v
-        v = Mh @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        s = math.sqrt(nv)
-        if abs(s - s_old) <= tol * max(s, 1.0):
-            return float(np.linalg.norm(M @ v) / np.linalg.norm(v))
-        s_old = s
-    warnings.warn(f"power iteration stopped after {iters} iterations "
-                  f"without meeting tol = {tol:g}", ConvergenceWarning,
-                  stacklevel=2)
-    return float(np.linalg.norm(M @ v) / np.linalg.norm(v))
+    return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1],
+                       iters, tol, seed)
+
+
+def _defect_operator(Ka, Kb, Kab, n):
+    """D = Op(a)Op(b) - Op(ab) = Ka F Kb F - Kab F and its adjoint, as maps.
+
+    F^H is the inverse FFT, and K^H w is formed as conj(conj(w) K), so no
+    conjugate transpose of a factor is copied.
+    """
+    def fft(v):
+        return np.fft.fft2(v.reshape(n, n), norm="forward").ravel()
+
+    def ifft(w):
+        return np.fft.ifft2(w.reshape(n, n)).ravel()
+
+    def kh(K, w):
+        return (w.conj() @ K).conj()
+
+    def apply(v):
+        u = fft(v)
+        return Ka @ fft(Kb @ u) - Kab @ u
+
+    def adjoint(w):
+        return ifft(kh(Kb, ifft(kh(Ka, w))) - kh(Kab, w))
+
+    return apply, adjoint
 
 
 def composition_defect(a, b, h_list, n=32):
     """Norms ||Op(a)Op(b) - Op(ab)|| per h and the fitted log-log slope.
 
-    Returns (defects, slope); the slope fit drops values at the numerical
-    floor so an exactly-commuting pair reports slope nan with zero defects.
+    Each norm comes from power iteration (as in :func:`operator_norm`) on
+    the factored defect: Op(c) = K_c F with K_c the sampled symbol times
+    the phase table, so one step costs six n^2-length matrix-vector
+    products and four FFTs, and no n^2 x n^2 product is formed.  Every
+    mixed symbol among a, b and ab is checked for aliasing as in
+    :func:`quantize`.  Returns (defects, slope); the slope fit drops values
+    at the numerical floor so an exactly-commuting pair reports slope nan
+    with zero defects.
     """
+    def ab(x1, x2, s1, s2):
+        return a(x1, x2, s1, s2) * b(x1, x2, s1, s2)
+
+    E = _phases(n)                 # raises past the budget, before sampling
     defects = []
     for h in h_list:
-        Ma = quantize(a, h, n).matrix
-        Mb = quantize(b, h, n).matrix
-        Mab = quantize(lambda x1, x2, s1, s2:
-                       a(x1, x2, s1, s2) * b(x1, x2, s1, s2), h, n).matrix
-        defects.append(operator_norm(Ma @ Mb - Mab))
+        Ka = _sample(a, h, n)[0] * E
+        Kb = _sample(b, h, n)[0] * E
+        Kab = _sample(ab, h, n)[0] * E
+        defects.append(_power_norm(*_defect_operator(Ka, Kb, Kab, n), n * n))
+        del Ka, Kb, Kab                  # freed before the next h is sampled
     defects = np.array(defects)
     keep = defects > 1e-13
     if np.count_nonzero(keep) >= 2:

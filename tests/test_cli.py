@@ -2,7 +2,11 @@
 
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +182,28 @@ def test_te_scan_bad_boolean_exits_2(tmp_path):
 def test_config_parse_errors_exit_2(tmp_path, text):
     cfg = write_cfg(tmp_path, text)
     assert main(["identities", "--config", cfg]) == 2
+
+
+_NUMPY_ONLY = """
+import sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None          # any import of them now fails
+from maxdtn import cli
+out = sys.argv[1]
+assert cli.main(["quantizer", "--output-dir", out]) == 0
+assert cli.main(["identities", "--output-dir", out]) == 0
+"""
+
+
+def test_runtime_imports_only_numpy(tmp_path):
+    # the package's only runtime dependency is numpy; the test extras
+    # (scipy, mpmath, hypothesis) must not be reached by the commands
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "quantizer.csv").exists()
+    assert (tmp_path / "identities.csv").exists()

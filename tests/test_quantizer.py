@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from maxdtn.quantizer import (AliasWarning, ConvergenceWarning,
-                              _flat, _nyquist_mass, boundedness_check,
-                              composition_defect, operator_norm, quantize)
+                              _defect_operator, _flat, _nyquist_mass, _phases,
+                              _sample, boundedness_check, composition_defect,
+                              operator_norm, quantize)
 
 
 def test_identity_symbol_exact():
@@ -187,3 +188,103 @@ def test_composition_commuting_pair_is_exact():
     defects, slope = composition_defect(a, b, [0.25, 0.125], n=8)
     assert np.all(np.array(defects) < 1e-13)
     assert np.isnan(slope)
+
+
+# one symbol of each kind, for the factored (matrix-free) operator
+_KINDS = {
+    "mixed": lambda x1, x2, s1, s2: (np.exp(1j * x1) * (1.0 + 0.5 * np.sin(s2 + 0.3))
+                                     + np.cos(x2) * s1 ** 2),
+    "multiplication": lambda x1, x2, s1, s2: np.cos(x1) + np.sin(2 * x2) + 0.0 * s1,
+    "multiplier": lambda x1, x2, s1, s2: 1.0 / (1.0 + s1 ** 2 + 0.3j * s2) + 0.0 * x1,
+}
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [5, 16, 32])
+def test_factored_operator_matches_matrix(n):
+    # with b = 1 (K = E) and ab = 0 the defect operator is Op(a) itself
+    h = 0.1
+    rng = np.random.default_rng(n)
+    E = _phases(n)
+    v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    w = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    for kind, a in _KINDS.items():
+        A, got_kind = _sample(a, h, n)
+        assert got_kind == kind
+        apply, adjoint = _defect_operator(A * E, E, np.zeros_like(E), n)
+        M = quantize(a, h, n).matrix
+        assert _rel(apply(v), M @ v) <= 1e-12
+        assert _rel(adjoint(w), M.conj().T @ w) <= 1e-12
+
+
+# at n = 5 the products reach the Nyquist band; the identity holds regardless
+@pytest.mark.filterwarnings("ignore::maxdtn.quantizer.AliasWarning")
+@pytest.mark.parametrize("n", [5, 16, 32])
+def test_defect_operator_matches_dense(n):
+    h = 0.1
+    rng = np.random.default_rng(100 + n)
+    E = _phases(n)
+    v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    w = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    # the pairs with a nonzero defect: a multiplication on the left or a
+    # multiplier on the right composes exactly
+    for ka, kb in [("multiplier", "mixed"), ("mixed", "multiplication"),
+                   ("mixed", "mixed")]:
+        a, b = _KINDS[ka], _KINDS[kb]
+
+        def ab(x1, x2, s1, s2):
+            return a(x1, x2, s1, s2) * b(x1, x2, s1, s2)
+
+        D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
+             - quantize(ab, h, n).matrix)
+        apply, adjoint = _defect_operator(*(_sample(c, h, n)[0] * E
+                                            for c in (a, b, ab)), n)
+        assert _rel(apply(v), D @ v) <= 1e-12
+        assert _rel(adjoint(w), D.conj().T @ w) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_composition_defect_matches_dense_norm(n):
+    # test_09's pair; the reference forms the n^2 x n^2 defect matrix
+    a = lambda x1, x2, s1, s2: np.exp(1j * x1) * (1.0 + 0.5 * np.sin(s2 + 0.3))
+    b = lambda x1, x2, s1, s2: np.cos(x2) * (1.0 + 0.4 * np.sin(s2 - 0.2))
+    ab = lambda x1, x2, s1, s2: a(x1, x2, s1, s2) * b(x1, x2, s1, s2)
+    hs = [2.0 ** -k for k in range(3, 8)]
+    defects, _ = composition_defect(a, b, hs, n=n)
+    for h, d in zip(hs, defects):
+        ref = operator_norm(quantize(a, h, n).matrix @ quantize(b, h, n).matrix
+                            - quantize(ab, h, n).matrix)
+        assert abs(d - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_composition_defect_alias_warning(n):
+    # a Nyquist-band mixed symbol warns as an argument of the composition...
+    with pytest.warns(AliasWarning):
+        composition_defect(
+            lambda x1, x2, s1, s2: np.cos((n // 2) * x2) * (1.0 + 0.1 * np.sin(s1)),
+            lambda x1, x2, s1, s2: 1.0 + 0.2 * np.sin(s2) + 0.0 * x1, [0.1], n=n)
+    # ...and as the product ab, when neither factor reaches the band
+    a = lambda x1, x2, s1, s2: np.cos(2 * x1) * (1.0 + 0.1 * np.sin(s1))
+    b = lambda x1, x2, s1, s2: np.cos(2 * x1) + 0.0 * s1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quantize(a, 0.1, n)
+        quantize(b, 0.1, n)
+    with pytest.warns(AliasWarning):
+        composition_defect(a, b, [0.1], n=n)
+
+
+def test_composition_defect_grid_budget():
+    calls = []
+
+    def a(x1, x2, s1, s2):
+        calls.append(1)
+        return 1.0 + 0.0 * x1 + 0.0 * s1
+
+    with pytest.raises(ValueError):
+        composition_defect(a, a, [0.1], n=65)
+    assert calls == []
