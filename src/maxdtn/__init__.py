@@ -17,7 +17,7 @@ from .quantizer import (AliasWarning, ConvergenceWarning, GridOperator,
                         boundedness_check, composition_defect, operator_norm,
                         quantize)
 from .spectral import (SpectralParameter, cutoff_eta, m0_matrix, m_matrix,
-                       split_lambda, symbol_m, symbol_m0)
+                       split_lambda, symbol_m)
 from .transmission import (TransmissionConfig, calibrate_C, count_zeros,
                            locate_zeros, mode_determinant, region_is_free,
                            region_scan, symbol_T)

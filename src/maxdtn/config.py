@@ -1,13 +1,15 @@
 """Run configuration: defaults, INI-file loading, validation.
 
 A single flat RunConfig drives every CLI command; unknown keys in the file
-are rejected so typos fail fast.
+are rejected so typos fail fast.  A key's value is parsed by the type of
+its RunConfig field.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -58,15 +60,20 @@ class RunConfig:
                     "re_max", "tol", "theta"]
         for name in positive:
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v == v and
-                    abs(v) != float("inf") and v > 0.0):
+            if not _positive_finite(v):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+        if not (isinstance(self.axes, tuple) and len(self.axes) == 3
+                and all(_positive_finite(v) for v in self.axes)):
+            raise ConfigError(
+                f"axes must be three positive finite numbers, got {self.axes!r}")
         for name in ["N", "J", "npoints", "ell_max", "grid_n", "seed"]:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 0):
                 raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
         if self.N < 2:
             raise ConfigError("N must be at least 2")
+        if self.ell_max < 1:
+            raise ConfigError("ell_max must be at least 1")
         if self.chart not in ("sphere", "plane", "ellipsoid"):
             raise ConfigError(f"unknown chart {self.chart!r}")
         if self.region_C < 0.0:
@@ -86,10 +93,20 @@ class RunConfig:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
-_TUPLE_KEYS = {"axes", "h_list", "thetas"}
-_INT_KEYS = {"N", "J", "npoints", "seed", "ell_max", "grid_n"}
-_BOOL_KEYS = {"certify", "calibrate"}
-_STR_KEYS = {"command", "chart", "output_dir"}
+def _positive_finite(v):
+    return (isinstance(v, (int, float)) and v == v and abs(v) != float("inf")
+            and v > 0.0)
+
+
+#: parser of a key's raw text, by the type of its RunConfig field
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+    tuple: lambda raw: tuple(float(t) for t in raw.replace(",", " ").split()),
+}
+_TYPES = get_type_hints(RunConfig)
 
 
 def load_config(path, base=None):
@@ -110,16 +127,7 @@ def load_config(path, base=None):
             raise ConfigError(f"{path}: unknown key {key!r}")
         key = known[key.lower()]
         try:
-            if key in _STR_KEYS:
-                val = raw
-            elif key in _BOOL_KEYS:
-                val = parser.BOOLEAN_STATES[raw.lower()]
-            elif key in _INT_KEYS:
-                val = int(raw)
-            elif key in _TUPLE_KEYS:
-                val = tuple(float(t) for t in raw.replace(",", " ").split())
-            else:
-                val = float(raw)
+            val = _PARSERS[_TYPES[key]](raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {raw!r}") from exc
         setattr(cfg, key, val)

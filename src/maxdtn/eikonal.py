@@ -4,7 +4,8 @@ The phase is an x1-polynomial phi = sum_k x1^k phi_k with jet-valued
 coefficients; phi_0 has gradient -xi' and phi_1 = rho.  Each next coefficient
 comes from zeroing the x1^k coefficient of <gamma grad phi, gamma grad phi>
 - z^2 eps mu, dividing by 2 rho (k+1) (the factor (k+1) accounts for
-d/dx1 acting on x1^{k+1}).
+d/dx1 acting on x1^{k+1}).  The series psi = gamma grad phi
+(``PhaseSeries.psi_series``) also drives the transport recursion.
 
 A "flattened" variant replaces rho by i sqrt(r0) and drops the z^2 eps mu
 term; it feeds the high-frequency corrector of the boundary symbol.  The
@@ -26,6 +27,8 @@ log = logging.getLogger(__name__)
 
 #: initial delta of the retained region x1 <= 2 delta min(1, |rho|^3)
 DELTA_DEFAULT = 0.1
+#: points of (0, x1_max] at which the lower bound on Im phi is checked
+IMAG_SAMPLES = 40
 
 
 class PhaseSeries:
@@ -76,8 +79,12 @@ class PhaseSeries:
         """phi at (base, x1) minus the constant phi_0 term (which is 0 at base)."""
         return sum(self.phis[k].value * x1 ** k for k in range(self.N))
 
-    def imag_lower_bound_ok(self, samples=40):
-        x1s = np.linspace(0.0, self.x1_max(), samples + 1)[1:]
+    def psi_series(self, n1):
+        """psi = gamma grad phi as a NormalSeries 3-vector of length n1."""
+        return matvec(self.gs.gamma, self.grad_series(n1))
+
+    def imag_lower_bound_ok(self):
+        x1s = np.linspace(0.0, self.x1_max(), IMAG_SAMPLES + 1)[1:]
         return bool(np.all(self.phi_value(x1s).imag >= x1s * self.rho.imag / 2.0 - 1e-13))
 
     def retained(self, x1, closed):
@@ -99,7 +106,6 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     the frequency term is dropped and rho is replaced by i sqrt(r0); the
     result is media-independent.
     """
-    vars_, order = gs.vars, gs.order
     if gs.n1 < N:
         raise ValueError("GammaSeries too short for the requested phase order")
     beta = beta_jets(gs, xiprime)
@@ -116,14 +122,9 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     if abs(rho_jet.value) < 1e-14:
         raise DegenerateRho("|rho| below 1e-14 at the phase base point")
 
-    phi0 = Jet(vars_, order)
-    i2, i3 = vars_.index("x2"), vars_.index("x3")
-    idx = [0] * len(vars_)
-    idx[i2] = 1
-    phi0.coef[tuple(idx)] = -xiprime[0]
-    idx[i2] = 0
-    idx[i3] = 1
-    phi0.coef[tuple(idx)] = -xiprime[1]
+    phi0 = Jet(gs.vars, gs.order)          # gradient -xi' in (x2, x3)
+    phi0.coef[1, 0] = -xiprime[0]
+    phi0.coef[0, 1] = -xiprime[1]
 
     phis = [phi0, rho_jet]
     inv_2rho = (2.0 * rho_jet).invert()
@@ -131,8 +132,7 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     for k in range(1, N):
         # S_k with phi_{k+1} = 0
         ps = PhaseSeries(gs, sp, xiprime, phis + [zero], rho_jet, media, flattened)
-        grad = ps.grad_series(n1=k + 1)
-        psi = matvec([[gs.gamma[i][j] for j in range(3)] for i in range(3)], grad)
+        psi = ps.psi_series(k + 1)
         S = dot(psi, psi)
         Sk = S.coeffs[k]
         rhs = -Sk if flattened else sp.z ** 2 * epsmu.coeffs[k] - Sk

@@ -18,6 +18,9 @@ from .errors import FocalDegeneracy, ZeroConstantTerm
 from .jets import Jet, NormalSeries
 from .numerics import cross, dot
 
+#: tangential variables of every jet the geometry builds
+VARS = ("x2", "x3")
+
 # ---------------------------------------------------------------------------
 # ring-generic scalar functions (jets or numpy arrays/scalars)
 
@@ -27,10 +30,6 @@ def _sin(u):
 
 def _cos(u):
     return u.cos() if isinstance(u, Jet) else np.cos(u)
-
-
-def _exp(u):
-    return u.exp() if isinstance(u, (Jet, NormalSeries)) else np.exp(u)
 
 
 def _sqrt_pos(u):
@@ -90,9 +89,9 @@ class SurfaceChart:
         sp, cp = _sin(x3), _cos(x3)
         return [a * st * cp, b * st * sp, c * ct]
 
-    def embed_jets(self, base, vars=("x2", "x3"), order=8):
-        x2 = Jet.variable("x2", base[0], vars, order)
-        x3 = Jet.variable("x3", base[1], vars, order)
+    def embed_jets(self, base, order):
+        x2 = Jet.variable("x2", base[0], VARS, order)
+        x3 = Jet.variable("x3", base[1], VARS, order)
         return self.embed(x2, x3)
 
     def random_points(self, n, rng, margin=0.0):
@@ -138,13 +137,13 @@ class SurfaceChart:
         dnu3 = -dg3 / gn + grad * dgn3 / gn ** 2
         return {"s": s, "t2": t2, "t3": t3, "nu": nu, "dnu2": dnu2, "dnu3": dnu3}
 
-    def normal_jets(self, base, vars=("x2", "x3"), order=8):
+    def normal_jets(self, base, order):
         """Inward unit normal as a 3-vector of jets at the base point."""
         if self.kind == "plane":
-            one = Jet.constant(1.0, vars, order)
+            one = Jet.constant(1.0, VARS, order)
             zero = one * 0.0
             return [one, zero, zero]
-        s = self.embed_jets(base, vars, order + 1)
+        s = self.embed_jets(base, order + 1)
         t2 = [c.derivative("x2") for c in s]
         t3 = [c.derivative("x3") for c in s]
         raw = cross(t2, t3)
@@ -155,10 +154,10 @@ class SurfaceChart:
         sign = 1.0 if sum(ref[i] * cand[i].value.real for i in range(3)) > 0 else -1.0
         return [sign * c for c in cand]
 
-    def jacobian_series(self, base, n1, vars=("x2", "x3"), order=8):
+    def jacobian_series(self, base, n1, order):
         """Columns of dy/dx as NormalSeries 3-vectors: (nu, t2 + x1 dnu2, t3 + x1 dnu3)."""
-        s = self.embed_jets(base, vars, order + 2)
-        nu = self.normal_jets(base, vars, order + 1)
+        s = self.embed_jets(base, order + 2)
+        nu = self.normal_jets(base, order + 1)
         cols = [[NormalSeries.constant(c.truncate(order), n1) for c in nu]]
         for var in ("x2", "x3"):
             t = [c.derivative(var).truncate(order + 1) for c in s]
@@ -196,13 +195,13 @@ def _adjugate3(m):
 class GammaSeries:
     """gamma(x) = (dy/dx)^{-T} as an x1-series of jet-valued 3x3 matrices."""
 
-    def __init__(self, chart, base, n1, order=8, vars=("x2", "x3")):
+    def __init__(self, chart, base, n1, order):
         self.chart = chart
         self.base = tuple(float(v) for v in base)
         self.n1 = int(n1)
         self.order = int(order)
-        self.vars = tuple(vars)
-        cols = chart.jacobian_series(self.base, self.n1, self.vars, order)
+        self.vars = VARS
+        cols = chart.jacobian_series(self.base, self.n1, self.order)
         jac = [[cols[j][i] for j in range(3)] for i in range(3)]  # rows of J
         det = _det3(jac)
         if abs(det.value) < 1e-12:
@@ -282,11 +281,6 @@ def _f_affine(p, y):
     return p["c0"] + p["g1"] * y[0] + p["g2"] * y[1] + p["g3"] * y[2]
 
 
-@_register("gauss")
-def _f_gauss(p, y):
-    return p["c0"] + p["amp"] * _exp(dot(y, y) * (-1.0 / p["width"] ** 2))
-
-
 class ScalarField:
     """Positive scalar coefficient field given by a registered closed form."""
 
@@ -331,7 +325,7 @@ class MediaField:
 
     def normal_series(self, gs: GammaSeries):
         """(eps, mu) as NormalSeries with jet coefficients along y = s + x1 nu."""
-        s = gs.chart.embed_jets(gs.base, gs.vars, gs.order)
+        s = gs.chart.embed_jets(gs.base, gs.order)
         nu = gs.nu
         y = []
         for i in range(3):

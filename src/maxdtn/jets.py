@@ -314,14 +314,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self.invert() * other
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = Jet.constant(1.0, self.vars, self.order)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- calculus -------------------------------------------------------
     def derivative(self, var):
         """Partial derivative; lowers the order by one."""
@@ -383,12 +375,6 @@ class Jet:
         def coefs(c):
             s0 = np.sqrt(c)
             return _sqrt_coefs(s0 if s0.imag > 0.0 else -s0, c, self.order)
-        return self._compose(coefs)
-
-    def exp(self):
-        def coefs(c):
-            e = np.exp(c)
-            return [e / math.factorial(k) for k in range(self.order + 1)]
         return self._compose(coefs)
 
     def sin(self):
@@ -489,15 +475,6 @@ class NormalSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * (1.0 / complex(other))
-        if isinstance(other, Jet):
-            return self * other.invert()
-        if isinstance(other, NormalSeries):
-            return self * other.invert()
-        return NotImplemented
-
     def invert(self):
         n = self.n1
         r0 = self.coeffs[0].invert()
@@ -509,47 +486,6 @@ class NormalSeries:
                 acc = term if acc is None else acc + term
             out.append(-(r0 * acc))
         return NormalSeries(out)
-
-    def sqrt_upper(self):
-        s0 = self.coeffs[0].sqrt_upper()
-        out = [s0]
-        inv2s0 = (2.0 * s0).invert()
-        for k in range(1, self.n1):
-            acc = self.coeffs[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out.append(acc * inv2s0)
-        return NormalSeries(out)
-
-    def exp(self):
-        """exp of the series; terminates because x1-positive part is nilpotent."""
-        head = self.coeffs[0].exp()
-        tail = NormalSeries([self.coeffs[0] * 0.0] + self.coeffs[1:])
-        out = NormalSeries.constant(1.0, self.n1, template=self.coeffs[0])
-        power = out
-        fact = 1.0
-        for k in range(1, self.n1):
-            power = power * tail
-            fact *= k
-            out = out + power * (1.0 / fact)
-        return out * head
-
-    def dx1(self):
-        """d/dx1; shortens the series by one term."""
-        if self.n1 == 1:
-            return NormalSeries([self.coeffs[0] * 0.0])
-        return NormalSeries([(k + 1) * self.coeffs[k + 1] for k in range(self.n1 - 1)])
-
-    def derivative(self, var):
-        """Tangential partial derivative, coefficient-wise."""
-        return NormalSeries([c.derivative(var) for c in self.coeffs])
-
-    def eval_x1(self, x1):
-        """Collapse the x1 dependence at a numeric value, returning a Jet."""
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x1 + c
-        return acc
 
     def __repr__(self):
         return f"NormalSeries(n1={self.n1}, value={self.value:.6g})"

@@ -31,6 +31,9 @@ IMPEDANCE_SIGN = 1.0
 #: |Im x| beyond which the returned pair is left scaled by e^{-|Im x|}
 _SCALE_THRESHOLD = 300.0
 
+#: cap on the terms of the small-|x| Taylor series
+_SERIES_TERMS = 120
+
 
 @dataclass(frozen=True)
 class RiccatiPair:
@@ -52,7 +55,7 @@ def _sin_cos_scaled(x):
     return (ep - em) / 2j, (ep + em) / 2.0
 
 
-def _psi_series(ell, x, terms=120):
+def _psi_series(ell, x):
     """Taylor evaluation of (psi_ell, psi_ell', log_scale) on an array x.
 
     The x^{ell+1} prefactor is kept in log form, so large ell and small |x|
@@ -67,7 +70,7 @@ def _psi_series(ell, x, terms=120):
     S = np.ones_like(x)
     dS = np.full_like(x, ell + 1.0)   # derivative sum: (ell+1+2k) c_k t^k
     tk = np.ones_like(x)
-    for k in range(1, terms):
+    for k in range(1, _SERIES_TERMS):
         c = c / (k * (2.0 * ell + 2.0 * k + 1.0))
         tk = tk * t
         term = c * tk

@@ -19,7 +19,7 @@ def sqrt_upper(w):
     """Square root with image in the open upper half plane.
 
     Accepts complex scalars, numpy arrays, or any object exposing a
-    ``sqrt_upper`` method (jets, normal series).  Raises
+    ``sqrt_upper`` method (jets).  Raises
     :class:`AmbiguousBranch` for arguments on [0, +inf) where both branches
     have Im = 0.
     """

@@ -32,6 +32,10 @@ class ConvergenceWarning(UserWarning):
     """Power iteration stopped at its iteration cap before meeting tol."""
 
 
+#: power iteration: step cap, relative stopping tolerance, starting-vector seed
+POWER_ITERS, POWER_TOL, POWER_SEED = 300, 1e-9, 0
+
+
 @dataclass
 class GridOperator:
     """Dense realization of Op_h(a) on the n x n periodic grid.
@@ -157,42 +161,42 @@ def _nyquist_mass(A, n):
     return mass, n * n * sq(A)
 
 
-def _power_norm(apply, adjoint, size, iters=300, tol=1e-9, seed=0):
+def _power_norm(apply, adjoint, size):
     """Largest singular value of a map given as (apply, adjoint) callables.
 
     Power iteration on adjoint(apply(.)); the rule is :func:`operator_norm`'s.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     v /= np.linalg.norm(v)
     s_old = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         v = adjoint(apply(v))
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return 0.0
         v /= nv
         s = math.sqrt(nv)
-        if abs(s - s_old) <= tol * max(s, 1.0):
+        if abs(s - s_old) <= POWER_TOL * max(s, 1.0):
             break
         s_old = s
     else:
-        warnings.warn(f"power iteration stopped after {iters} iterations "
-                      f"without meeting tol = {tol:g}", ConvergenceWarning,
+        warnings.warn(f"power iteration stopped after {POWER_ITERS} iterations "
+                      f"without meeting tol = {POWER_TOL:g}", ConvergenceWarning,
                       stacklevel=3)
     return float(np.linalg.norm(apply(v)) / np.linalg.norm(v))
 
 
-def operator_norm(M, iters=300, tol=1e-9, seed=0):
+def operator_norm(M):
     """Spectral norm by power iteration on M* M (deterministic seed).
 
-    Emits :class:`ConvergenceWarning` when ``iters`` run out before two
-    successive estimates agree to ``tol``; the last estimate is returned.
+    Emits :class:`ConvergenceWarning` when ``POWER_ITERS`` steps run out
+    before two successive estimates agree to ``POWER_TOL``; the last
+    estimate is returned.
     The estimate is ||M v|| / ||v||: the iterate's length is not assumed 1.
     """
     Mh = M.conj().T
-    return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1],
-                       iters, tol, seed)
+    return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1])
 
 
 def _defect_operator(Ka, Kb, Kab, n):

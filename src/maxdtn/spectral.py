@@ -2,8 +2,8 @@
 
 Houses the (h, z, theta) split of the frequency, the root symbol rho with
 its upper-half-plane branch, the rank-one matrix B built from beta, the
-principal impedance symbol m, its large-frequency flattening m0, and the
-low-frequency cutoff eta.
+principal impedance symbol m, the matrix of its large-frequency flattening
+m0, and the low-frequency cutoff eta.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import RealFrequency, ZeroFrequencyCovector
 from .geometry import beta_pointwise
 from .numerics import sqrt_upper
 
-#: default cutoff scale for eta (the transition sits in r0 in [C0, 2*C0])
+#: cutoff scale of eta (the transition sits in r0 in [C0, 2*C0])
 C0_DEFAULT = 10.0
 
 
@@ -92,18 +92,6 @@ def symbol_m(sp: SpectralParameter, chart, media):
     return fn
 
 
-def symbol_m0(sp: SpectralParameter, chart, media):
-    """Flattened principal symbol m0 (rho replaced by i sqrt(r0)); it reads
-    mu0 only, so it is the same function for media that differ in eps."""
-
-    def fn(x2, x3, xi2, xi3):
-        beta, r0 = beta_pointwise(chart, x2, x3, xi2, xi3)
-        _, mu0 = media.boundary_values(chart, x2, x3)
-        return m0_matrix(sp.z, mu0, r0, beta)
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # cutoff
 
@@ -124,11 +112,9 @@ def _bump_sigma_prime(t):
     return out
 
 
-def cutoff_eta(r0, C0=C0_DEFAULT):
+def cutoff_eta(r0):
     """Smooth cutoff: 1 for r0 <= C0, 0 for r0 >= 2*C0, C^inf in between."""
-    if C0 <= 0:
-        raise ValueError("C0 must be positive")
-    t = np.asarray(r0, dtype=float) / C0
+    t = np.asarray(r0, dtype=float) / C0_DEFAULT
     A = _bump_sigma(2.0 - t)
     B = _bump_sigma(t - 1.0)
     out = np.where(A + B > 0.0, A / np.where(A + B > 0.0, A + B, 1.0), 0.0)
@@ -137,15 +123,15 @@ def cutoff_eta(r0, C0=C0_DEFAULT):
     return out
 
 
-def cutoff_eta_prime(r0, C0=C0_DEFAULT):
+def cutoff_eta_prime(r0):
     """d eta / d r0."""
-    t = np.asarray(r0, dtype=float) / C0
+    t = np.asarray(r0, dtype=float) / C0_DEFAULT
     A = _bump_sigma(2.0 - t)
     B = _bump_sigma(t - 1.0)
     dA = -_bump_sigma_prime(2.0 - t)
     dB = _bump_sigma_prime(t - 1.0)
     s = A + B
-    out = np.where(s > 0.0, (dA * B - A * dB) / np.where(s > 0.0, s * s, 1.0), 0.0) / C0
+    out = np.where(s > 0.0, (dA * B - A * dB) / np.where(s > 0.0, s * s, 1.0), 0.0) / C0_DEFAULT
     if out.ndim == 0:
         return float(out)
     return out
@@ -153,6 +139,6 @@ def cutoff_eta_prime(r0, C0=C0_DEFAULT):
 
 __all__ = [
     "SpectralParameter", "split_lambda", "rho", "calB", "m_matrix",
-    "m0_matrix", "symbol_m", "symbol_m0",
+    "m0_matrix", "symbol_m",
     "cutoff_eta", "cutoff_eta_prime", "C0_DEFAULT",
 ]

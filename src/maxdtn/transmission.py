@@ -161,6 +161,9 @@ _ATTEMPTS = 5
 _MAX_DEPTH = 24
 _BOX_TOL = 1e-3
 
+#: relative step at which Newton polishing stops, and its iteration cap
+_NEWTON_TOL, _NEWTON_MAXIT = 1e-11, 60
+
 
 def _wrap(d):
     """Phase differences wrapped into [-pi, pi]."""
@@ -261,15 +264,15 @@ def _count_safe(cfg, ell, pol, rect):
     raise AssertionError("unreachable")
 
 
-def _newton(cfg, ell, pol, z0, tol=1e-11, maxit=60):
+def _newton(cfg, ell, pol, z0):
     z = complex(z0)
-    for _ in range(maxit):
+    for _ in range(_NEWTON_MAXIT):
         f0, der = _value_and_slope(cfg, ell, z, pol)
         if der == 0.0:
             break
         step = complex(f0 / der)
         z -= step
-        if abs(step) < tol * max(1.0, abs(z)):
+        if abs(step) < _NEWTON_TOL * max(1.0, abs(z)):
             break
     return z
 

@@ -32,8 +32,6 @@ every x1 of an array in one call.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .crosssys import CrossSystem
@@ -60,14 +58,13 @@ I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
 
 
 class AmplitudeTable:
-    """Amplitude coefficients per basis datum: a[i][(j,k)], b[i][(j,k)].
+    """Amplitude coefficients of the three basis data: batched[name][(j,k)].
 
-    Levels j = 0..J carry x1-orders k = 0..K[j]-1 with K[j] = N + J - j.
-    ``nu_cross_b[i][(j,k)]`` holds nu x b from the dedicated closed form.
-    All entries are jet 3-vectors; ``.value`` of the components gives the
-    base-point numbers.  The per-basis dicts are views of the batched
-    tables ``batched[name][(j,k)]``, whose jets carry the basis index i as
-    their batch axis.
+    ``name`` is "a", "b" or "nu_cross_b" (nu x b from the dedicated closed
+    form).  Levels j = 0..J carry x1-orders k = 0..K[j]-1 with
+    K[j] = N + J - j.  Every entry is a jet 3-vector whose jets carry the
+    basis index i as their batch axis; ``.value`` of the components gives
+    the base-point numbers.
     """
 
     def __init__(self, ps: PhaseSeries, N, J, batched, psis, media_series, scheme):
@@ -82,22 +79,6 @@ class AmplitudeTable:
         self.eps_k, self.mu_k = media_series
         self.scheme = scheme
 
-    def _per_basis(self, name):
-        return [{slot: [c[i] for c in vec] for slot, vec in self.batched[name].items()}
-                for i in range(3)]
-
-    @cached_property
-    def a(self):
-        return self._per_basis("a")
-
-    @cached_property
-    def b(self):
-        return self._per_basis("b")
-
-    @cached_property
-    def nu_cross_b(self):
-        return self._per_basis("nu_cross_b")
-
     def matrix(self, which, j, k):
         """A_{j,k} or B_{j,k} as a numeric 3x3 array (columns = basis data)."""
         vec = self.batched["a" if which == "A" else "b"][(j, k)]
@@ -106,24 +87,6 @@ class AmplitudeTable:
     def iota_nu_B(self, j):
         """iota_nu B_{j,0} from the dedicated nu x b closed forms."""
         return np.array([comp.value for comp in self.batched["nu_cross_b"][(j, 0)]])
-
-
-def _psi_coeffs(ps: PhaseSeries, n):
-    """psi_k = [x1^k] gamma grad phi as jet 3-vectors, k = 0..n-1."""
-    gs = ps.gs
-    grad = ps.grad_series(n1=n)
-    psi = [None] * n
-    for k in range(n):
-        comp = []
-        for i in range(3):
-            acc = None
-            for ell in range(k + 1):
-                term = sum(gs.gamma[i][j].coeffs[ell] * grad[j].coeffs[k - ell]
-                           for j in range(3))
-                acc = term if acc is None else acc + term
-            comp.append(acc)
-        psi[k] = comp
-    return psi
 
 
 def _grad_cross(gamma_cols, vec):
@@ -151,7 +114,8 @@ class _Recursion:
         ntot = self.K[0]
         if gs.n1 < ntot or len(ps.phis) < ntot + 1:
             raise OrderBudgetExceeded("phase/gamma series too short for transport order")
-        self.psis = _psi_coeffs(ps, ntot)
+        psi = ps.psi_series(ntot)
+        self.psis = [[c.coeffs[k] for c in psi] for k in range(ntot)]
         eps_s, mu_s = media.normal_series(gs)
         self.eps_k, self.mu_k = eps_s.coeffs, mu_s.coeffs
         self.media_corrections = media_corrections
@@ -382,7 +346,7 @@ def boundary_symbol(table: AmplitudeTable):
 
 
 # ---------------------------------------------------------------------------
-# residuals and the normal cutoff
+# residuals
 
 def _amplitude_at(table, name, j, w, pw, dpw, gam):
     """Level-j amplitude ``name`` of datum w, and (gamma nabla) x it, at x1^k = pw."""
@@ -426,10 +390,3 @@ def maxwell_residual(table: AmplitudeTable, x1, h, ftilde=(1.0, 0.0, 0.0)):
             V1 += h ** (j + 1) * curl_a
             V2 += h ** (j + 1) * curl_b
     return V1, V2
-
-
-def cutoff_chi(x1, rho, delta):
-    """Normal cutoff: 1 for x1 <= delta*min(1,|rho|^3), 0 beyond twice that."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return cutoff_eta(x1, delta) * cutoff_eta(x1, abs(rho) ** 3 * delta)

@@ -33,6 +33,11 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def _basis(table, name):
+    """Per-basis dicts {slot: jet 3-vector} of the batched table ``name``."""
+    return [{s: [c[i] for c in v] for s, v in table.batched[name].items()} for i in range(3)]
+
+
 def _skew(v):
     return np.array([[0, -v[2], v[1]],
                      [v[2], 0, -v[0]],
@@ -182,6 +187,7 @@ def test_04_transport_recursion():
     z = sp.z
     eps_k, mu_k = table.eps_k, table.mu_k
     psi = table.psis
+    ta, tb = _basis(table, "a"), _basis(table, "b")
     ntot = table.K[0]
     gcols = [[[gs.gamma[ii][c].coeffs[m] for ii in range(3)] for c in range(3)]
              for m in range(ntot)]
@@ -192,18 +198,18 @@ def test_04_transport_recursion():
                 e1 = [0.0 * gs.nu[0]] * 3
                 e2 = [0.0 * gs.nu[0]] * 3
                 for ell in range(k + 1):
-                    ca = cross(psi[k - ell], table.a[i][(j, ell)])
-                    cb = cross(psi[k - ell], table.b[i][(j, ell)])
+                    ca = cross(psi[k - ell], ta[i][(j, ell)])
+                    cb = cross(psi[k - ell], tb[i][(j, ell)])
                     for ci in range(3):
-                        e1[ci] = e1[ci] + ca[ci] - z * mu_k[k - ell] * table.b[i][(j, ell)][ci]
-                        e2[ci] = e2[ci] + cb[ci] + z * eps_k[k - ell] * table.a[i][(j, ell)][ci]
+                        e1[ci] = e1[ci] + ca[ci] - z * mu_k[k - ell] * tb[i][(j, ell)][ci]
+                        e2[ci] = e2[ci] + cb[ci] + z * eps_k[k - ell] * ta[i][(j, ell)][ci]
                 if j >= 1:
                     for ell in range(k + 1):
-                        ga = _grad_cross(gcols[k - ell], table.a[i][(j - 1, ell)])
-                        gb = _grad_cross(gcols[k - ell], table.b[i][(j - 1, ell)])
-                        if (j - 1, ell + 1) in table.a[i]:
-                            exa = cross(gcols[k - ell][0], table.a[i][(j - 1, ell + 1)])
-                            exb = cross(gcols[k - ell][0], table.b[i][(j - 1, ell + 1)])
+                        ga = _grad_cross(gcols[k - ell], ta[i][(j - 1, ell)])
+                        gb = _grad_cross(gcols[k - ell], tb[i][(j - 1, ell)])
+                        if (j - 1, ell + 1) in ta[i]:
+                            exa = cross(gcols[k - ell][0], ta[i][(j - 1, ell + 1)])
+                            exb = cross(gcols[k - ell][0], tb[i][(j - 1, ell + 1)])
                             for ci in range(3):
                                 ga[ci] = ga[ci] + (ell + 1) * exa[ci]
                                 gb[ci] = gb[ci] + (ell + 1) * exb[ci]
@@ -225,7 +231,7 @@ def test_04_transport_recursion():
         for k in range(table.K[0]):
             acc = None
             for ell in range(k + 1):
-                term = dot(psi[k - ell], table.a[i][(0, ell)])
+                term = dot(psi[k - ell], ta[i][(0, ell)])
                 acc = term if acc is None else acc + term
             worst_norm = max(worst_norm, abs(acc.value))
 

@@ -184,6 +184,42 @@ def test_config_parse_errors_exit_2(tmp_path, text):
     assert main(["identities", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command,text", [
+    ("te-scan", "ell_max = 0\n"),
+    ("identities", "chart = ellipsoid\naxes = 0 1 1\n"),
+    ("eikonal", "chart = ellipsoid\naxes = 0 1 1\n"),
+    ("residual", "chart = ellipsoid\naxes = 1 1\n"),
+], ids=["no-modes", "zero-axis", "zero-axis-eikonal", "two-axes"])
+def test_degenerate_configs_exit_2(tmp_path, command, text):
+    # each used to crash with a Python error instead of a configuration error
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_dtn_compare_empty_h_list_fails(tmp_path, capsys):
+    # no h means no slope: the verdict is FAIL, not a vacuous pass
+    cfg = write_cfg(tmp_path, "h_list =\n")
+    assert main(["dtn-compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("slope = nan" in line and line.endswith("FAIL") for line in lines) == 4
+    assert lines[-1].startswith("dtn-compare: FAIL")
+
+
+def test_dtn_compare_all_resonant_fails(monkeypatch):
+    # every mode resonant leaves no point to fit for any (pol, order)
+    def resonant(ells, lam, media, R):
+        return [{"ell": ells[0], "pol": pol, "lam_re": lam.real, "lam_im": lam.imag,
+                 "resonant": True, "exact": None} for pol in ("TE", "TM")]
+
+    monkeypatch.setattr(cli, "dtn_compare", resonant)
+    rows, _, ok, summary = cli.cmd_dtn_compare(RunConfig())
+    assert not ok
+    assert len(rows) == 2 * len(RunConfig().h_list)
+    assert len(summary) == 4
+    assert all("slope = nan" in line and line.endswith("FAIL") for line in summary)
+
+
 _NUMPY_ONLY = """
 import sys
 for name in ("scipy", "mpmath", "hypothesis"):

@@ -1,7 +1,13 @@
-"""RunConfig defaults and INI loading."""
+"""RunConfig defaults and INI loading, and the package's list of options."""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import maxdtn
 from maxdtn.config import RunConfig, load_config
 from maxdtn.errors import ConfigError
 
@@ -103,7 +109,8 @@ def test_load_config_bad_boolean(tmp_path, text):
 @pytest.mark.parametrize("field,value", [
     ("eps", -1.0), ("radius", 0.0), ("theta", float("nan")),
     ("N", 1), ("chart", "torus"), ("grid_n", 100), ("npoints", -3),
-    ("grid_n", 0),
+    ("grid_n", 0), ("ell_max", 0), ("axes", (0.0, 1.0, 1.0)), ("axes", (1.0, 1.0)),
+    ("axes", (1.0, float("inf"), 1.0)), ("axes", (1.0, -1.2, 0.8)),
 ])
 def test_validate_rejects(field, value):
     cfg = RunConfig()
@@ -117,3 +124,54 @@ def test_items_covers_all_fields():
     keys = [k for k, _ in cfg.items()]
     assert "eps" in keys and "h_list" in keys and "tol" in keys
     assert len(keys) == len(set(keys))
+
+
+#: every defaulted parameter of the package, as "module.qualname:parameter";
+#: a new option is added here on purpose, not by accident
+DEFAULTED_PARAMETERS = {
+    "cli._write_csv:summary", "cli.cmd_identities:fault_gamma", "cli.main:argv",
+    "config.load_config:base",
+    "eikonal.PhaseSeries.__init__:flattened", "eikonal.PhaseSeries.grad_series:n1",
+    "eikonal.eikonal_coeffs:flattened",
+    "geometry.SurfaceChart.random_points:margin", "geometry.SurfaceChart.sphere:radius",
+    "geometry.gamma_pointwise:x1",
+    "jets.Jet.__init__:coef", "jets.Jet.constant:order", "jets.Jet.variable:order",
+    "jets.NormalSeries.constant:template",
+    "mie.dtn_compare:R",
+    "numerics.cross_solve_oracle:refine",
+    "quantizer.boundedness_check:n", "quantizer.composition_defect:n",
+    "transmission.mode_determinant:scaled", "transmission.region_scan:n_tiles",
+    "transport._Recursion.rhs:extra", "transport.maxwell_residual:ftilde",
+    "transport.transport_coeffs:J", "transport.transport_coeffs:media_corrections",
+    "transport.transport_coeffs:scheme",
+}
+
+
+def _defaulted_parameters():
+    """Defaulted parameters of every function and method the package defines
+    (dataclass __init__s left out: their defaults are the fields')."""
+    found = set()
+
+    def visit(name, fn):
+        for p in inspect.signature(fn).parameters.values():
+            if p.default is not inspect.Parameter.empty:
+                found.add(f"{name}:{p.name}")
+
+    for info in pkgutil.iter_modules(maxdtn.__path__):
+        mod = importlib.import_module(f"maxdtn.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                visit(f"{info.name}.{name}", obj)
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)      # class/static methods
+                    skip = attr == "__init__" and dataclasses.is_dataclass(obj)
+                    if inspect.isfunction(fn) and not skip:
+                        visit(f"{info.name}.{name}.{attr}", fn)
+    return found
+
+
+def test_defaulted_parameters_are_listed():
+    assert _defaulted_parameters() == DEFAULTED_PARAMETERS

@@ -5,7 +5,8 @@ import pytest
 
 from maxdtn.eikonal import eikonal_coeffs, eikonal_residual
 from maxdtn.errors import DegenerateRho, OutsideRetainedRegion
-from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
+from maxdtn.geometry import (GammaSeries, MediaField, ScalarField, SurfaceChart,
+                             gamma_pointwise)
 from maxdtn.spectral import split_lambda
 
 SP = split_lambda(5.0 + 2.0j)
@@ -28,6 +29,24 @@ def test_leading_coefficients():
     p1 = ps.phis[1].value
     assert p1.imag > 0.0
     assert abs(ps.rho - ps.rho_jet.value) == 0.0
+
+
+@pytest.mark.parametrize("chart", [SurfaceChart.sphere(1.0),
+                                   SurfaceChart.ellipsoid(1.0, 1.2, 0.8)],
+                         ids=["sphere", "ellipsoid"])
+def test_psi_series_matches_pointwise(chart):
+    # the first n x1-coefficients of psi = gamma grad phi, summed, against
+    # exact pointwise gamma times the phase gradient: the gap is O(x1^n)
+    base = (1.1, 0.3)
+    ps = _phase(chart, MediaField.constant(1.0, 1.0), base, (0.7, -0.4), N=4)
+    x1s = np.geomspace(1e-3, 1e-1, 8)
+    exact = (gamma_pointwise(chart, *base, x1s) @ ps.grad_at(x1s)[..., None])[..., 0]
+    for n in range(1, 5):
+        psi = ps.psi_series(n)
+        series = np.stack([sum(c.coeffs[k].value * x1s ** k for k in range(n))
+                           for c in psi], axis=-1)
+        err = np.max(np.abs(series - exact), axis=-1)
+        assert np.polyfit(np.log(x1s), np.log(err), 1)[0] > n - 0.2
 
 
 def test_residual_decay_sphere():

@@ -118,7 +118,7 @@ def test_media_normal_series_matches_values_at():
     chart = SurfaceChart.ellipsoid(1.0, 1.2, 0.8)
     media = MediaField(
         ScalarField("affine", c0=1.3, g1=0.1, g2=-0.05, g3=0.2),
-        ScalarField("gauss", c0=1.1, amp=0.3, width=2.0))
+        ScalarField("affine", c0=1.1, g1=-0.07, g2=0.12, g3=0.03))
     base = (1.1, 0.7)
     gs = GammaSeries(chart, base, n1=4, order=6)
     eps_s, mu_s = media.normal_series(gs)

@@ -73,15 +73,6 @@ def test_trig_identity():
     assert (s * s + c * c - 1.0).max_abs() < 1e-12
 
 
-def test_exp_derivative_consistency():
-    j = _poly_jet(0.5, 0.3, 0.2)
-    e = j.exp()
-    # d/dx2 exp(j) = exp(j) * dj/dx2
-    lhs = e.derivative("x2")
-    rhs = e * j.derivative("x2")
-    assert (lhs - rhs).max_abs() < 1e-11
-
-
 def test_truncate():
     j = _poly_jet(1.0, 1.0, 1.0, order=6)
     t = j.truncate(1)
@@ -147,21 +138,6 @@ def test_normal_series_invert():
         assert c.max_abs() < 1e-12
 
 
-def test_normal_series_dx1():
-    x2 = Jet.variable("x2", 0.3, VARS, 4)
-    s = NormalSeries([x2 * 0.0 + 1.0, 2.0 + 0.0 * x2, 3.0 + 0.0 * x2])
-    d = s.dx1()
-    assert abs(d.coeffs[0].value - 2.0) < 1e-14
-    assert abs(d.coeffs[1].value - 6.0) < 1e-14
-
-
-def test_normal_series_eval_x1():
-    x2 = Jet.variable("x2", 0.3, VARS, 4)
-    s = NormalSeries([x2 * 0.0 + 1.0, x2 * 0.0 + 2.0, x2 * 0.0 - 1.0])
-    v = s.eval_x1(0.1)
-    assert abs(v.value - (1.0 + 0.2 - 0.01)) < 1e-13
-
-
 # -- batched jets --------------------------------------------------------
 
 BATCHES = st.sampled_from([(3,), (2, 3)])
@@ -225,7 +201,7 @@ def test_batched_series_match_elementwise(seed, batch, order):
     rng = np.random.default_rng(seed)
     const = 1.0 + 0.5 * (rng.uniform(size=batch) + 1j * rng.uniform(size=batch))
     a = _random_jet(rng, batch, order, const=const)
-    for f in (Jet.invert, Jet.sqrt_upper, Jet.exp, Jet.sin, Jet.cos):
+    for f in (Jet.invert, Jet.sqrt_upper, Jet.sin, Jet.cos):
         _assert_elementwise(f(a), batch, f, a)
     series = [rng.normal(size=batch) + 1j * rng.normal(size=batch) for _ in range(order + 1)]
     got = a.compose_series(series)

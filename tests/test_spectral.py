@@ -7,7 +7,7 @@ from maxdtn.errors import RealFrequency, ZeroFrequencyCovector
 from maxdtn.geometry import MediaField, SurfaceChart
 from maxdtn.spectral import (C0_DEFAULT, SpectralParameter, calB, cutoff_eta,
                              cutoff_eta_prime, m0_matrix, m_matrix, rho,
-                             split_lambda, symbol_m, symbol_m0)
+                             split_lambda, symbol_m)
 
 
 @pytest.mark.parametrize("lam", [5 + 2j, -5 + 2j, 3 - 7j, 0.1 + 0.4j, 100 + 1j])
@@ -90,14 +90,11 @@ def test_symbol_m_media_scaling():
 
 
 def test_symbol_m0_flags():
-    # m0 does not depend on eps: media differing only in eps give the same bits
+    # m, unlike its flattening m0, reads eps: media differing only in eps
+    # give different matrices
     sp = split_lambda(5 + 2j)
     chart = SurfaceChart.sphere(1.0)
     x = (1.1, 0.4, 0.8, -0.3)
-    a = symbol_m0(sp, chart, MediaField.constant(2.0, 1.3))(*x)
-    b = symbol_m0(sp, chart, MediaField.constant(5.0, 1.3))(*x)
-    assert a.shape == (3, 3)
-    assert np.array_equal(a, b)
     assert not np.array_equal(symbol_m(sp, chart, MediaField.constant(2.0, 1.3))(*x),
                               symbol_m(sp, chart, MediaField.constant(5.0, 1.3))(*x))
 
@@ -122,8 +119,3 @@ def test_cutoff_eta_prime_matches_fd():
     d = 1e-6
     fd = (cutoff_eta(r + d) - cutoff_eta(r - d)) / (2 * d)
     assert np.max(np.abs(cutoff_eta_prime(r) - fd)) < 1e-7
-
-
-def test_cutoff_eta_bad_scale():
-    with pytest.raises(ValueError):
-        cutoff_eta(1.0, C0=0.0)

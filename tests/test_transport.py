@@ -9,8 +9,8 @@ from maxdtn.jets import Jet
 from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
 from maxdtn.numerics import cross, dot
 from maxdtn.spectral import split_lambda, symbol_m
-from maxdtn.transport import (boundary_symbol, cutoff_chi, maxwell_residual,
-                              transport_coeffs, _grad_cross)
+from maxdtn.transport import (boundary_symbol, maxwell_residual, transport_coeffs,
+                              _grad_cross)
 
 SP = split_lambda(5.0 + 2.0j)
 CHART = SurfaceChart.sphere(1.0)
@@ -19,6 +19,11 @@ MEDIA = MediaField(
     ScalarField("affine", c0=1.1, g1=-0.07, g2=0.12, g3=0.03))
 BASE = (1.1, 0.7)
 XI = (0.4, -0.3)
+
+
+def _basis(table, name):
+    """Per-basis dicts {slot: jet 3-vector} of the batched table ``name``."""
+    return [{s: [c[i] for c in v] for s, v in table.batched[name].items()} for i in range(3)]
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +53,12 @@ def test_phase_amplitude_orthogonality(table):
     # x1-coefficients of <gamma grad phi, a_0> vanish through the retained
     # orders: the level-0 amplitude stays transversal to the complex ray
     psi = table.psis
+    ta = _basis(table, "a")
     for i in range(3):
         for k in range(table.K[0]):
             acc = None
             for ell in range(k + 1):
-                t = dot(psi[k - ell], table.a[i][(0, ell)])
+                t = dot(psi[k - ell], ta[i][(0, ell)])
                 acc = t if acc is None else acc + t
             assert abs(acc.value) < 1e-10
 
@@ -64,6 +70,7 @@ def test_equation_coefficients_vanish(table):
     gs = table.gs
     eps_k, mu_k = table.eps_k, table.mu_k
     psi = table.psis
+    ta, tb = _basis(table, "a"), _basis(table, "b")
     ntot = table.K[0]
     gcols = [[[gs.gamma[ii][c].coeffs[m] for ii in range(3)] for c in range(3)]
              for m in range(ntot)]
@@ -74,18 +81,18 @@ def test_equation_coefficients_vanish(table):
                 e1 = [0.0 * gs.nu[0]] * 3
                 e2 = [0.0 * gs.nu[0]] * 3
                 for ell in range(k + 1):
-                    ca = cross(psi[k - ell], table.a[i][(j, ell)])
-                    cb = cross(psi[k - ell], table.b[i][(j, ell)])
+                    ca = cross(psi[k - ell], ta[i][(j, ell)])
+                    cb = cross(psi[k - ell], tb[i][(j, ell)])
                     for c in range(3):
-                        e1[c] = e1[c] + ca[c] - z * mu_k[k - ell] * table.b[i][(j, ell)][c]
-                        e2[c] = e2[c] + cb[c] + z * eps_k[k - ell] * table.a[i][(j, ell)][c]
+                        e1[c] = e1[c] + ca[c] - z * mu_k[k - ell] * tb[i][(j, ell)][c]
+                        e2[c] = e2[c] + cb[c] + z * eps_k[k - ell] * ta[i][(j, ell)][c]
                 if j >= 1:
                     for ell in range(k + 1):
-                        ga = _grad_cross(gcols[k - ell], table.a[i][(j - 1, ell)])
-                        gb = _grad_cross(gcols[k - ell], table.b[i][(j - 1, ell)])
-                        if (j - 1, ell + 1) in table.a[i]:
-                            exa = cross(gcols[k - ell][0], table.a[i][(j - 1, ell + 1)])
-                            exb = cross(gcols[k - ell][0], table.b[i][(j - 1, ell + 1)])
+                        ga = _grad_cross(gcols[k - ell], ta[i][(j - 1, ell)])
+                        gb = _grad_cross(gcols[k - ell], tb[i][(j - 1, ell)])
+                        if (j - 1, ell + 1) in ta[i]:
+                            exa = cross(gcols[k - ell][0], ta[i][(j - 1, ell + 1)])
+                            exb = cross(gcols[k - ell][0], tb[i][(j - 1, ell + 1)])
                             for c in range(3):
                                 ga[c] = ga[c] + (ell + 1) * exa[c]
                                 gb[c] = gb[c] + (ell + 1) * exb[c]
@@ -121,12 +128,13 @@ def test_flat_chart_collapses():
     ps = eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, XI, N=N + J)
     tab = transport_coeffs(ps, MediaField.constant(1.0, 1.0), N=N, J=J)
     worst = 0.0
+    ta, tb = _basis(tab, "a"), _basis(tab, "b")
     for i in range(3):
-        for (j, k), av in tab.a[i].items():
+        for (j, k), av in ta[i].items():
             if (j, k) == (0, 0):
                 continue
             worst = max(worst, max(abs(c.value) for c in av))
-            worst = max(worst, max(abs(c.value) for c in tab.b[i][(j, k)]))
+            worst = max(worst, max(abs(c.value) for c in tb[i][(j, k)]))
     assert worst < 1e-12
 
 
@@ -163,14 +171,13 @@ def test_corrector_media_independence():
 
 
 def test_table_views_match_batched_storage(table):
-    # the per-basis dicts are element views of the one batched pass that
-    # matrix() and iota_nu_B() read
+    # matrix() and iota_nu_B() read the basis elements of the one batched pass
     for j in range(table.J + 1):
         for k in range(table.K[j]):
-            for which, views in (("A", table.a), ("B", table.b)):
-                cols = [[c.value for c in views[i][(j, k)]] for i in range(3)]
+            for which, name in (("A", "a"), ("B", "b")):
+                cols = [[c.value for c in per[(j, k)]] for per in _basis(table, name)]
                 assert np.array_equal(table.matrix(which, j, k), np.array(cols).T)
-        cols = [[c.value for c in table.nu_cross_b[i][(j, 0)]] for i in range(3)]
+        cols = [[c.value for c in per[(j, 0)]] for per in _basis(table, "nu_cross_b")]
         assert np.array_equal(table.iota_nu_B(j), np.array(cols).T)
 
 
@@ -193,17 +200,6 @@ def test_one_batched_pass_op_count(monkeypatch):
     tab = transport_coeffs(ps, med, N=2, J=1)
     assert tab.scheme == "consistent"
     assert len(calls) <= 0.4 * 4941
-
-
-def test_cutoff_chi_plateaus():
-    assert cutoff_chi(0.05, 2.0, 0.1) == 1.0
-    assert cutoff_chi(0.25, 2.0, 0.1) == 0.0
-    # small |rho| shrinks the support
-    assert cutoff_chi(0.05, 0.5, 0.1) == 0.0
-    v = cutoff_chi(0.015, 0.5, 0.1)
-    assert 0.0 <= v <= 1.0
-    with pytest.raises(ValueError):
-        cutoff_chi(0.1, 1.0, 0.0)
 
 
 def test_batched_residual_matches_pointwise(table):
