@@ -326,8 +326,9 @@ def _rho_inverse_factory(eps, mu):
 
 def cmd_quantizer(cfg: RunConfig):
     n = cfg.grid_n
-    hs = [h for h in sorted(cfg.h_list, reverse=True) if h >= 2 ** -9] \
-        or [2 ** -k for k in range(3, 9)]
+    hs = [h for h in sorted(cfg.h_list, reverse=True) if h >= 2 ** -9]
+    if not hs:
+        raise ConfigError(f"no h_list entry is >= 2^-9 (dropped {list(cfg.h_list)})")
     a, b = _defect_pair()
     defects, slope = composition_defect(a, b, hs, n=n)
     norm1 = operator_norm(quantize(lambda x1, x2, s1, s2:

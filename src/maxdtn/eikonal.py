@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateRho, OutsideRetainedRegion
 from .geometry import GammaSeries, _sqrt_pos, beta_jets, gamma_pointwise
-from .jets import Jet, NormalSeries
+from .jets import VARS, Jet, NormalSeries
 from .numerics import dot, matvec, sqrt_upper
 
 log = logging.getLogger(__name__)
@@ -122,9 +122,9 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     if abs(rho_jet.value) < 1e-14:
         raise DegenerateRho("|rho| below 1e-14 at the phase base point")
 
-    phi0 = Jet(gs.vars, gs.order)          # gradient -xi' in (x2, x3)
-    phi0.coef[1, 0] = -xiprime[0]
-    phi0.coef[0, 1] = -xiprime[1]
+    # phi_0 = -<xi', x' - base>: gradient -xi' in (x2, x3)
+    x2, x3 = (Jet.variable(v, 0.0, gs.order) for v in VARS)
+    phi0 = Jet.constant(0.0, gs.order) - xiprime[0] * x2 - xiprime[1] * x3
 
     phis = [phi0, rho_jet]
     inv_2rho = (2.0 * rho_jet).invert()

@@ -18,9 +18,6 @@ from .errors import FocalDegeneracy, ZeroConstantTerm
 from .jets import Jet, NormalSeries
 from .numerics import cross, dot
 
-#: tangential variables of every jet the geometry builds
-VARS = ("x2", "x3")
-
 # ---------------------------------------------------------------------------
 # ring-generic scalar functions (jets or numpy arrays/scalars)
 
@@ -90,8 +87,8 @@ class SurfaceChart:
         return [a * st * cp, b * st * sp, c * ct]
 
     def embed_jets(self, base, order):
-        x2 = Jet.variable("x2", base[0], VARS, order)
-        x3 = Jet.variable("x3", base[1], VARS, order)
+        x2 = Jet.variable("x2", base[0], order)
+        x3 = Jet.variable("x3", base[1], order)
         return self.embed(x2, x3)
 
     def random_points(self, n, rng, margin=0.0):
@@ -140,7 +137,7 @@ class SurfaceChart:
     def normal_jets(self, base, order):
         """Inward unit normal as a 3-vector of jets at the base point."""
         if self.kind == "plane":
-            one = Jet.constant(1.0, VARS, order)
+            one = Jet.constant(1.0, order)
             zero = one * 0.0
             return [one, zero, zero]
         s = self.embed_jets(base, order + 1)
@@ -200,7 +197,6 @@ class GammaSeries:
         self.base = tuple(float(v) for v in base)
         self.n1 = int(n1)
         self.order = int(order)
-        self.vars = VARS
         cols = chart.jacobian_series(self.base, self.n1, self.order)
         jac = [[cols[j][i] for j in range(3)] for i in range(3)]  # rows of J
         det = _det3(jac)

@@ -1,12 +1,13 @@
 """Truncated multivariate Taylor arithmetic (jets) and normal-variable series.
 
-A :class:`Jet` is a dense truncated Taylor polynomial in a small set of named
-variables around an (implicit) base point; all symbol recursions run on jets.
+A :class:`Jet` is a dense truncated Taylor polynomial in the two tangential
+variables ``VARS`` = (x2, x3) around an (implicit) base point; all symbol
+recursions run on jets.
 A :class:`NormalSeries` is a polynomial in the boundary-normal variable whose
 coefficients are jets in the tangential variables, mirroring the x1-expansions
 used by the phase/amplitude recursions.
 
-Coefficients are stored densely up to a total order (default 8); binary
+Coefficients are stored densely up to a total order; binary
 operations truncate to the weaker operand, which automatically tracks the
 accuracy lost by differentiation.
 
@@ -29,7 +30,9 @@ import numpy as np
 
 from .errors import AmbiguousBranch, OrderUnderflow, ZeroConstantTerm
 
-DEFAULT_ORDER = 8
+#: the tangential variables of every jet
+VARS = ("x2", "x3")
+_NV = len(VARS)
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +74,7 @@ def _mul_matrix(nvars: int, order: int, order_a=None, order_b=None):
 
 
 @lru_cache(maxsize=None)
-def _product_plan(nvars: int, order_a: int, order_b: int, shape_a, shape_b):
+def _product_plan(order_a: int, order_b: int, shape_a, shape_b):
     """:func:`_mul_matrix` laid over the operands' whole flattened arrays.
 
     ``shape_a`` and ``shape_b`` are the operands' coefficient shapes
@@ -82,11 +85,11 @@ def _product_plan(nvars: int, order_a: int, order_b: int, shape_a, shape_b):
     """
     order = min(order_a, order_b)
     if order_a == order_b:
-        ia, ib, starts, dest = _mul_matrix(nvars, order)
+        ia, ib, starts, dest = _mul_matrix(_NV, order)
     else:
-        ia, ib, starts, dest = _mul_matrix(nvars, order, order_a, order_b)
-    batch_a = shape_a[:len(shape_a) - nvars]
-    batch_b = shape_b[:len(shape_b) - nvars]
+        ia, ib, starts, dest = _mul_matrix(_NV, order, order_a, order_b)
+    batch_a = shape_a[:len(shape_a) - _NV]
+    batch_b = shape_b[:len(shape_b) - _NV]
     batch = np.broadcast_shapes(batch_a, batch_b)
 
     def tiled(idx, step, src_batch):
@@ -95,33 +98,32 @@ def _product_plan(nvars: int, order_a: int, order_b: int, shape_a, shape_b):
         offsets = np.broadcast_to(src, batch).ravel() * step
         return (offsets[:, None] + idx).ravel()
 
-    return (tiled(ia, (order_a + 1) ** nvars, batch_a),
-            tiled(ib, (order_b + 1) ** nvars, batch_b),
+    return (tiled(ia, (order_a + 1) ** _NV, batch_a),
+            tiled(ib, (order_b + 1) ** _NV, batch_b),
             tiled(starts, len(ia), batch),
-            tiled(dest, (order + 1) ** nvars, batch),
-            batch + (order + 1,) * nvars)
+            tiled(dest, (order + 1) ** _NV, batch),
+            batch + (order + 1,) * _NV)
 
 
 @lru_cache(maxsize=None)
-def _keep(nvars: int, order: int):
+def _keep(order: int):
     """Complex 0/1 table zeroing the entries of total degree > order."""
-    grids = np.indices((order + 1,) * nvars).sum(axis=0)
+    grids = np.indices((order + 1,) * _NV).sum(axis=0)
     return (grids <= order).astype(complex)
 
 
 @lru_cache(maxsize=None)
-def _dpowers(nvars: int, order: int, pos: int):
+def _dpowers(order: int, pos: int):
     """Exponents 1..order along axis ``pos``, zero above the derivative's degree."""
-    shape = [1] * nvars
+    shape = [1] * _NV
     shape[pos] = order
     powers = np.arange(1, order + 1, dtype=float).reshape(shape)
-    return powers * _keep(nvars, order - 1)
+    return powers * _keep(order - 1)
 
 
-def _jet(vars, order, coef):
+def _jet(order, coef):
     """Jet around a complex table already of the right shape (no checks)."""
     j = object.__new__(Jet)
-    j.vars = vars
     j.order = order
     j.coef = coef
     return j
@@ -159,39 +161,35 @@ _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
 class Jet:
-    """Truncated Taylor polynomial in named variables, optionally batched."""
+    """Truncated Taylor polynomial in (x2, x3), optionally batched."""
 
-    __slots__ = ("vars", "order", "coef")
+    __slots__ = ("order", "coef")
     #: numpy defers to the jet's reflected operators (``array * jet``)
     __array_ufunc__ = None
 
-    def __init__(self, vars, order, coef=None):
-        self.vars = tuple(vars)
+    def __init__(self, order, coef):
         self.order = int(order)
-        shape = (self.order + 1,) * len(self.vars)
-        if coef is None:
-            self.coef = np.zeros(shape, dtype=complex)
-        else:
-            self.coef = np.asarray(coef, dtype=complex)
-            if self.coef.shape[self.coef.ndim - len(shape):] != shape:
-                raise ValueError("coefficient table shape mismatch")
+        shape = (self.order + 1,) * _NV
+        self.coef = np.asarray(coef, dtype=complex)
+        if self.coef.shape[self.coef.ndim - _NV:] != shape:
+            raise ValueError("coefficient table shape mismatch")
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def constant(cls, c, vars, order=DEFAULT_ORDER):
+    def constant(cls, c, order):
         """Constant jet; an array ``c`` gives one constant per batch element."""
-        vars, order = tuple(vars), int(order)
-        coef = np.zeros(np.shape(c) + (order + 1,) * len(vars), dtype=complex)
-        coef[(Ellipsis,) + (0,) * len(vars)] = c
-        return _jet(vars, order, coef)
+        order = int(order)
+        coef = np.zeros(np.shape(c) + (order + 1,) * _NV, dtype=complex)
+        coef[(Ellipsis,) + (0,) * _NV] = c
+        return _jet(order, coef)
 
     @classmethod
-    def variable(cls, name, value, vars, order=DEFAULT_ORDER):
+    def variable(cls, name, value, order):
         """Jet of the coordinate ``name`` with base value ``value``."""
-        j = cls.constant(value, vars, order)
+        j = cls.constant(value, order)
         if order >= 1:
-            idx = [0] * len(j.vars)
-            idx[j.vars.index(name)] = 1
+            idx = [0] * _NV
+            idx[VARS.index(name)] = 1
             j.coef[(Ellipsis,) + tuple(idx)] = 1.0
         return j
 
@@ -199,21 +197,21 @@ class Jet:
     @property
     def batch(self):
         """Shape of the leading batch axes (``()`` for a single jet)."""
-        return self.coef.shape[:self.coef.ndim - len(self.vars)]
+        return self.coef.shape[:self.coef.ndim - _NV]
 
     @property
     def value(self):
         """Constant (base-point) coefficient, per batch element."""
-        return _number(self.coef[(Ellipsis,) + (0,) * len(self.vars)])
+        return _number(self.coef[(Ellipsis,) + (0,) * _NV])
 
     def __getitem__(self, index):
         """The jet of batch element(s) ``index``; never indexes coefficients."""
         if len(index if isinstance(index, tuple) else (index,)) > len(self.batch):
             raise IndexError(f"jet with batch shape {self.batch} indexed by {index!r}")
-        return _jet(self.vars, self.order, self.coef[index])
+        return _jet(self.order, self.coef[index])
 
     def coefficient(self, **powers):
-        idx = tuple(powers.get(v, 0) for v in self.vars)
+        idx = tuple(powers.get(v, 0) for v in VARS)
         if sum(idx) > self.order:
             return _number(np.zeros(self.batch))
         return _number(self.coef[(Ellipsis,) + idx])
@@ -221,9 +219,9 @@ class Jet:
     def evaluate(self, **offsets):
         """Evaluate the polynomial at base + offsets."""
         total = 0.0 + 0.0j
-        for idx in _indices(len(self.vars), self.order):
+        for idx in _indices(_NV, self.order):
             term = self.coef[(Ellipsis,) + idx]
-            for v, k in zip(self.vars, idx):
+            for v, k in zip(VARS, idx):
                 if k:
                     term = term * offsets.get(v, 0.0) ** k
             total = total + term
@@ -232,9 +230,8 @@ class Jet:
     def truncate(self, order):
         if order >= self.order:
             return self
-        n = len(self.vars)
-        coef = self.coef[(Ellipsis,) + (slice(0, order + 1),) * n] * _keep(n, order)
-        return _jet(self.vars, order, coef)
+        coef = self.coef[(Ellipsis,) + (slice(0, order + 1),) * _NV] * _keep(order)
+        return _jet(order, coef)
 
     def max_abs(self):
         return float(np.max(np.abs(self.coef)))
@@ -245,31 +242,28 @@ class Jet:
 
         Entries above that degree are left in place; callers zero them.
         """
-        if other.vars != self.vars:
-            raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
         if other.order == self.order:
             return self.order, self.coef, other.coef
         order = min(self.order, other.order)
-        sl = (Ellipsis,) + (slice(0, order + 1),) * len(self.vars)
+        sl = (Ellipsis,) + (slice(0, order + 1),) * _NV
         return order, self.coef[sl], other.coef[sl]
 
     def _sum(self, other, sign):
-        n = len(self.vars)
         if isinstance(other, Jet):
             order, a, b = self._aligned(other)
             coef = a + b if sign > 0 else a - b
             if self.order != other.order:
-                coef *= _keep(n, order)
-            return _jet(self.vars, order, coef)
+                coef *= _keep(order)
+            return _jet(order, coef)
         if isinstance(other, _SCALARS):
             coef = self.coef.copy()
         elif isinstance(other, np.ndarray):   # one scalar per batch element
             batch = np.broadcast_shapes(self.batch, other.shape)
-            coef = np.array(np.broadcast_to(self.coef, batch + self.coef.shape[-n:]))
+            coef = np.array(np.broadcast_to(self.coef, batch + self.coef.shape[-_NV:]))
         else:
             return NotImplemented
-        coef[(Ellipsis,) + (0,) * n] += other if sign > 0 else -other
-        return _jet(self.vars, self.order, coef)
+        coef[(Ellipsis,) + (0,) * _NV] += other if sign > 0 else -other
+        return _jet(self.order, coef)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -277,7 +271,7 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(self.vars, self.order, -self.coef)
+        return _jet(self.order, -self.coef)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -287,19 +281,17 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            if other.vars != self.vars:
-                raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
             ia, ib, starts, dest, shape = _product_plan(
-                len(self.vars), self.order, other.order, self.coef.shape, other.coef.shape)
+                self.order, other.order, self.coef.shape, other.coef.shape)
             terms = self.coef.ravel()[ia] * other.coef.ravel()[ib]
             coef = np.zeros(shape, dtype=complex)
             coef.ravel()[dest] = np.add.reduceat(terms, starts)
-            return _jet(self.vars, min(self.order, other.order), coef)
+            return _jet(min(self.order, other.order), coef)
         if isinstance(other, _SCALARS):
-            return _jet(self.vars, self.order, self.coef * complex(other))
+            return _jet(self.order, self.coef * complex(other))
         if isinstance(other, np.ndarray):     # one scalar per batch element
-            scale = other.reshape(other.shape + (1,) * len(self.vars))
-            return _jet(self.vars, self.order, self.coef * scale)
+            scale = other.reshape(other.shape + (1,) * _NV)
+            return _jet(self.order, self.coef * scale)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -319,13 +311,12 @@ class Jet:
         """Partial derivative; lowers the order by one."""
         if self.order == 0:
             raise OrderUnderflow("cannot differentiate an order-0 jet")
-        pos = self.vars.index(var)
-        n = len(self.vars)
+        pos = VARS.index(var)
         order = self.order - 1
-        src = [slice(0, order + 1)] * n
+        src = [slice(0, order + 1)] * _NV
         src[pos] = slice(1, self.order + 1)
-        out = self.coef[(Ellipsis, *src)] * _dpowers(n, self.order, pos)
-        return _jet(self.vars, order, out)
+        out = self.coef[(Ellipsis, *src)] * _dpowers(self.order, pos)
+        return _jet(order, out)
 
     # -- analytic composition -------------------------------------------
     def compose_series(self, series_coef):
@@ -334,7 +325,7 @@ class Jet:
         Each coefficient is a number or an array with one per batch element.
         """
         u = self - self.value
-        out = Jet.constant(series_coef[0], self.vars, self.order)
+        out = Jet.constant(series_coef[0], self.order)
         power = u
         for k in range(1, min(len(series_coef), self.order + 1)):
             if k > 1:
@@ -385,9 +376,9 @@ class Jet:
 
     def __repr__(self):
         if not self.batch:
-            return f"Jet(vars={self.vars}, order={self.order}, value={self.value:.6g})"
+            return f"Jet(order={self.order}, value={self.value:.6g})"
         value = np.array2string(self.value, precision=6)
-        return f"Jet(vars={self.vars}, order={self.order}, batch={self.batch}, value={value})"
+        return f"Jet(order={self.order}, batch={self.batch}, value={value})"
 
 
 class NormalSeries:
@@ -412,7 +403,7 @@ class NormalSeries:
         else:
             if template is None:
                 raise ValueError("template jet required to lift a scalar")
-            c0 = Jet.constant(complex(jet_or_scalar), template.vars, template.order)
+            c0 = Jet.constant(complex(jet_or_scalar), template.order)
         zero = c0 * 0.0
         return cls([c0] + [zero] * (n1 - 1))
 

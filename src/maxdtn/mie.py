@@ -189,14 +189,6 @@ def riccati_bessel(ell, x):
     return RiccatiPair(psi, dpsi, ls)
 
 
-@dataclass(frozen=True)
-class ModeImpedance:
-    ell: int
-    pol: str                     # "TE" | "TM"
-    lam: complex
-    value: complex
-
-
 #: relative floor under which a mode denominator counts as resonant
 _RESONANCE_FLOOR = 1e-12
 
@@ -209,12 +201,11 @@ def exact_mode_impedance(ell, lam, eps, mu, R, pol):
     :class:`InteriorResonance` when the denominator of the ratio falls under
     1e-12 of the pair's scale (reported, never regularized).
     """
-    lam = complex(lam)
-    x = lam * cmath.sqrt(eps * mu) * R
-    return _mode_impedance(ell, lam, eps, mu, x, riccati_bessel(ell, x), pol)
+    x = complex(lam) * cmath.sqrt(eps * mu) * R
+    return _mode_impedance(ell, eps, mu, x, riccati_bessel(ell, x), pol)
 
 
-def _mode_impedance(ell, lam, eps, mu, x, rp, pol):
+def _mode_impedance(ell, eps, mu, x, rp, pol):
     """The (ell, pol) impedance from the Riccati pair ``rp`` at x = kR, which
     TE and TM share."""
     scale = max(abs(rp.psi), abs(rp.dpsi))
@@ -222,14 +213,12 @@ def _mode_impedance(ell, lam, eps, mu, x, rp, pol):
     if pol == "TE":
         if abs(rp.psi) < _RESONANCE_FLOOR * scale:
             raise InteriorResonance(f"psi_{ell}({x:.6g}) vanishes (TE mode)")
-        val = imp * rp.dpsi / rp.psi
+        return imp * rp.dpsi / rp.psi
     elif pol == "TM":
         if abs(rp.dpsi) < _RESONANCE_FLOOR * scale:
             raise InteriorResonance(f"psi_{ell}'({x:.6g}) vanishes (TM mode)")
-        val = -imp * rp.psi / rp.dpsi
-    else:
-        raise ValueError("pol must be 'TE' or 'TM'")
-    return ModeImpedance(ell=ell, pol=pol, lam=lam, value=val)
+        return -imp * rp.psi / rp.dpsi
+    raise ValueError("pol must be 'TE' or 'TM'")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +285,7 @@ def dtn_compare(ell_list, lam, media, R=1.0):
             row = {"ell": ell, "pol": pol,
                    "lam_re": lam.real, "lam_im": lam.imag}
             try:
-                exact = _mode_impedance(ell, lam, eps0, mu0, x, rp, pol).value
+                exact = _mode_impedance(ell, eps0, mu0, x, rp, pol)
             except InteriorResonance:
                 row.update(resonant=True, exact=None)
                 rows.append(row)

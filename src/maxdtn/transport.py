@@ -16,9 +16,14 @@ leaves an O(1) solvability defect in the eps-equations at levels j >= 1
 coefficients).  The default "consistent" scheme instead determines the
 tangential part of a_{j,k} (k >= 1) from the cokernel condition of the
 level-(j+1) system at order k-1 -- the power-series form of the transport
-equations -- so that both equations hold through all retained orders.
-Levels are built with a staircase of x1-orders (deeper h-levels get fewer)
-so every retained coefficient identity closes.
+equations -- so that both equations hold through all retained orders.  That
+condition is affine in the datum g = nu x a_{j,k} = p1 tau0 + p2 tau1: the
+slot enters the level-(j+1), order-(k-1) right-hand side only through the
+curl term 1j*k*(nu x a_{j,k}, nu x b_{j,k}), and the cross-system solve
+returns nu x b in closed form.  One solve of the batch (data, 0), (0, tau0),
+(0, tau1) gives the defect's constant part d0 and its slopes m1, m2, and a
+2x2 system gives (p1, p2).  Levels are built with a staircase of x1-orders
+(deeper h-levels get fewer) so every retained coefficient identity closes.
 
 The boundary symbol is m + h*mtilde: m comes from the (0,0) block, and the
 first-order corrector combines a commutator term n (from the two-point
@@ -31,6 +36,8 @@ every x1 of an array in one call.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -48,45 +55,13 @@ COMM_COEF = 1j
 
 #: the three basis data as one batch: component c holds (e_0[c], e_1[c], e_2[c])
 _BASIS = list(np.eye(3))
-#: weights of (tau0, tau1) in the trial data 0, tau0, tau1 of the
-#: solvability choice, on a batch axis ahead of the basis axis
-_TRIALS = (np.array([[0.0], [1.0], [0.0]]), np.array([[0.0], [0.0], [1.0]]))
+#: weights of the data, tau0 and tau1 in the batch (data, 0), (0, tau0),
+#: (0, tau1) of the solvability choice, on a trial axis ahead of the basis axis
+_DATA, _TAU0, _TAU1 = np.eye(3)[:, :, None]
 #: constant antisymmetric basis: iota_nu = sum_j nu_j * I_j
 I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
           np.array([[0.0, 0, 1.0], [0, 0, 0], [-1.0, 0, 0]]),
           np.array([[0.0, -1.0, 0], [1.0, 0, 0], [0, 0, 0]])]
-
-
-class AmplitudeTable:
-    """Amplitude coefficients of the three basis data: batched[name][(j,k)].
-
-    ``name`` is "a", "b" or "nu_cross_b" (nu x b from the dedicated closed
-    form).  Levels j = 0..J carry x1-orders k = 0..K[j]-1 with
-    K[j] = N + J - j.  Every entry is a jet 3-vector whose jets carry the
-    basis index i as their batch axis; ``.value`` of the components gives
-    the base-point numbers.
-    """
-
-    def __init__(self, ps: PhaseSeries, N, J, batched, psis, media_series, scheme):
-        self.ps = ps
-        self.gs = ps.gs
-        self.sp = ps.sp
-        self.N = N
-        self.J = J
-        self.K = {j: N + J - j for j in range(J + 1)}
-        self.batched = batched
-        self.psis = psis
-        self.eps_k, self.mu_k = media_series
-        self.scheme = scheme
-
-    def matrix(self, which, j, k):
-        """A_{j,k} or B_{j,k} as a numeric 3x3 array (columns = basis data)."""
-        vec = self.batched["a" if which == "A" else "b"][(j, k)]
-        return np.array([comp.value for comp in vec])
-
-    def iota_nu_B(self, j):
-        """iota_nu B_{j,0} from the dedicated nu x b closed forms."""
-        return np.array([comp.value for comp in self.batched["nu_cross_b"][(j, 0)]])
 
 
 def _grad_cross(gamma_cols, vec):
@@ -100,17 +75,26 @@ def _grad_cross(gamma_cols, vec):
     return out
 
 
-class _Recursion:
-    """State of the transport build: the datum-independent series and the
-    slots (a, b, nu x b), whose jets are batched over the three basis data."""
+class AmplitudeTable:
+    """Amplitude coefficients of the three basis data: batched[name][(j,k)].
 
-    def __init__(self, ps, media, N, J, media_corrections):
+    ``name`` is "a", "b" or "nu_cross_b" (nu x b from the dedicated closed
+    form).  Levels j = 0..J carry x1-orders k = 0..K[j]-1 with
+    K[j] = N + J - j.  Every entry is a jet 3-vector whose jets carry the
+    basis index i as their batch axis; ``.value`` of the components gives
+    the base-point numbers.  The table holds the datum-independent series
+    of the recursion too; :func:`transport_coeffs` fills its slots.
+    """
+
+    def __init__(self, ps: PhaseSeries, media, N, J, scheme, media_corrections):
         gs = ps.gs
+        self.ps = ps
         self.gs = gs
         self.sp = ps.sp
         self.N = N
         self.J = J
         self.K = {j: N + J - j for j in range(J + 1)}
+        self.scheme = scheme
         ntot = self.K[0]
         if gs.n1 < ntot or len(ps.phis) < ntot + 1:
             raise OrderBudgetExceeded("phase/gamma series too short for transport order")
@@ -120,35 +104,31 @@ class _Recursion:
         self.eps_k, self.mu_k = eps_s.coeffs, mu_s.coeffs
         self.media_corrections = media_corrections
         self.nu = gs.nu
-        self.beta = beta_jets(gs, ps.xiprime)
-        self.rho = ps.rho_jet
+        beta = beta_jets(gs, ps.xiprime)
         self.z = ps.sp.z
-        self.inv_zeps0 = (self.z * self.eps_k[0]).invert()
-        self.system = CrossSystem(self.rho, self.nu, self.beta, self.z, self.mu_k[0])
-        self.psi0 = self.system.psi0
+        self.system = CrossSystem(ps.rho_jet, self.nu, beta, self.z, self.mu_k[0])
         self.gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
                       for m in range(ntot)]
-        self.zero = self.nu[0] * 0.0
-        self.zerov = [self.zero] * 3
-        # cokernel test vectors: u and psi0 x u with <psi0,u> = 0
-        u1 = cross(self.beta, self.nu)
-        self.u_basis = (u1, cross(self.psi0, u1))
+        self.zerov = [self.nu[0] * 0.0] * 3
         # tangential covector basis for the datum of a_{j,k}, k >= 1
-        self.tau = (self.beta, cross(self.nu, self.beta))
-        self.r0 = dot(self.beta, self.beta).value.real
-        self.a = {}
-        self.b = {}
-        self.nxb = {}
+        self.tau = (beta, cross(self.nu, beta))
+        self.r0 = dot(beta, beta).value.real
+        self.a, self.b, self.nxb = {}, {}, {}
+        self.batched = {"a": self.a, "b": self.b, "nu_cross_b": self.nxb}
 
-    def rhs(self, j, k, extra=None):
-        """(a#, b#) at slot (j,k); ``extra`` supplies a trial (a,b) pair for
-        a not-yet-stored slot referenced by the level-(j-1) curl term."""
+    def matrix(self, which, j, k):
+        """A_{j,k} or B_{j,k} as a numeric 3x3 array (columns = basis data)."""
+        vec = self.batched["a" if which == "A" else "b"][(j, k)]
+        return np.array([comp.value for comp in vec])
+
+    def iota_nu_B(self, j):
+        """iota_nu B_{j,0} from the dedicated nu x b closed forms."""
+        return np.array([comp.value for comp in self.nxb[(j, 0)]])
+
+    def rhs(self, j, k):
+        """(a#, b#) at slot (j,k) from the stored slots; the curl term of the
+        slot (j-1, k+1), when it is not stored yet, is left out."""
         a, b = self.a, self.b
-        if extra is not None:
-            a = dict(a); b = dict(b)
-            slot, av, bv = extra
-            a[slot] = av
-            b[slot] = bv
         a_sh = self.zerov
         b_sh = self.zerov
         z = self.z
@@ -172,29 +152,36 @@ class _Recursion:
                 b_sh = vadd(b_sh, vscale(1j, gb))
         return a_sh, b_sh
 
+    @cached_property
+    def cokernel(self):
+        """Test vectors u1 = beta x nu and u2 = psi0 x u1 (both with
+        <psi0,u> = 0), each with its b-weight (z eps0)^{-1} psi0 x u."""
+        psi0 = self.system.psi0
+        u1 = cross(self.system.beta, self.nu)
+        u2 = cross(psi0, u1)
+        inv_zeps0 = (self.z * self.eps_k[0]).invert()
+        return ((u1, vscale(inv_zeps0, u2)), (u2, vscale(inv_zeps0, cross(psi0, u2))))
+
     def defect(self, a_sh, b_sh):
         """Cokernel components of the system right-hand side.
 
         The system is solvable iff a# + (z eps0)^{-1} b# x psi0 is parallel
         to psi0, i.e. both pairings with the u-basis vanish.
         """
-        out = []
-        for u in self.u_basis:
-            out.append(dot(u, a_sh) + self.inv_zeps0 * dot(cross(self.psi0, u), b_sh))
-        return out
+        return [dot(u, a_sh) + dot(w, b_sh) for u, w in self.cokernel]
 
-    def tangential_datum(self, j, k, a_sh, b_sh, scheme):
-        """Datum g for slot (j,k): bc at k=0, else the solvability choice."""
-        if k == 0 or scheme == "literal" or j == self.J or self.r0 < 1e-12:
+    def tangential_datum(self, j, k, a_sh, b_sh):
+        """Datum g of slot (j,k) for k >= 1: the solvability choice, else zero."""
+        if k == 0 or self.scheme == "literal" or j == self.J or self.r0 < 1e-12:
             return self.zerov
-        # the defect of level j+1 at order k-1 is linear in g through the
-        # curl term k*(nu x a_{j,k}, nu x b_{j,k}); evaluate it at the trial
-        # data 0, tau0, tau1 (a leading batch axis) and solve the 2x2 system
-        g = vadd(vscale(_TRIALS[0], self.tau[0]), vscale(_TRIALS[1], self.tau[1]))
-        av, bv, _ = self.system.solve(a_sh, b_sh, g)
-        vals = self.defect(*self.rhs(j + 1, k - 1, extra=((j, k), av, bv)))
-        d0 = [v[0] for v in vals]
-        m = [[vals[r][c + 1] - d0[r] for c in range(2)] for r in range(2)]
+        # the level-(j+1), order-(k-1) defect is d0 + p1 m1 + p2 m2 for
+        # g = p1 tau0 + p2 tau1 (module docstring); rhs() leaves slot (j,k) out
+        g = vadd(vscale(_TAU0, self.tau[0]), vscale(_TAU1, self.tau[1]))
+        _, _, nxb = self.system.solve(vscale(_DATA, a_sh), vscale(_DATA, b_sh), g)
+        curl = self.defect(g, nxb)
+        rest = self.defect(*self.rhs(j + 1, k - 1))
+        d0 = [rest[r] + 1j * k * curl[r][0] for r in range(2)]
+        m = [[1j * k * curl[r][c + 1] for c in range(2)] for r in range(2)]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         inv_det = det.invert()
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
@@ -214,21 +201,17 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
     if ps.flattened:
         media_corrections = False
         scheme = "literal"
-    rec = _Recursion(ps, media, N, J, media_corrections)
-    g0 = vscale(-1.0, cross(rec.nu, _BASIS))
+    tab = AmplitudeTable(ps, media, N, J, scheme, media_corrections)
+    g0 = vscale(-1.0, cross(tab.nu, _BASIS))
     for s in range(N + J):
         for j in range(min(s, J) + 1):
             k = s - j
-            if k >= rec.K[j]:
+            if k >= tab.K[j]:
                 continue
-            a_sh, b_sh = rec.rhs(j, k)
-            if k == 0:
-                g = g0 if j == 0 else rec.zerov
-            else:
-                g = rec.tangential_datum(j, k, a_sh, b_sh, scheme)
-            rec.a[(j, k)], rec.b[(j, k)], rec.nxb[(j, k)] = rec.system.solve(a_sh, b_sh, g)
-    return AmplitudeTable(ps, N, J, {"a": rec.a, "b": rec.b, "nu_cross_b": rec.nxb},
-                          rec.psis, (rec.eps_k, rec.mu_k), scheme)
+            a_sh, b_sh = tab.rhs(j, k)
+            g = g0 if (j, k) == (0, 0) else tab.tangential_datum(j, k, a_sh, b_sh)
+            tab.a[(j, k)], tab.b[(j, k)], tab.nxb[(j, k)] = tab.system.solve(a_sh, b_sh, g)
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -291,34 +274,23 @@ def _commutator_n(gs: GammaSeries, dm_list):
 class BoundarySymbol:
     """Boundary impedance symbol data at one cotangent point."""
 
-    def __init__(self, m, m_tilde, m_tilde_full, n, B_flat, M_h, table):
+    def __init__(self, m, m_tilde, m_tilde_full, n):
         self.m = m
-        self.m_tilde = m_tilde            # n + B_flat (flattened corrector)
-        self.m_tilde_full = m_tilde_full  # n_full + iota_nu B_{1,0}
+        self.m_tilde = m_tilde            # n_flat + flattened iota_nu B_{1,0}
+        self.m_tilde_full = m_tilde_full  # n + iota_nu B_{1,0}
         self.n = n
-        self.B_flat = B_flat
-        self.M_h = M_h
-        self.table = table
-
-
-#: highest level j in the truncated symbol M_h
-SYMBOL_J = 1
 
 
 def boundary_symbol(table: AmplitudeTable):
-    """Assemble the truncated boundary symbol sum_j h^j iota_nu B_{j,0}.
+    """Assemble the boundary symbol m + h m_tilde from the blocks iota_nu B_{j,0}.
 
     Returns a BoundarySymbol with the principal block m (= iota_nu B_{0,0}),
-    the flattened corrector m_tilde = n + B_flat_{1,0}, and the full
-    corrector m_tilde_full = n_full + iota_nu B_{1,0}.
+    the flattened corrector m_tilde = n_flat + B_flat_{1,0}, and the full
+    corrector m_tilde_full = n + iota_nu B_{1,0}.
     """
     ps = table.ps
     gs = table.gs
     sp = table.sp
-    h = sp.h
-    J = min(SYMBOL_J, table.J)
-    M_h = sum(h ** j * table.iota_nu_B(j) for j in range(J + 1))
-    m_block = table.iota_nu_B(0)
 
     xi = ps.xiprime
     beta, r0, dbeta, dr0 = _dxi_ingredients(gs, xi)
@@ -339,10 +311,8 @@ def boundary_symbol(table: AmplitudeTable):
         B_flat = (1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
         m_tilde = n_flat + B_flat
     else:
-        n_flat = np.zeros((3, 3), dtype=complex)
-        B_flat = np.zeros((3, 3), dtype=complex)
-        m_tilde = n_flat
-    return BoundarySymbol(m_block, m_tilde, m_tilde_full, n_full, B_flat, M_h, table)
+        m_tilde = np.zeros((3, 3), dtype=complex)
+    return BoundarySymbol(table.iota_nu_B(0), m_tilde, m_tilde_full, n_full)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,14 @@ def test_quantizer_command_converges(recwarn):
     assert "|Op(1)| = 1" in summary
 
 
+def test_quantizer_h_list_below_range_exits_2(tmp_path, capsys):
+    # an h_list with no h >= 2^-9 is refused, not replaced by other h
+    cfg = write_cfg(tmp_path, "h_list = 0.0001\n")
+    assert main(["quantizer", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    assert "0.0001" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_te_scan_bad_boolean_exits_2(tmp_path):
     # a misspelt boolean would otherwise skip certification and exit 0
     cfg = write_cfg(tmp_path, "ell_max = 2\nre_max = 8.0\ncertify = ture\n")

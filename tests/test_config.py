@@ -135,13 +135,12 @@ DEFAULTED_PARAMETERS = {
     "eikonal.eikonal_coeffs:flattened",
     "geometry.SurfaceChart.random_points:margin", "geometry.SurfaceChart.sphere:radius",
     "geometry.gamma_pointwise:x1",
-    "jets.Jet.__init__:coef", "jets.Jet.constant:order", "jets.Jet.variable:order",
     "jets.NormalSeries.constant:template",
     "mie.dtn_compare:R",
     "numerics.cross_solve_oracle:refine",
     "quantizer.boundedness_check:n", "quantizer.composition_defect:n",
     "transmission.mode_determinant:scaled", "transmission.region_scan:n_tiles",
-    "transport._Recursion.rhs:extra", "transport.maxwell_residual:ftilde",
+    "transport.maxwell_residual:ftilde",
     "transport.transport_coeffs:J", "transport.transport_coeffs:media_corrections",
     "transport.transport_coeffs:scheme",
 }

@@ -140,8 +140,8 @@ def test_impedance_flat_limit():
     sp = split_lambda(lam)
     r0 = sp.h ** 2 * ell * (ell + 1.0) / R ** 2
     rv = sqrt_upper(sp.z ** 2 * eps * mu - r0)
-    te = exact_mode_impedance(ell, lam, eps, mu, R, "TE").value
-    tm = exact_mode_impedance(ell, lam, eps, mu, R, "TM").value
+    te = exact_mode_impedance(ell, lam, eps, mu, R, "TE")
+    tm = exact_mode_impedance(ell, lam, eps, mu, R, "TM")
     assert abs(te - rv / (sp.z * mu)) < 2e-2 * abs(te)
     assert abs(tm - sp.z * eps / rv) < 2e-2 * abs(tm)
 
@@ -152,7 +152,7 @@ def test_interior_resonance_raised():
     with pytest.raises(InteriorResonance):
         exact_mode_impedance(1, lam, 1.0, 1.0, 1.0, "TE")
     # the TM mode at the same frequency is fine
-    val = exact_mode_impedance(1, lam, 1.0, 1.0, 1.0, "TM").value
+    val = exact_mode_impedance(1, lam, 1.0, 1.0, 1.0, "TM")
     assert np.isfinite(val.real)
 
 
@@ -214,4 +214,4 @@ def test_dtn_compare_one_riccati_pair_per_ell(monkeypatch):
     rows = dtn_compare([20], lam, (1.3, 0.9))
     assert len(calls) == 1
     for r in rows:
-        assert r["exact"] == exact_mode_impedance(20, lam, 1.3, 0.9, 1.0, r["pol"]).value
+        assert r["exact"] == exact_mode_impedance(20, lam, 1.3, 0.9, 1.0, r["pol"])

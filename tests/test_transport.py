@@ -7,10 +7,11 @@ from maxdtn.errors import OrderBudgetExceeded, OutsideRetainedRegion
 from maxdtn.eikonal import eikonal_coeffs
 from maxdtn.jets import Jet
 from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
-from maxdtn.numerics import cross, dot
+from maxdtn.numerics import dot
 from maxdtn.spectral import split_lambda, symbol_m
-from maxdtn.transport import (boundary_symbol, maxwell_residual, transport_coeffs,
-                              _grad_cross)
+from maxdtn.transport import boundary_symbol, maxwell_residual, transport_coeffs
+
+from coefficient_oracle import equation_residual
 
 SP = split_lambda(5.0 + 2.0j)
 CHART = SurfaceChart.sphere(1.0)
@@ -66,42 +67,19 @@ def test_phase_amplitude_orthogonality(table):
 def test_equation_coefficients_vanish(table):
     # both first-order equations, coefficient by coefficient, at every
     # retained (j, k): the defining property of the consistent scheme
-    z = SP.z
-    gs = table.gs
-    eps_k, mu_k = table.eps_k, table.mu_k
-    psi = table.psis
-    ta, tb = _basis(table, "a"), _basis(table, "b")
-    ntot = table.K[0]
-    gcols = [[[gs.gamma[ii][c].coeffs[m] for ii in range(3)] for c in range(3)]
-             for m in range(ntot)]
-    worst = 0.0
-    for i in range(3):
-        for j in range(table.J + 1):
-            for k in range(table.K[j]):
-                e1 = [0.0 * gs.nu[0]] * 3
-                e2 = [0.0 * gs.nu[0]] * 3
-                for ell in range(k + 1):
-                    ca = cross(psi[k - ell], ta[i][(j, ell)])
-                    cb = cross(psi[k - ell], tb[i][(j, ell)])
-                    for c in range(3):
-                        e1[c] = e1[c] + ca[c] - z * mu_k[k - ell] * tb[i][(j, ell)][c]
-                        e2[c] = e2[c] + cb[c] + z * eps_k[k - ell] * ta[i][(j, ell)][c]
-                if j >= 1:
-                    for ell in range(k + 1):
-                        ga = _grad_cross(gcols[k - ell], ta[i][(j - 1, ell)])
-                        gb = _grad_cross(gcols[k - ell], tb[i][(j - 1, ell)])
-                        if (j - 1, ell + 1) in ta[i]:
-                            exa = cross(gcols[k - ell][0], ta[i][(j - 1, ell + 1)])
-                            exb = cross(gcols[k - ell][0], tb[i][(j - 1, ell + 1)])
-                            for c in range(3):
-                                ga[c] = ga[c] + (ell + 1) * exa[c]
-                                gb[c] = gb[c] + (ell + 1) * exb[c]
-                        for c in range(3):
-                            e1[c] = e1[c] - 1j * ga[c]
-                            e2[c] = e2[c] - 1j * gb[c]
-                worst = max(worst, max(abs(c.value) for c in e1),
-                            max(abs(c.value) for c in e2))
-    assert worst < 1e-10
+    assert equation_residual(table) < 1e-10
+
+
+@pytest.mark.parametrize("media", [MEDIA, MediaField.constant(1.3, 0.9)],
+                         ids=["affine", "constant"])
+@pytest.mark.parametrize("N,J", [(3, 2), (4, 2)])
+def test_equation_coefficients_vanish_ellipsoid(media, N, J):
+    # every jet coefficient, not only values: the ellipsoid at N/J = 3/2
+    # and 4/2 is where rounding in the solvability choice shows most
+    chart = SurfaceChart.ellipsoid(1.0, 1.2, 0.8)
+    gs = GammaSeries(chart, BASE, n1=N + J, order=N + J + 3)
+    ps = eikonal_coeffs(gs, media, SP, XI, N=N + J)
+    assert equation_residual(transport_coeffs(ps, media, N=N, J=J)) <= 1e-10
 
 
 def test_pointwise_residual_slope(table):
@@ -149,10 +127,6 @@ def test_boundary_symbol_blocks(table):
     sym = boundary_symbol(table)
     assert np.max(np.abs(sym.m - table.iota_nu_B(0))) == 0.0
     assert np.max(np.abs(sym.m_tilde_full - (sym.n + table.iota_nu_B(1)))) == 0.0
-    # M_h collects the h-weighted blocks
-    h = SP.h
-    want = sum(h ** j * table.iota_nu_B(j) for j in range(2))
-    assert np.max(np.abs(sym.M_h - want)) < 1e-14
 
 
 def test_corrector_media_independence():
