@@ -326,7 +326,9 @@ def _rho_inverse_factory(eps, mu):
 
 def cmd_quantizer(cfg: RunConfig):
     n = cfg.grid_n
-    hs = [h for h in sorted(cfg.h_list, reverse=True) if h >= 2 ** -9]
+    h_all = sorted(cfg.h_list, reverse=True)
+    hs = [h for h in h_all if h >= 2 ** -9]
+    skipped = [h for h in h_all if h < 2 ** -9]
     if not hs:
         raise ConfigError(f"no h_list entry is >= 2^-9 (dropped {list(cfg.h_list)})")
     a, b = _defect_pair()
@@ -342,6 +344,8 @@ def cmd_quantizer(cfg: RunConfig):
     summary = [f"composition slope = {_fmt(float(slope))} (1.0 +- 0.2)",
                f"|Op(1)| = {_fmt(float(norm1))}",
                f"theta exponent = {_fmt(float(-expo))} (0.5 +- 0.15)"]
+    if skipped:
+        summary.append(f"skipped h below 2^-9, not run: {_fmt(skipped)}")
     cols = ["h", "theta", "defect_norm", "bound_norm"]
     return rows, cols, ok, summary
 

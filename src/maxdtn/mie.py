@@ -39,8 +39,9 @@ _SERIES_TERMS = 120
 class RiccatiPair:
     """(psi, dpsi) scaled by e^{-log_scale}; true values are psi*e^{log_scale}.
 
-    The fields are Python scalars for a scalar argument and arrays of the
-    argument's shape for an array argument.
+    The fields are Python scalars for one order at a scalar argument, and
+    otherwise arrays of the argument's shape, after a leading order axis
+    when the orders are an array.
     """
     psi: complex
     dpsi: complex
@@ -55,8 +56,12 @@ def _sin_cos_scaled(x):
     return (ep - em) / 2j, (ep + em) / 2.0
 
 
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
 def _psi_series(ell, x):
-    """Taylor evaluation of (psi_ell, psi_ell', log_scale) on an array x.
+    """Taylor evaluation of (psi_ell, psi_ell', log_scale) on an array x,
+    with ``ell`` an integer array of x's shape (one order per element).
 
     The x^{ell+1} prefactor is kept in log form, so large ell and small |x|
     cannot underflow silently: it is folded into the values (log_scale =
@@ -65,10 +70,11 @@ def _psi_series(ell, x):
     """
     # psi_ell = x^{ell+1}/(2ell+1)!! * sum_k c_k t^k,  t = -x^2/2,
     # c_0 = 1, c_k = c_{k-1} / (k (2ell+2k+1))
+    ell = ell.astype(float)
     t = -x * x / 2.0
-    c = 1.0
+    c = np.ones(x.shape)
     S = np.ones_like(x)
-    dS = np.full_like(x, ell + 1.0)   # derivative sum: (ell+1+2k) c_k t^k
+    dS = (ell + 1.0).astype(complex)   # derivative sum: (ell+1+2k) c_k t^k
     tk = np.ones_like(x)
     for k in range(1, _SERIES_TERMS):
         c = c / (k * (2.0 * ell + 2.0 * k + 1.0))
@@ -81,7 +87,8 @@ def _psi_series(ell, x):
             break
     dS = dS / x
     # log prefactor: (ell+1) log x - log (2ell+1)!!
-    log_dd = math.lgamma(2.0 * ell + 2.0) - ell * math.log(2.0) - math.lgamma(ell + 1.0)
+    log_dd = (_lgamma(2.0 * ell + 2.0) - ell * math.log(2.0)
+              - _lgamma(ell + 1.0)).astype(float)
     log_pref = (ell + 1.0) * np.log(x) - log_dd
     s = np.abs(x.imag)
     shift = log_pref.real - s
@@ -94,99 +101,120 @@ def _psi_series(ell, x):
 #: orders; 32 factors of at least ~1e-3 each cannot underflow in between
 _RENORM_EVERY = 32
 
-#: orders per block of the precomputed (2n-1)/x table (bounds its memory)
-_BLOCK = 16
+#: orders per block of the precomputed (2n-1)/x table, and arguments per
+#: sweep (together they bound the sweep's memory)
+_BLOCK = 4
+_CHUNK = 1024
 
 
-def _sweep(ell, x):
-    """psi pair on an array x by the downward log-derivative continued fraction.
+def _sweep(ells, x):
+    """psi pairs of the orders ``ells`` on a 1-d array x by the downward
+    log-derivative continued fraction; arrays of shape (len(ells), x.size).
 
     D_n = psi_n'/psi_n obeys D_{n-1} = n/x - 1/(D_n + n/x); running it
     downward from well past max(ell, |x|) is stable for complex x (the
     upward three-term recurrence is not once the argument leaves the real
     axis).  It is run on E_n = D_n + n/x, for which it reads E_{n-1} =
-    (2n-1)/x - 1/E_n.  One sweep, started at the index the largest |x| of
-    the batch needs, serves every element (starting higher only converges
-    further).  psi_ell itself is psi_0 = sin x times the ratios
-    psi_n/psi_{n-1} = 1/E_n, n = 1..ell, whose product is renormalized into
-    an exponent accumulator so neither deep decay nor growth can overflow.
+    (2n-1)/x - 1/E_n.  One sweep, started at the index the largest order
+    and the largest |x| of the batch need, passes through every order below
+    its start (starting higher only converges further), so it serves every
+    order and element at once.  psi_n itself is psi_0 = sin x times the
+    ratios psi_k/psi_{k-1} = 1/E_k, k = 1..n, whose running product is
+    renormalized into an exponent accumulator every _RENORM_EVERY orders
+    so neither deep decay nor growth can overflow.
 
-    Returns (psi, dpsi, log_scale, mismatch); mismatch compares the sweep's
-    own D_0 = E_0 with cot x and flags a failed recurrence.  A denominator
-    E_n that rounds to zero makes the element non-finite, and its mismatch
-    NaN.
+    Returns (psi, dpsi, log_scale, mismatch); mismatch, one per element,
+    compares the sweep's own D_0 = E_0 with cot x and flags a failed
+    recurrence.  A denominator E_n that rounds to zero makes the element
+    non-finite, and its mismatch NaN.
     """
+    top = int(ells.max())
     ax_max = float(np.max(np.abs(x)))
-    start = max(ell, int(ax_max)) + 25 + int(4.0 * ax_max ** (1.0 / 3.0))
+    start = max(top, int(ax_max)) + 25 + int(4.0 * ax_max ** (1.0 / 3.0))
     orders = np.arange(start, 0, -1)
     E = start / x
-    prod = np.ones_like(x)
-    log_extra = np.zeros(x.shape)
-    E_ell = E
+    Es = np.empty((top + 1,) + x.shape, dtype=complex)   # E_0 .. E_top
     with np.errstate(divide="ignore", invalid="ignore"):
         for b in range(0, start, _BLOCK):
             block = orders[b:b + _BLOCK]
             for n, step in zip(block.tolist(), (2 * block[:, None] - 1) / x):
-                ratio = np.reciprocal(E)
-                if n <= ell:
-                    prod *= ratio
-                    if n % _RENORM_EVERY == 0:
-                        m = np.abs(prod)
-                        far = (m > 1e150) | (m < 1e-150)
-                        if far.any():
-                            prod[far] /= m[far]
-                            log_extra[far] += np.log(m[far])
-                E = step - ratio
-                if n - 1 == ell:
-                    E_ell = E
+                if n <= top:
+                    Es[n] = E
+                E = step - np.reciprocal(E)
+        Es[0] = E
         sn, cs = _sin_cos_scaled(x)
         mismatch = np.abs(E * sn - cs) / np.maximum(np.abs(sn), np.abs(cs))
-    log_scale = np.abs(x.imag) + log_extra
-    if ell == 0:
-        return sn, cs, log_scale, mismatch
-    psi = sn * prod
-    return psi, psi * (E_ell - ell / x), log_scale, mismatch
+        # running products prod_{k<=n} 1/E_k (row 0 is the empty product),
+        # accumulated a block of orders at a time; the row that starts the
+        # next block is renormalized, and its exponent carried upward
+        prod = np.reciprocal(Es)
+        prod[0] = 1.0
+        log_extra = np.zeros(prod.shape)
+        for b in range(0, top + 1, _RENORM_EVERY):
+            blk = prod[b:b + _RENORM_EVERY + 1]
+            np.multiply.accumulate(blk, axis=0, out=blk)
+            if b + _RENORM_EVERY < top:
+                m = np.abs(blk[-1])
+                far = (m > 1e150) | (m < 1e-150)
+                if far.any():
+                    blk[-1, far] /= m[far]
+                    log_extra[b + _RENORM_EVERY:, far] += np.log(m[far])
+        psi = sn * prod[ells]
+        dpsi = psi * (Es[ells] - ells[:, None] / x)
+        dpsi[ells == 0] = cs
+    log_scale = np.abs(x.imag) + log_extra[ells]
+    return psi, dpsi, log_scale, mismatch
 
 
 def riccati_bessel(ell, x):
-    """First-kind Riccati-Bessel pair (psi_ell(x), psi_ell'(x)) for complex x.
+    """First-kind Riccati-Bessel pairs (psi_ell(x), psi_ell'(x)) for complex x.
 
-    ``x`` is a scalar or an array; the returned :class:`RiccatiPair` holds
-    scalars or arrays of the same shape.  Each element is evaluated in its
-    own regime: x = 0 exactly, the Taylor series for |x| < max(1e-2,
-    0.2 sqrt(ell+1)), and otherwise one downward continued-fraction sweep
-    shared by the whole batch, whose own order-0 member is checked against
-    cot x (disagreement beyond 1e-8, or a non-finite sweep, switches that
-    element to the series).
+    ``ell`` is one order or a 1-d array of orders; ``x`` is a scalar or an
+    array.  The returned :class:`RiccatiPair` holds scalars for one order
+    at a scalar argument, and otherwise arrays of shape x.shape with, for
+    an array of orders, a leading axis over ``ell``.  Each (order, element)
+    is evaluated in its own regime: x = 0 exactly, the Taylor series for
+    |x| < 0.2 sqrt(ell+1), and otherwise a downward continued-fraction
+    sweep shared by every order and by up to _CHUNK arguments of similar
+    |x|, whose own order-0 member is checked against cot x (disagreement
+    beyond 1e-8, or a non-finite sweep, switches that element's orders
+    above 0 to the series; order 0 is sin x, cos x exactly).
     Where the magnitude exponent stays within 300 (always when |Im x| <= 300
     and psi is of moderate size) the true values are returned with
     ``log_scale = 0``; otherwise the pair is returned scaled by
     e^{-log_scale}, with log_scale = |Im x| plus any renormalizing exponent.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=complex))
-    psi = np.zeros(xa.shape, dtype=complex)
-    dpsi = np.zeros(xa.shape, dtype=complex)
-    ls = np.zeros(xa.shape)
-    ax = np.abs(xa)
+    ells = np.atleast_1d(np.asarray(ell)).astype(int)
+    xa = np.atleast_1d(np.asarray(x, dtype=complex)).ravel()
+    psi = np.zeros((ells.size, xa.size), dtype=complex)
+    dpsi = np.zeros_like(psi)
+    ls = np.zeros(psi.shape)
     zero = xa == 0.0
-    series = ~zero & ((ax < 0.2 * math.sqrt(ell + 1.0)) | (ax < 1e-2))
-    sweep = ~zero & ~series
-    if sweep.any():
-        p, d, l, mismatch = _sweep(ell, xa[sweep])
-        psi[sweep], dpsi[sweep], ls[sweep] = p, d, l
-        series[sweep] = ~(mismatch <= 1e-8)
+    series = ~zero & (np.abs(xa) < 0.2 * np.sqrt(ells[:, None] + 1.0))
+    cols = np.flatnonzero(~zero & ~series.all(axis=0))
+    if len(cols) > _CHUNK:
+        # chunks of similar |x| need similar sweep lengths
+        cols = cols[np.argsort(np.abs(xa[cols]))]
+    for at in range(0, len(cols), _CHUNK):
+        part = cols[at:at + _CHUNK]
+        p, d, l, mismatch = _sweep(ells, xa[part])
+        psi[:, part], dpsi[:, part], ls[:, part] = p, d, l
+        # psi_0 = sin x needs no recurrence, so order 0 never falls back
+        series[:, part] |= ~(mismatch <= 1e-8) & (ells > 0)[:, None]
     if series.any():
-        psi[series], dpsi[series], ls[series] = _psi_series(ell, xa[series])
-    if ell == 0:
-        dpsi[zero] = 1.0
+        rows, elems = np.nonzero(series)
+        psi[series], dpsi[series], ls[series] = _psi_series(ells[rows], xa[elems])
+    if zero.any():
+        dpsi[np.ix_(ells == 0, zero)] = 1.0
     fold = np.abs(ls) <= _SCALE_THRESHOLD
     fac = np.exp(np.where(fold, ls, 0.0))
     psi *= fac
     dpsi *= fac
     ls[fold] = 0.0
-    if np.ndim(x) == 0:
-        return RiccatiPair(complex(psi[0]), complex(dpsi[0]), float(ls[0]))
-    return RiccatiPair(psi, dpsi, ls)
+    if np.ndim(x) == 0 and np.ndim(ell) == 0:
+        return RiccatiPair(complex(psi[0, 0]), complex(dpsi[0, 0]), float(ls[0, 0]))
+    shape = ells.shape[:np.ndim(ell)] + np.shape(x)
+    return RiccatiPair(psi.reshape(shape), dpsi.reshape(shape), ls.reshape(shape))
 
 
 #: relative floor under which a mode denominator counts as resonant

@@ -76,28 +76,23 @@ class TransmissionConfig:
         return self.c2 * math.sqrt(self.eps2 / self.mu2)
 
 
-#: overall factor of each polarization's determinant
-_POL_SIGN = {"TE": 1j * IMPEDANCE_SIGN, "TM": -1j * IMPEDANCE_SIGN}
-
-
 def _pairs(cfg: TransmissionConfig, ell, lam):
     """Riccati-Bessel pairs at x1 = lam n1 R and x2 = lam n2 R in one call.
 
-    Returns (x, psi, dpsi, log_scale): x, psi and dpsi carry a leading axis
-    of length 2 (medium 1, medium 2) over lam's shape; log_scale is the
-    pairs' summed exponent.
+    Returns (x, pair): x carries a leading axis of length 2 (medium 1,
+    medium 2) over lam's shape, and so does each field of the pair after
+    the order axis of an array ``ell``.
     """
     lam = np.asarray(lam, dtype=complex)
     x = np.stack([lam * (cfg.n1 * cfg.R), lam * (cfg.n2 * cfg.R)])
-    rp = riccati_bessel(ell, x)
-    return x, rp.psi, rp.dpsi, rp.log_scale[0] + rp.log_scale[1]
+    return x, riccati_bessel(ell, x)
 
 
-def _products(cfg: TransmissionConfig, pol, psi, dpsi):
-    """The two cleared products (t1, t2); the determinant is sign (t1 - t2)."""
-    if pol == "TE":
-        return cfg.w1 * dpsi[0] * psi[1], cfg.w2 * dpsi[1] * psi[0]
-    return cfg.w1 * psi[0] * dpsi[1], cfg.w2 * psi[1] * dpsi[0]
+def _products(cfg: TransmissionConfig, te, psi, dpsi):
+    """The two cleared products (t1, t2) of TE (where ``te``) or TM; the
+    determinant is i (t1 - t2) for TE and -i (t1 - t2) for TM."""
+    a, b = psi[0] * dpsi[1], psi[1] * dpsi[0]
+    return cfg.w1 * np.where(te, b, a), cfg.w2 * np.where(te, a, b)
 
 
 def mode_determinant(cfg: TransmissionConfig, ell, lam, pol, scaled=False):
@@ -111,14 +106,30 @@ def mode_determinant(cfg: TransmissionConfig, ell, lam, pol, scaled=False):
     value * e^{log_scale} and relative_magnitude is |value| over the larger
     of the two cleared products (the honest distance-to-zero measure).
 
-    ``lam`` is a scalar or an array; every returned quantity has its shape,
-    and all of x1 and x2 are evaluated in one :func:`riccati_bessel` call.
+    ``ell``, ``lam`` and ``pol`` broadcast together, so one call evaluates
+    many modes at many points; every returned quantity has the broadcast
+    shape.  The pairs of every order at each element of ``lam`` come from
+    one :func:`riccati_bessel` sweep, which all the modes share (give the
+    modes their own axis, and lam is evaluated once for all of them).
     """
-    if pol not in _POL_SIGN:
+    ell, pol = np.asarray(ell), np.asarray(pol)
+    lam = np.asarray(lam, dtype=complex)
+    te = pol == "TE"
+    if not (te | (pol == "TM")).all():
         raise ValueError("pol must be 'TE' or 'TM'")
-    _, psi, dpsi, log_scale = _pairs(cfg, ell, lam)
-    t1, t2 = _products(cfg, pol, psi, dpsi)
-    val = _POL_SIGN[pol] * (t1 - t2)
+    shape = np.broadcast_shapes(ell.shape, lam.shape, pol.shape)
+    present = np.zeros(int(ell.max()) + 1, dtype=bool)
+    present[ell] = True
+    orders = np.flatnonzero(present)
+    _, rp = _pairs(cfg, orders, lam)
+    # element (order of ell, medium j, lam) of each pair field
+    at = (np.broadcast_to((np.cumsum(present) - 1)[ell], shape),
+          np.broadcast_to(np.arange(lam.size).reshape(lam.shape), shape))
+    psi, dpsi, log_scale = (f.reshape(len(orders), 2, -1)[at[0], :, at[1]]
+                            for f in (rp.psi, rp.dpsi, rp.log_scale))
+    t1, t2 = _products(cfg, te, np.moveaxis(psi, -1, 0), np.moveaxis(dpsi, -1, 0))
+    val = np.where(te, 1j, -1j) * IMPEDANCE_SIGN * (t1 - t2)
+    log_scale = log_scale.sum(axis=-1)
     if scaled:
         mag = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
         return val[()], (np.abs(val) / mag)[()], log_scale[()]
@@ -132,16 +143,18 @@ def _value_and_slope(cfg: TransmissionConfig, ell, lam, pol):
     its derivative replaces one pair at a time by dx_j/dlam (psi', psi''),
     with psi'' = (ell(ell+1)/x^2 - 1) psi from the Riccati-Bessel equation.
     """
-    x, psi, dpsi, _ = _pairs(cfg, ell, lam)
+    x, rp = _pairs(cfg, ell, lam)
+    psi, dpsi = rp.psi, rp.dpsi
     ddpsi = (ell * (ell + 1.0) / (x * x) - 1.0) * psi
-    t1, t2 = _products(cfg, pol, psi, dpsi)
+    te = pol == "TE"
+    t1, t2 = _products(cfg, te, psi, dpsi)
     slope = 0.0
     for j, nR in enumerate((cfg.n1 * cfg.R, cfg.n2 * cfg.R)):
         p, d = psi.copy(), dpsi.copy()
         p[j], d[j] = nR * dpsi[j], nR * ddpsi[j]
-        s1, s2 = _products(cfg, pol, p, d)
+        s1, s2 = _products(cfg, te, p, d)
         slope = slope + (s1 - s2)
-    sign = _POL_SIGN[pol]
+    sign = (1j if te else -1j) * IMPEDANCE_SIGN
     return sign * (t1 - t2), sign * slope
 
 
@@ -156,9 +169,11 @@ _NEARZERO_REL = 1e-10
 _JITTER = 1e-3
 _ATTEMPTS = 5
 
-#: refinement levels of a contour edge, and the box size at which
+#: refinement levels of a contour edge, the bisection levels one
+#: determinant evaluation takes ahead, and the box size at which
 #: locate_zeros polishes a box's zeros by Newton from its centre
 _MAX_DEPTH = 24
+_AHEAD = 4
 _BOX_TOL = 1e-3
 
 #: relative step at which Newton polishing stops, and its iteration cap
@@ -186,6 +201,122 @@ def _origin_order(cfg: TransmissionConfig, ell, pol):
     return 2 * ell + (3 if abs(a - b) <= 1e-12 * max(a, b) else 1)
 
 
+def _knots(cfg: TransmissionConfig, rect):
+    """Seed knots of a rectangle's contour, counter-clockwise, closed."""
+    re0, re1, im0, im1 = rect
+    corners = np.array([complex(re0, im0), complex(re1, im0),
+                        complex(re1, im1), complex(re0, im1), complex(re0, im0)])
+    # the determinant's phase turns at speed <= ~(n1+n2) R |dlam|, so seed
+    # each edge well below a full turn per segment before refining
+    per_unit = 2.5 * (cfg.n1 + cfg.n2) * cfg.R
+    dz = np.diff(corners)
+    nseed = np.maximum(8, np.ceil(np.abs(dz) * per_unit).astype(int))
+    edge = np.repeat(np.arange(4), nseed)
+    k = np.arange(len(edge)) - np.repeat(np.cumsum(nseed) - nseed, nseed)
+    return np.append(corners[edge] + dz[edge] * k / nseed[edge], corners[-1])
+
+
+def _count_batch(cfg: TransmissionConfig, jobs):
+    """Winding counts of many (ell, pol, rect) jobs, as count_zeros makes
+    each alone; one entry per job, its count or the ContourThroughZero that
+    count_zeros would raise for it.
+
+    Every job follows its own segments and its own phase, but the seed
+    knots of all jobs are one determinant evaluation (every mode at every
+    distinct rectangle's knots, so jobs on one contour share them), and so
+    are the points ahead of every job's unresolved segments at a refinement
+    level.  A job that hits a zero drops out with its error; the others go
+    on.
+    """
+    out = [None] * len(jobs)
+    order = np.array([_origin_order(cfg, ell, pol) for ell, pol, _ in jobs])
+    encloses = [re0 < 0.0 < re1 and im0 < 0.0 < im1 for _, _, (re0, re1, im0, im1) in jobs]
+    # seeds: every mode at every distinct rectangle's knots, one call
+    modes, rects = {}, {}
+    size = 0
+    for j, (ell, pol, rect) in enumerate(jobs):
+        re0, re1, im0, im1 = rect
+        if not encloses[j] and re0 <= 0.0 <= re1 and im0 <= 0.0 <= im1:
+            out[j] = ContourThroughZero(f"lam = 0 lies on the edge of {rect}")
+            continue
+        modes.setdefault((ell, pol), len(modes))
+        if rect not in rects:
+            rects[rect] = size, _knots(cfg, rect)
+            size += len(rects[rect][1])
+    if not modes:
+        return out
+    ells = np.array([ell for ell, _, _ in jobs])
+    pols = np.array([pol for _, pol, _ in jobs])
+    lam = np.concatenate([k for _, k in rects.values()])
+    val, rel, _ = mode_determinant(cfg, np.array([e for e, _ in modes])[:, None], lam,
+                                   np.array([p for _, p in modes])[:, None], scaled=True)
+    job, row, ia = [], [], []
+    for j, (ell, pol, rect) in enumerate(jobs):
+        if out[j] is None:
+            off, k = rects[rect]
+            ia.append(off + np.arange(len(k) - 1))
+            row.append(np.full(len(k) - 1, modes[ell, pol]))
+            job.append(np.full(len(k) - 1, j))
+    job, row, ia = np.concatenate(job), np.concatenate(row), np.concatenate(ia)
+    a, b, va, vb = lam[ia], lam[ia + 1], val[row, ia], val[row, ia + 1]
+    ra, rb = rel[row, ia], rel[row, ia + 1]
+    # ahead: each segment's interior points of its next bisection levels, in
+    # order, with their values.  A segment with none left gets the
+    # 2^_AHEAD - 1 points of its next _AHEAD levels in one evaluation; each
+    # level splits it at the middle point and hands each half its side.
+    ahead = (np.empty((len(a), 0), dtype=complex),) * 2 + (np.empty((len(a), 0)),)
+    total = np.zeros(len(jobs))
+    for depth in range(_MAX_DEPTH + 1):
+        failed = {}
+        if depth >= 3:
+            low = np.minimum(ra, rb)
+            for i in np.nonzero(low < _NEARZERO_REL)[0].tolist():
+                failed.setdefault(int(job[i]), ContourThroughZero(
+                    f"determinant {low[i]:.2e} of scale on the contour near {a[i]:.6g}"))
+        d = _wrap(np.angle(vb) - np.angle(va) - order[job] * _wrap(np.angle(b) - np.angle(a)))
+        fine = np.abs(d) <= 0.8
+        if depth == _MAX_DEPTH:
+            for i in np.nonzero(~fine)[0].tolist():
+                failed.setdefault(int(job[i]), ContourThroughZero(
+                    f"phase step {d[i]:.2f} rad unresolved at depth {depth} near {a[i]:.6g}"))
+        keep = ~fine
+        if failed:
+            for j, exc in failed.items():
+                out[j] = exc
+            live = ~np.isin(job, list(failed))
+            fine &= live
+            keep &= live
+        total += np.bincount(job[fine], weights=d[fine], minlength=len(jobs))
+        if not keep.any():
+            break
+        a, b, va, vb, ra, rb, job = (v[keep] for v in (a, b, va, vb, ra, rb, job))
+        ahead = tuple(v[keep] for v in ahead)
+        if ahead[0].shape[1] == 0:
+            pts = np.stack([a, b], axis=1)
+            for _ in range(_AHEAD):
+                grid = np.empty((len(a), 2 * pts.shape[1] - 1), dtype=complex)
+                grid[:, ::2], grid[:, 1::2] = pts, 0.5 * (pts[:, :-1] + pts[:, 1:])
+                pts = grid
+            ahead = (pts[:, 1:-1],) + mode_determinant(
+                cfg, ells[job][:, None], pts[:, 1:-1], pols[job][:, None], scaled=True)[:2]
+        h = ahead[0].shape[1] // 2
+        m, vm, rm = (v[:, h] for v in ahead)
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+        ra, rb = np.concatenate([ra, rm]), np.concatenate([rm, rb])
+        job = np.concatenate([job, job])
+        ahead = tuple(np.concatenate([v[:, :h], v[:, h + 1:]]) for v in ahead)
+    for j, (_, _, rect) in enumerate(jobs):
+        if out[j] is not None:
+            continue
+        n = total[j] / (2.0 * math.pi)
+        if abs(n - round(n)) > 0.25:
+            out[j] = ContourThroughZero(f"non-integer winding {n:.3f} on {rect}")
+        else:
+            out[j] = int(round(n)) + (int(order[j]) if encloses[j] else 0)
+    return out
+
+
 def count_zeros(cfg: TransmissionConfig, ell, pol, rect):
     """Number of determinant zeros inside a closed rectangle, by winding.
 
@@ -193,8 +324,9 @@ def count_zeros(cfg: TransmissionConfig, ell, pol, rect):
     every phase step is below 0.8 rad; a sample whose relative magnitude
     drops under 1e-10 after three refinement levels raises
     :class:`ContourThroughZero` (the caller should perturb the rectangle).
-    The seed knots of all four edges are one determinant evaluation, and so
-    are the midpoints of each refinement level.
+    The seed knots of all four edges are one determinant evaluation; each
+    later evaluation takes every point the next _AHEAD bisection levels of
+    the unresolved segments can need, so it serves that many levels.
 
     The phase followed is that of D(lam) / lam^m, m the order of the zero
     at lam = 0: near the origin the phase of D itself turns m times faster
@@ -202,66 +334,34 @@ def count_zeros(cfg: TransmissionConfig, ell, pol, rect):
     m zeros at the origin are added back when the rectangle encloses it; a
     rectangle with the origin on its edge raises.
     """
-    re0, re1, im0, im1 = rect
-    encloses_origin = re0 < 0.0 < re1 and im0 < 0.0 < im1
-    if not encloses_origin and re0 <= 0.0 <= re1 and im0 <= 0.0 <= im1:
-        raise ContourThroughZero(f"lam = 0 lies on the edge of {rect}")
-    order = _origin_order(cfg, ell, pol)
-    corners = [complex(re0, im0), complex(re1, im0),
-               complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-    # the determinant's phase turns at speed <= ~(n1+n2) R |dlam|, so seed
-    # each edge well below a full turn per segment before refining
-    per_unit = 2.5 * (cfg.n1 + cfg.n2) * cfg.R
-    knots = []
-    for za, zb in zip(corners[:-1], corners[1:]):
-        nseed = max(8, int(math.ceil(abs(zb - za) * per_unit)))
-        knots.append(za + (zb - za) * np.arange(nseed) / nseed)
-    knots = np.concatenate(knots + [corners[-1:]])
-    val, rel, _ = mode_determinant(cfg, ell, knots, pol, scaled=True)
-    a, b, va, vb, ra, rb = knots[:-1], knots[1:], val[:-1], val[1:], rel[:-1], rel[1:]
-    total = 0.0
-    for depth in range(_MAX_DEPTH + 1):
-        if depth >= 3:
-            hit = np.minimum(ra, rb) < _NEARZERO_REL
-            if hit.any():
-                i = int(np.argmax(hit))
-                r = min(ra[i], rb[i])
-                raise ContourThroughZero(
-                    f"determinant {r:.2e} of scale on the contour near {a[i]:.6g}")
-        d = _wrap(np.angle(vb) - np.angle(va) - order * _wrap(np.angle(b) - np.angle(a)))
-        fine = np.abs(d) <= 0.8
-        total += float(np.sum(d[fine]))
-        if fine.all():
-            break
-        if depth == _MAX_DEPTH:
-            i = int(np.argmin(fine))
-            raise ContourThroughZero(
-                f"phase step {d[i]:.2f} rad unresolved at depth {depth} near {a[i]:.6g}")
-        a, b, va, vb, ra, rb = (v[~fine] for v in (a, b, va, vb, ra, rb))
-        m = 0.5 * (a + b)
-        vm, rm, _ = mode_determinant(cfg, ell, m, pol, scaled=True)
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
-        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-        ra, rb = np.concatenate([ra, rm]), np.concatenate([rm, rb])
-    n = total / (2.0 * math.pi)
-    if abs(n - round(n)) > 0.25:
-        raise ContourThroughZero(f"non-integer winding {n:.3f} on {rect}")
-    return int(round(n)) + (order if encloses_origin else 0)
+    n, = _count_batch(cfg, [(ell, pol, rect)])
+    if isinstance(n, ContourThroughZero):
+        raise n
+    return n
 
 
-def _count_safe(cfg, ell, pol, rect):
-    """count_zeros, enlarging the rectangle by k * _JITTER of its size on
-    contour hits (k < _ATTEMPTS).  Returns (count, rectangle counted)."""
-    re0, re1, im0, im1 = rect
+def _count_safe(cfg, jobs):
+    """_count_batch of (ell, pol, rect) jobs, enlarging the rectangle of a
+    job that hits a zero by k * _JITTER of its size (k < _ATTEMPTS) and
+    counting those jobs again together.  Returns one (count, rectangle
+    counted) per job; raises the first job's error after the last attempt.
+    """
+    out = [None] * len(jobs)
     for k in range(_ATTEMPTS):
-        g = _JITTER * k * max(re1 - re0, im1 - im0)
-        r = (re0 - g, re1 + g, im0 - g, im1 + g)
-        try:
-            return count_zeros(cfg, ell, pol, r), r
-        except ContourThroughZero:
-            if k == _ATTEMPTS - 1:
-                raise
-    raise AssertionError("unreachable")
+        todo = [j for j, o in enumerate(out) if o is None]
+        if not todo:
+            break
+        trial = []
+        for j in todo:
+            ell, pol, (re0, re1, im0, im1) = jobs[j]
+            g = _JITTER * k * max(re1 - re0, im1 - im0)
+            trial.append((ell, pol, (re0 - g, re1 + g, im0 - g, im1 + g)))
+        for j, (_, _, r), n in zip(todo, trial, _count_batch(cfg, trial)):
+            if not isinstance(n, ContourThroughZero):
+                out[j] = (n, r)
+            elif k == _ATTEMPTS - 1:
+                raise n
+    return out
 
 
 def _newton(cfg, ell, pol, z0):
@@ -280,9 +380,10 @@ def _newton(cfg, ell, pol, z0):
 def _split(cfg, ell, pol, rect, n):
     """Four children partitioning ``rect`` exactly, with their counts.
 
-    The bisection lines start at the centre and move by k * _JITTER of the
-    box (k < _ATTEMPTS) whenever a child contour passes through a zero or the
-    children's counts do not add up to the parent's ``n``.
+    The four children are counted in one batch.  The bisection lines start
+    at the centre and move by k * _JITTER of the box (k < _ATTEMPTS)
+    whenever a child contour passes through a zero or the children's counts
+    do not add up to the parent's ``n``.
     """
     re0, re1, im0, im1 = rect
     for k in range(_ATTEMPTS):
@@ -290,9 +391,8 @@ def _split(cfg, ell, pol, rect, n):
         im = 0.5 * (im0 + im1) + _JITTER * k * (im1 - im0)
         children = [(re0, rm, im0, im), (rm, re1, im0, im),
                     (re0, rm, im, im1), (rm, re1, im, im1)]
-        try:
-            counts = [count_zeros(cfg, ell, pol, c) for c in children]
-        except ContourThroughZero:
+        counts = _count_batch(cfg, [(ell, pol, c) for c in children])
+        if any(isinstance(c, ContourThroughZero) for c in counts):
             continue
         if sum(counts) == n:
             return list(zip(children, counts))
@@ -309,7 +409,12 @@ def locate_zeros(cfg: TransmissionConfig, ell, pol, rect):
     winding count of the rectangle (raises :class:`ContourThroughZero`
     otherwise).
     """
-    count, root = _count_safe(cfg, ell, pol, rect)
+    (count, root), = _count_safe(cfg, [(ell, pol, rect)])
+    return _locate(cfg, ell, pol, root, count)
+
+
+def _locate(cfg, ell, pol, root, count):
+    """locate_zeros on a rectangle ``root`` already counted to hold ``count``."""
     out = []
     stack = [(root, count)]
     while stack:
@@ -324,7 +429,7 @@ def locate_zeros(cfg: TransmissionConfig, ell, pol, rect):
         stack.extend(_split(cfg, ell, pol, r, n))
     if len(out) != count:
         raise ContourThroughZero(
-            f"(ell={ell}, {pol}): located {len(out)} zeros in {rect}, "
+            f"(ell={ell}, {pol}): located {len(out)} zeros in {root}, "
             f"counted {count}")
     return sorted(out, key=lambda z: (z.real, z.imag))
 
@@ -371,22 +476,26 @@ def region_scan(cfg: TransmissionConfig, ell_max, re_max, C, n_tiles=12):
         if im0 < im_max:
             tiles.append((float(a), float(b), float(im0), float(im_max)))
     hull = (tiles[0][0], tiles[-1][1], min(t[2] for t in tiles), im_max)
+    modes = [(ell, pol) for ell in range(1, ell_max + 1) for pol in ("TE", "TM")]
+    # one bounding contour for every mode first: winding 0 there certifies
+    # every tile of the mode at once (counts are nonnegative); the tiles of
+    # the other modes are then counted in one batch
+    hull_counts = [n for n, _ in _count_safe(cfg, [(ell, pol, hull) for ell, pol in modes])]
+    busy = [mode for mode, n in zip(modes, hull_counts) if n > 0]
+    tile_counts = iter(_count_safe(cfg, [(ell, pol, t) for ell, pol in busy for t in tiles]))
     reports = []
-    for ell in range(1, ell_max + 1):
-        for pol in ("TE", "TM"):
-            # one bounding contour first: winding 0 there certifies every
-            # tile at once (counts are nonnegative)
-            if _count_safe(cfg, ell, pol, hull)[0] == 0:
-                reports.extend(TileReport(*t, ell, pol, 0) for t in tiles)
-                continue
-            for rect in tiles:
-                n = _count_safe(cfg, ell, pol, rect)[0]
-                rep = TileReport(*rect, ell, pol, n)
-                if n > 0:
-                    zs = locate_zeros(cfg, ell, pol, rect)
-                    rep.violators = [z for z in zs
-                                     if z.imag >= C * (z.real + 1.0) ** p - 1e-9]
-                reports.append(rep)
+    for (ell, pol), n_hull in zip(modes, hull_counts):
+        if n_hull == 0:
+            reports.extend(TileReport(*t, ell, pol, 0) for t in tiles)
+            continue
+        for rect in tiles:
+            n, root = next(tile_counts)
+            rep = TileReport(*rect, ell, pol, n)
+            if n > 0:
+                zs = _locate(cfg, ell, pol, root, n)
+                rep.violators = [z for z in zs
+                                 if z.imag >= C * (z.real + 1.0) ** p - 1e-9]
+            reports.append(rep)
     return reports
 
 

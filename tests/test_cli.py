@@ -170,6 +170,19 @@ def test_quantizer_command_converges(recwarn):
     assert "|Op(1)| = 1" in summary
 
 
+def test_quantizer_default_names_skipped_h(tmp_path):
+    # the default h_list reaches below 2^-9; the entries not run are named
+    # in the report instead of vanishing from it
+    assert main(["quantizer", "--output-dir", str(tmp_path)]) == 0
+    head = "# skipped h below 2^-9, not run: "
+    lines = [ln for ln in (tmp_path / "quantizer.csv").read_text().splitlines()
+             if ln.startswith(head)]
+    assert len(lines) == 1
+    assert [float(v) for v in lines[0][len(head):].split()] == [1 / 640, 1 / 1280]
+    hs = {float(r[0]) for r in _csv_rows(tmp_path / "quantizer.csv")}
+    assert not hs & {1 / 640, 1 / 1280}
+
+
 def test_quantizer_h_list_below_range_exits_2(tmp_path, capsys):
     # an h_list with no h >= 2^-9 is refused, not replaced by other h
     cfg = write_cfg(tmp_path, "h_list = 0.0001\n")

@@ -215,3 +215,78 @@ def test_dtn_compare_one_riccati_pair_per_ell(monkeypatch):
     assert len(calls) == 1
     for r in rows:
         assert r["exact"] == exact_mode_impedance(20, lam, 1.3, 0.9, 1.0, r["pol"])
+
+
+# orders on both sides of every regime boundary: the order-0 closed form,
+# the l-dependent series radius 0.2 sqrt(l+1), and the renormalization of
+# the ratio product every _RENORM_EVERY = 32 orders
+ORDERS = np.array([0, 1, 5, 31, 32, 33, 40, 64])
+
+
+def test_array_of_orders_matches_per_order_calls():
+    # one sweep started for the largest order serves every order; each
+    # order equals its own call, whose sweep starts lower
+    assert maxdtn.mie._RENORM_EVERY == 32
+    xs = np.array([0j, 0.15, 0.3 + 0.1j, 1.2 - 0.3j, math.pi, 3 + 4j,
+                   12 - 5j, 25 + 10j, 10 + 400j])
+    batch = riccati_bessel(ORDERS, xs)
+    shape = (len(ORDERS), len(xs))
+    assert batch.psi.shape == batch.dpsi.shape == batch.log_scale.shape == shape
+    for i, ell in enumerate(ORDERS.tolist()):
+        one = riccati_bessel(ell, xs)
+        shift = np.exp(batch.log_scale[i] - one.log_scale)
+        for got, want in ((batch.psi[i], one.psi), (batch.dpsi[i], one.dpsi)):
+            assert np.all(np.abs(got * shift - want) <= 1e-14 * np.abs(want))
+    # a scalar argument keeps only the order axis
+    at = riccati_bessel(ORDERS, 3 + 4j)
+    assert at.psi.shape == (len(ORDERS),)
+    assert np.array_equal(at.psi, batch.psi[:, 5])
+
+
+def test_array_of_orders_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+
+    def pair(ell, x):
+        with mp.workdps(40):
+            x = mp.mpc(x)
+            psi = lambda n: mp.sqrt(mp.pi * x / 2) * mp.besselj(n + mp.mpf(1) / 2, x)
+            p = psi(ell)
+            return p, mp.cos(x) if ell == 0 else psi(ell - 1) - ell / x * p
+
+    radius = 0.2 * np.sqrt(ORDERS + 1.0)
+    xs = [
+        # each order's series radius, just inside and just outside
+        *(r * f * cmath.exp(0.7j) for r in radius for f in (0.999, 1.001)),
+        # psi_0 = sin x vanishes at pi: the sweep's cot x check fails there
+        # and the series takes over
+        math.pi, 2 * math.pi,
+        # the sweep, with orders past 32 renormalized; |Im x| > 300 scaled
+        3 + 4j, 25 + 10j, 60 - 20j, 10 + 400j, 3 - 350j,
+    ]
+    fallback = maxdtn.mie._sweep(ORDERS, np.array([math.pi + 0j]))[3]
+    assert fallback[0] > 1e-8
+    rp = riccati_bessel(ORDERS, np.array(xs))
+    assert rp.log_scale[:, -1].min() > 300.0
+    worst = 0.0
+    for i, ell in enumerate(ORDERS.tolist()):
+        for j, x in enumerate(xs):
+            ref = pair(ell, x)
+            with mp.workdps(40):
+                fac = mp.exp(rp.log_scale[i, j])
+                for got, want in ((rp.psi[i, j], ref[0]), (rp.dpsi[i, j], ref[1])):
+                    worst = max(worst, float(abs(mp.mpc(got) * fac - want) / abs(want)))
+    assert worst <= 1e-10
+    # deep decay: the ratio product leaves [1e-150, 1e150] and its
+    # exponent is carried in log_scale
+    deep = riccati_bessel(np.array([150, 200]), np.array([3 + 0.5j, 3.3 + 1j]))
+    assert deep.log_scale.max() < -300.0
+    for i, ell in enumerate((150, 200)):
+        for j, x in enumerate((3 + 0.5j, 3.3 + 1j)):
+            ref = pair(ell, x)
+            with mp.workdps(40):
+                fac = mp.exp(deep.log_scale[i, j])
+                for got, want in ((deep.psi[i, j], ref[0]), (deep.dpsi[i, j], ref[1])):
+                    assert abs(mp.mpc(got) * fac - want) <= 1e-10 * abs(want)
+    zero = riccati_bessel(ORDERS, 0.0)
+    assert np.all(zero.psi == 0.0)
+    assert np.array_equal(zero.dpsi, (ORDERS == 0).astype(complex))

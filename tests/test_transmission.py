@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import maxdtn.transmission
 from maxdtn.errors import (CoincidentMedia, ContourThroughZero,
                            InteriorResonance)
 from maxdtn.mie import exact_mode_impedance, riccati_bessel
 from maxdtn.spectral import split_lambda
-from maxdtn.transmission import (TransmissionConfig, _value_and_slope,
-                                 calibrate_C, count_zeros, locate_zeros,
+from maxdtn.transmission import (TransmissionConfig, _count_batch, _count_safe,
+                                 _value_and_slope, calibrate_C, count_zeros, locate_zeros,
                                  mode_determinant, region_is_free, region_scan,
                                  symbol_T)
 
@@ -139,6 +140,76 @@ def test_calibration_pinned():
     assert below[0].re0 < ROOTS_TM[0].real < below[0].re1
     assert len(below[0].violators) == 1
     assert abs(below[0].violators[0] - ROOTS_TM[0]) < 1e-6
+
+
+def _test_jobs():
+    # the rectangles of the tests above, each with the modes counted there
+    z = ROOTS_TM[0]
+    jobs = [(1, pol, (0.5, 7.0, 0.05, 1.5)) for pol in ("TM", "TE")]
+    jobs += [(1, "TM", (r.real - 0.05, r.real + 0.05, r.imag - 0.05, r.imag + 0.05))
+             for r in ROOTS_TM]
+    jobs += [(1, "TM", (z.real - w, z.real + w, z.imag - w, z.imag + w))
+             for w in (0.1, 0.2, 0.4)]
+    jobs += [(4, "TE", (0.0, 1.0 / 3.0, 0.0625, 10.197307823612162)),
+             (1, "TE", (-0.3, 0.3, -0.3, 0.3)), (1, "TM", (-0.3, 0.3, -0.3, 0.3)),
+             (1, "TM", (0.5, 5.0, 5.0, 8.0))]
+    return jobs
+
+
+def test_batched_counts_equal_one_job_counts():
+    jobs = _test_jobs()
+    counts = _count_batch(CFG, jobs)
+    assert counts == [count_zeros(CFG, *job) for job in jobs]
+    assert counts == [2, 1, 1, 1, 1, 1, 1, 0, 5, 3, 0]
+
+
+def test_batched_contour_hit_fails_one_job_only():
+    # a contour through a zero fails its own job; every other job of the
+    # batch keeps the count it has alone, and only the failed job is
+    # enlarged and counted again
+    z = ROOTS_TM[0]
+    through = (1, "TM", (z.real - 0.5, z.real + 0.5, z.imag, z.imag + 0.5))
+    jobs = _test_jobs()
+    alone = _count_batch(CFG, jobs)
+    batch = _count_batch(CFG, jobs[:3] + [through] + jobs[3:])
+    assert isinstance(batch[3], ContourThroughZero)
+    assert batch[:3] + batch[4:] == alone
+    safe = _count_safe(CFG, jobs[:3] + [through] + jobs[3:])
+    assert [n for n, _ in safe[:3] + safe[4:]] == alone
+    assert [r for _, r in safe[:3] + safe[4:]] == [rect for _, _, rect in jobs]
+    n, rect = safe[3]
+    assert n == 1 and rect != through[2]
+    assert rect[0] < through[2][0] and rect[2] < z.imag < rect[3]
+
+
+def _count_riccati_calls(monkeypatch):
+    calls = []
+    pair = maxdtn.transmission.riccati_bessel
+
+    def counting(*args):
+        calls.append(1)
+        return pair(*args)
+
+    monkeypatch.setattr(maxdtn.transmission, "riccati_bessel", counting)
+    return calls
+
+
+def test_region_scan_one_riccati_call_when_hull_is_free(monkeypatch):
+    # every (ell, pol) hull count of a free region is one sweep for all
+    # eight modes
+    calls = _count_riccati_calls(monkeypatch)
+    assert region_is_free(region_scan(CFG, 4, 4.0, 2.0))
+    assert len(calls) == 1
+
+
+def test_region_scan_riccati_calls_with_a_violator(monkeypatch):
+    # the hull, the tiles of the modes with positive hull winding, the
+    # four children of each split and the Newton polish of the ell = 1 TM
+    # eigenvalue
+    calls = _count_riccati_calls(monkeypatch)
+    reports = region_scan(CFG, 4, 4.0, 0.25)
+    assert not region_is_free(reports)
+    assert len(calls) <= 66
 
 
 def test_empty_rectangle():
