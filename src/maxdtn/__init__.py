@@ -11,7 +11,7 @@ from .geometry import (GammaSeries, MediaField, ScalarField, SurfaceChart,
                        beta_jets, beta_pointwise, gamma_pointwise)
 from .jets import Jet, NormalSeries
 from .mie import RiccatiPair, dtn_compare, exact_mode_impedance, riccati_bessel
-from .numerics import cross, cross_solve_oracle, dot, sqrt_upper
+from .numerics import cross, dot, sqrt_upper
 from .quantizer import (AliasWarning, ConvergenceWarning, GridOperator,
                         boundedness_check, composition_defect, operator_norm,
                         quantize)

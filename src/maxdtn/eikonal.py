@@ -4,8 +4,10 @@ The phase is an x1-polynomial phi = sum_k x1^k phi_k with jet-valued
 coefficients; phi_0 has gradient -xi' and phi_1 = rho.  Each next coefficient
 comes from zeroing the x1^k coefficient of <gamma grad phi, gamma grad phi>
 - z^2 eps mu, dividing by 2 rho (k+1) (the factor (k+1) accounts for
-d/dx1 acting on x1^{k+1}).  The series psi = gamma grad phi
-(``PhaseSeries.psi_series``) also drives the transport recursion.
+d/dx1 acting on x1^{k+1}).  The recursion forms each coefficient psi_k of
+psi = gamma grad phi once, first with phi_{k+1} = 0 and then completed by
+nu (k+1) phi_{k+1}; the completed coefficients (``PhaseSeries.psis``) also
+drive the transport recursion.
 
 A "flattened" variant replaces rho by i sqrt(r0) and drops the z^2 eps mu
 term; it feeds the high-frequency corrector of the boundary symbol.  The
@@ -18,10 +20,10 @@ import logging
 
 import numpy as np
 
-from .errors import DegenerateRho, OutsideRetainedRegion
+from .errors import DegenerateRho, OrderBudgetExceeded, OutsideRetainedRegion
 from .geometry import GammaSeries, _sqrt_pos, beta_jets, gamma_pointwise
-from .jets import VARS, Jet, NormalSeries
-from .numerics import dot, matvec, sqrt_upper
+from .jets import VARS, Jet
+from .numerics import dot, matvec, sqrt_upper, vadd, vscale
 
 log = logging.getLogger(__name__)
 
@@ -32,15 +34,17 @@ IMAG_SAMPLES = 40
 
 
 class PhaseSeries:
-    """Phase coefficients phi_k (jets) at a fixed cotangent base point."""
+    """Phase coefficients phi_k (jets) at a fixed cotangent base point, with
+    the x1-coefficients psi_k of psi = gamma grad phi (jet 3-vectors)."""
 
-    def __init__(self, gs: GammaSeries, sp, xiprime, phis, rho_jet, media,
-                 flattened=False):
+    def __init__(self, gs: GammaSeries, sp, xiprime, phis, psis, rho_jet, media,
+                 flattened):
         self.gs = gs
         self.sp = sp
         self.base = gs.base
         self.xiprime = tuple(xiprime)
         self.phis = list(phis)           # phi_k, k = 0..deg (deg = len-1)
+        self.psis = list(psis)           # psi_k, k = 0..deg-1
         self.rho_jet = rho_jet
         self.rho = rho_jet.value
         self.media = media
@@ -50,22 +54,6 @@ class PhaseSeries:
 
     def x1_max(self):
         return 2.0 * self.delta * min(1.0, abs(self.rho) ** 3)
-
-    def grad_series(self, n1=None):
-        """grad_x phi = (d/dx1 phi, d2 phi, d3 phi) as a NormalSeries 3-vector."""
-        n1 = n1 or self.N
-        zero = self.phis[0] * 0.0
-        dx1 = [(k + 1) * self.phis[k + 1] for k in range(self.N - 1)] or [zero]
-        d2 = [p.derivative("x2") for p in self.phis]
-        d3 = [p.derivative("x3") for p in self.phis]
-
-        def pad(cs):
-            cs = list(cs[:n1])
-            while len(cs) < n1:
-                cs.append(cs[0] * 0.0)
-            return NormalSeries(cs)
-
-        return [pad(dx1), pad(d2), pad(d3)]
 
     def grad_at(self, x1):
         """grad_x phi at (base, x1): shape x1.shape + (3,) for scalar or array x1."""
@@ -78,10 +66,6 @@ class PhaseSeries:
     def phi_value(self, x1):
         """phi at (base, x1) minus the constant phi_0 term (which is 0 at base)."""
         return sum(self.phis[k].value * x1 ** k for k in range(self.N))
-
-    def psi_series(self, n1):
-        """psi = gamma grad phi as a NormalSeries 3-vector of length n1."""
-        return matvec(self.gs.gamma, self.grad_series(n1))
 
     def imag_lower_bound_ok(self):
         x1s = np.linspace(0.0, self.x1_max(), IMAG_SAMPLES + 1)[1:]
@@ -102,12 +86,12 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     """Solve the eikonal recursion at the base point of gs.
 
     Produces phi_0..phi_N, zeroing the x1-coefficients of the defect through
-    order N-1, so the pointwise residual is O(x1^N).  With ``flattened=True``
-    the frequency term is dropped and rho is replaced by i sqrt(r0); the
-    result is media-independent.
+    order N-1, so the pointwise residual is O(x1^N), and psi_0..psi_{N-1}.
+    With ``flattened=True`` the frequency term is dropped and rho is replaced
+    by i sqrt(r0); the result is media-independent.
     """
     if gs.n1 < N:
-        raise ValueError("GammaSeries too short for the requested phase order")
+        raise OrderBudgetExceeded("GammaSeries too short for the requested phase order")
     beta = beta_jets(gs, xiprime)
     r0 = dot(beta, beta)
     if flattened:
@@ -126,19 +110,28 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     x2, x3 = (Jet.variable(v, 0.0, gs.order) for v in VARS)
     phi0 = Jet.constant(0.0, gs.order) - xiprime[0] * x2 - xiprime[1] * x3
 
+    gam = [gs.gamma_k(m) for m in range(N)]
     phis = [phi0, rho_jet]
+    grads, psis = [], []     # (grad phi)_m = ((m+1) phi_{m+1}, d2 phi_m, d3 phi_m)
     inv_2rho = (2.0 * rho_jet).invert()
-    zero = phi0 * 0.0
-    for k in range(1, N):
-        # S_k with phi_{k+1} = 0
-        ps = PhaseSeries(gs, sp, xiprime, phis + [zero], rho_jet, media, flattened)
-        psi = ps.psi_series(k + 1)
-        S = dot(psi, psi)
-        Sk = S.coeffs[k]
-        rhs = -Sk if flattened else sp.z ** 2 * epsmu.coeffs[k] - Sk
-        phis.append((rhs * inv_2rho) * (1.0 / (k + 1)))
+    for k in range(N):
+        # psi_k with phi_{k+1} = 0: only gamma_0's first column, nu, meets it
+        d2, d3 = (phis[k].derivative(v) for v in VARS)
+        psi = [gam[0][i][1] * d2 + gam[0][i][2] * d3 for i in range(3)]
+        for ell in range(1, k + 1):
+            psi = vadd(psi, matvec(gam[ell], grads[k - ell]))
+        if k >= 1:
+            # S_k, the x1^k coefficient of <psi, psi>, with phi_{k+1} = 0
+            Sk = 2.0 * dot(psis[0], psi)
+            for i in range(1, k):
+                Sk = Sk + dot(psis[i], psis[k - i])
+            rhs = -Sk if flattened else sp.z ** 2 * epsmu.coeffs[k] - Sk
+            phis.append((rhs * inv_2rho) * (1.0 / (k + 1)))
+        d1 = (k + 1) * phis[k + 1]
+        psis.append(vadd(psi, vscale(d1, gs.nu)))
+        grads.append([d1, d2, d3])
 
-    ps = PhaseSeries(gs, sp, xiprime, phis[:N + 1], rho_jet, media, flattened)
+    ps = PhaseSeries(gs, sp, xiprime, phis, psis, rho_jet, media, flattened)
     while not flattened and not ps.imag_lower_bound_ok():
         ps.delta *= 0.5
         log.warning("phase positivity violated; delta halved to %g at base %s",

@@ -22,17 +22,19 @@ slot enters the level-(j+1), order-(k-1) right-hand side only through the
 curl term 1j*k*(nu x a_{j,k}, nu x b_{j,k}), and the cross-system solve
 returns nu x b in closed form.  One solve of the batch (data, 0), (0, tau0),
 (0, tau1) gives the defect's constant part d0 and its slopes m1, m2, and a
-2x2 system gives (p1, p2).  Levels are built with a staircase of x1-orders
-(deeper h-levels get fewer) so every retained coefficient identity closes.
+2x2 system gives (p1, p2); the solve being linear, the same weights combine
+the three solutions into the slot.  Levels are built with a staircase of
+x1-orders (deeper h-levels get fewer) so every retained coefficient identity
+closes.
 
 The boundary symbol is m + h*mtilde: m comes from the (0,0) block, and the
 first-order corrector combines a commutator term n (from the two-point
 normal factor in the datum) with the (1,0) block.  The high-frequency
 flattened corrector (media-independent after scaling by mu0) uses the
-literal scheme with rho replaced by i sqrt(r0); the full corrector used for
-per-mode convergence comparisons keeps rho and the consistent scheme.  The
-pointwise residual contracts the basis axis with the datum f~ and takes
-every x1 of an array in one call.
+literal scheme with rho replaced by i sqrt(r0) and is built on first read;
+the full corrector used for per-mode convergence comparisons keeps rho and
+the consistent scheme.  The pointwise residual contracts the basis axis
+with the datum f~ and takes every x1 of an array in one call.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ class AmplitudeTable:
         self.K = {j: N + J - j for j in range(J + 1)}
         self.scheme = scheme
         ntot = self.K[0]
-        if gs.n1 < ntot or len(ps.phis) < ntot + 1:
+        if gs.n1 < ntot or len(ps.psis) < ntot:
             raise OrderBudgetExceeded("phase/gamma series too short for transport order")
-        psi = ps.psi_series(ntot)
-        self.psis = [[c.coeffs[k] for c in psi] for k in range(ntot)]
+        self.psis = ps.psis[:ntot]
         eps_s, mu_s = media.normal_series(gs)
         self.eps_k, self.mu_k = eps_s.coeffs, mu_s.coeffs
         self.media_corrections = media_corrections
@@ -110,6 +111,7 @@ class AmplitudeTable:
         self.gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
                       for m in range(ntot)]
         self.zerov = [self.nu[0] * 0.0] * 3
+        self.g0 = vscale(-1.0, cross(self.nu, _BASIS))
         # tangential covector basis for the datum of a_{j,k}, k >= 1
         self.tau = (beta, cross(self.nu, beta))
         self.r0 = dot(beta, beta).value.real
@@ -170,15 +172,16 @@ class AmplitudeTable:
         """
         return [dot(u, a_sh) + dot(w, b_sh) for u, w in self.cokernel]
 
-    def tangential_datum(self, j, k, a_sh, b_sh):
-        """Datum g of slot (j,k) for k >= 1: the solvability choice, else zero."""
+    def solve_slot(self, j, k, a_sh, b_sh):
+        """(a, b, nu x b) of slot (j,k): datum g0 at (0,0), the solvability
+        choice for k >= 1, else zero."""
         if k == 0 or self.scheme == "literal" or j == self.J or self.r0 < 1e-12:
-            return self.zerov
+            return self.system.solve(a_sh, b_sh, self.g0 if j == k == 0 else self.zerov)
         # the level-(j+1), order-(k-1) defect is d0 + p1 m1 + p2 m2 for
         # g = p1 tau0 + p2 tau1 (module docstring); rhs() leaves slot (j,k) out
         g = vadd(vscale(_TAU0, self.tau[0]), vscale(_TAU1, self.tau[1]))
-        _, _, nxb = self.system.solve(vscale(_DATA, a_sh), vscale(_DATA, b_sh), g)
-        curl = self.defect(g, nxb)
+        trial = self.system.solve(vscale(_DATA, a_sh), vscale(_DATA, b_sh), g)
+        curl = self.defect(g, trial[2])
         rest = self.defect(*self.rhs(j + 1, k - 1))
         d0 = [rest[r] + 1j * k * curl[r][0] for r in range(2)]
         m = [[1j * k * curl[r][c + 1] for c in range(2)] for r in range(2)]
@@ -186,7 +189,8 @@ class AmplitudeTable:
         inv_det = det.invert()
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
         p2 = (m[1][0] * d0[0] - m[0][0] * d0[1]) * inv_det
-        return vadd(vscale(p1, self.tau[0]), vscale(p2, self.tau[1]))
+        # the solve is linear in (a#, b#, g): the slot combines the trials
+        return tuple([c[0] + p1 * c[1] + p2 * c[2] for c in vec] for vec in trial)
 
 
 def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
@@ -202,15 +206,13 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
         media_corrections = False
         scheme = "literal"
     tab = AmplitudeTable(ps, media, N, J, scheme, media_corrections)
-    g0 = vscale(-1.0, cross(tab.nu, _BASIS))
     for s in range(N + J):
         for j in range(min(s, J) + 1):
             k = s - j
             if k >= tab.K[j]:
                 continue
-            a_sh, b_sh = tab.rhs(j, k)
-            g = g0 if (j, k) == (0, 0) else tab.tangential_datum(j, k, a_sh, b_sh)
-            tab.a[(j, k)], tab.b[(j, k)], tab.nxb[(j, k)] = tab.system.solve(a_sh, b_sh, g)
+            slot = tab.solve_slot(j, k, *tab.rhs(j, k))
+            tab.a[(j, k)], tab.b[(j, k)], tab.nxb[(j, k)] = slot
     return tab
 
 
@@ -274,45 +276,38 @@ def _commutator_n(gs: GammaSeries, dm_list):
 class BoundarySymbol:
     """Boundary impedance symbol data at one cotangent point."""
 
-    def __init__(self, m, m_tilde, m_tilde_full, n):
+    def __init__(self, m, m_tilde_full, n, ps: PhaseSeries, mu0, dxi):
         self.m = m
-        self.m_tilde = m_tilde            # n_flat + flattened iota_nu B_{1,0}
         self.m_tilde_full = m_tilde_full  # n + iota_nu B_{1,0}
         self.n = n
+        self._ps, self._mu0, self._dxi = ps, mu0, dxi
+
+    @cached_property
+    def m_tilde(self):
+        """Flattened corrector n_flat + flattened iota_nu B_{1,0}, built on
+        first read: cutoff m0 in the commutator; zero at r0 = 0."""
+        ps, r0 = self._ps, self._dxi[1]
+        if not r0 > 0.0:
+            return np.zeros((3, 3), dtype=complex)
+        n_flat = _commutator_n(ps.gs, _dxi_m0_cut(ps.sp.z, self._mu0, *self._dxi))
+        ps_flat = eikonal_coeffs(ps.gs, ps.media, ps.sp, ps.xiprime, N=3, flattened=True)
+        t_flat = transport_coeffs(ps_flat, ps.media, N=2, J=1)
+        return n_flat + (1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
 
 
 def boundary_symbol(table: AmplitudeTable):
     """Assemble the boundary symbol m + h m_tilde from the blocks iota_nu B_{j,0}.
 
-    Returns a BoundarySymbol with the principal block m (= iota_nu B_{0,0}),
-    the flattened corrector m_tilde = n_flat + B_flat_{1,0}, and the full
-    corrector m_tilde_full = n + iota_nu B_{1,0}.
+    Returns a BoundarySymbol with the principal block m (= iota_nu B_{0,0})
+    and the full corrector m_tilde_full = n + iota_nu B_{1,0}; its flattened
+    corrector m_tilde is built when first read.
     """
     ps = table.ps
-    gs = table.gs
-    sp = table.sp
-
-    xi = ps.xiprime
-    beta, r0, dbeta, dr0 = _dxi_ingredients(gs, xi)
+    dxi = _dxi_ingredients(table.gs, ps.xiprime)
     mu0 = table.mu_k[0].value
-    z = sp.z
-
-    # full corrector: commutator with the full m plus the (1,0) block
-    dm = _dxi_m(z, mu0, beta, r0, dbeta, dr0, ps.rho)
-    n_full = _commutator_n(gs, dm)
+    n_full = _commutator_n(table.gs, _dxi_m(table.sp.z, mu0, *dxi, ps.rho))
     m_tilde_full = n_full + table.iota_nu_B(1) if table.J >= 1 else n_full
-
-    # flattened corrector: cutoff m0 in the commutator, flattened (1,0) block
-    if r0 > 0.0:
-        dm0 = _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0)
-        n_flat = _commutator_n(gs, dm0)
-        ps_flat = eikonal_coeffs(gs, table.ps.media, sp, xi, N=3, flattened=True)
-        t_flat = transport_coeffs(ps_flat, table.ps.media, N=2, J=1)
-        B_flat = (1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
-        m_tilde = n_flat + B_flat
-    else:
-        m_tilde = np.zeros((3, 3), dtype=complex)
-    return BoundarySymbol(table.iota_nu_B(0), m_tilde, m_tilde_full, n_full)
+    return BoundarySymbol(table.iota_nu_B(0), m_tilde_full, n_full, ps, mu0, dxi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from maxdtn.eikonal import eikonal_coeffs, eikonal_residual
 from maxdtn.errors import InteriorResonance
 from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
 from maxdtn.mie import dtn_compare, exact_mode_impedance
-from maxdtn.numerics import cross_solve_oracle, dot
+from maxdtn.numerics import dot
 from maxdtn.quantizer import (boundedness_check, composition_defect,
                               operator_norm, quantize)
 from maxdtn.spectral import split_lambda
@@ -28,6 +28,7 @@ from maxdtn.transmission import (TransmissionConfig, calibrate_C, count_zeros,
 from maxdtn.transport import boundary_symbol, transport_coeffs
 
 from coefficient_oracle import equation_residual
+from dense_oracle import cross_solve_oracle
 
 
 def _report(name, ok, detail):

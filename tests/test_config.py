@@ -131,13 +131,11 @@ def test_items_covers_all_fields():
 DEFAULTED_PARAMETERS = {
     "cli._write_csv:summary", "cli.cmd_identities:fault_gamma", "cli.main:argv",
     "config.load_config:base",
-    "eikonal.PhaseSeries.__init__:flattened", "eikonal.PhaseSeries.grad_series:n1",
     "eikonal.eikonal_coeffs:flattened",
     "geometry.SurfaceChart.random_points:margin", "geometry.SurfaceChart.sphere:radius",
     "geometry.gamma_pointwise:x1",
     "jets.NormalSeries.constant:template",
     "mie.dtn_compare:R",
-    "numerics.cross_solve_oracle:refine",
     "quantizer.boundedness_check:n", "quantizer.composition_defect:n",
     "transmission.mode_determinant:scaled", "transmission.region_scan:n_tiles",
     "transport.maxwell_residual:ftilde",

@@ -8,7 +8,9 @@ import pytest
 from maxdtn.crosssys import CrossSystemInput, solve_cross_system
 from maxdtn.errors import DegenerateRho
 from maxdtn.jets import Jet
-from maxdtn.numerics import cross_solve_oracle, dot, skew
+from maxdtn.numerics import dot
+
+from dense_oracle import cross_solve_oracle, skew
 
 
 def _sample(rng):

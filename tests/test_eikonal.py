@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from maxdtn.eikonal import eikonal_coeffs, eikonal_residual
-from maxdtn.errors import DegenerateRho, OutsideRetainedRegion
+from maxdtn.errors import DegenerateRho, OrderBudgetExceeded, OutsideRetainedRegion
 from maxdtn.geometry import (GammaSeries, MediaField, ScalarField, SurfaceChart,
                              gamma_pointwise)
+from maxdtn.jets import Jet
 from maxdtn.spectral import split_lambda
 
 SP = split_lambda(5.0 + 2.0j)
@@ -35,18 +36,41 @@ def test_leading_coefficients():
                                    SurfaceChart.ellipsoid(1.0, 1.2, 0.8)],
                          ids=["sphere", "ellipsoid"])
 def test_psi_series_matches_pointwise(chart):
-    # the first n x1-coefficients of psi = gamma grad phi, summed, against
+    # the first n x1-coefficients psi_k of psi = gamma grad phi kept by the
+    # recursion, summed, against
     # exact pointwise gamma times the phase gradient: the gap is O(x1^n)
     base = (1.1, 0.3)
     ps = _phase(chart, MediaField.constant(1.0, 1.0), base, (0.7, -0.4), N=4)
     x1s = np.geomspace(1e-3, 1e-1, 8)
     exact = (gamma_pointwise(chart, *base, x1s) @ ps.grad_at(x1s)[..., None])[..., 0]
+    assert len(ps.psis) == 4
     for n in range(1, 5):
-        psi = ps.psi_series(n)
-        series = np.stack([sum(c.coeffs[k].value * x1s ** k for k in range(n))
-                           for c in psi], axis=-1)
+        series = sum(np.array([c.value for c in ps.psis[k]]) * x1s[:, None] ** k
+                     for k in range(n))
         err = np.max(np.abs(series - exact), axis=-1)
         assert np.polyfit(np.log(x1s), np.log(err), 1)[0] > n - 0.2
+
+
+def test_phase_forms_each_psi_once(monkeypatch):
+    # psi_k is formed once per step and <psi, psi> only at its new x1^k
+    # coefficient: an N = 5 phase on the ellipsoid makes at most 300 jet
+    # products (__mul__), where re-forming psi and <psi, psi> at every step
+    # made 518
+    media = MediaField(
+        ScalarField("affine", c0=1.3, g1=0.1, g2=-0.05, g3=0.2),
+        ScalarField("affine", c0=1.1, g1=-0.07, g2=0.12, g3=0.03))
+    gs = GammaSeries(SurfaceChart.ellipsoid(1.0, 1.2, 0.8), (1.1, 0.7), n1=5, order=8)
+    calls = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    ps = eikonal_coeffs(gs, media, SP, (4.0, -3.0), N=5)
+    assert len(calls) <= 300
+    assert len(ps.phis) == 6 and len(ps.psis) == 5
 
 
 def test_residual_decay_sphere():
@@ -128,7 +152,7 @@ def test_flattened_zero_covector_rejected():
 def test_series_too_short_rejected():
     chart = SurfaceChart.sphere(1.0)
     gs = GammaSeries(chart, (1.1, 0.3), n1=2, order=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderBudgetExceeded):
         eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, (0.5, 0.1), N=4)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import maxdtn.mie
+import maxdtn.transport
 from maxdtn.errors import ConfigError, InteriorResonance
 from maxdtn.mie import dtn_compare, exact_mode_impedance, riccati_bessel
 from maxdtn.numerics import sqrt_upper
@@ -197,6 +198,22 @@ def test_dtn_compare_builds_one_symbol_per_ell(monkeypatch):
     assert [r["pol"] for r in rows] == ["TE", "TM"]
     assert all("err_order0" in r and "err_order1" in r for r in rows)
     assert len(calls) == 1
+
+
+def test_dtn_compare_builds_no_flattened_corrector(monkeypatch):
+    # dtn_compare reads m and m_tilde_full only, so the flattened phase of
+    # m_tilde is never run
+    flattened = []
+    phase = maxdtn.transport.eikonal_coeffs
+
+    def recording(*args, **kwargs):
+        flattened.append(kwargs.get("flattened", False))
+        return phase(*args, **kwargs)
+
+    monkeypatch.setattr(maxdtn.transport, "eikonal_coeffs", recording)
+    rows = dtn_compare([20], complex(1.0, 0.5) / (1 / 40), (1.0, 1.0))
+    assert len(rows) == 2
+    assert not any(flattened)
 
 
 def test_dtn_compare_one_riccati_pair_per_ell(monkeypatch):

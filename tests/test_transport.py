@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import maxdtn.transport
+from maxdtn.crosssys import CrossSystem
 from maxdtn.errors import OrderBudgetExceeded, OutsideRetainedRegion
 from maxdtn.eikonal import eikonal_coeffs
 from maxdtn.jets import Jet
 from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
-from maxdtn.numerics import dot
+from maxdtn.numerics import cross, dot
 from maxdtn.spectral import split_lambda, symbol_m
 from maxdtn.transport import boundary_symbol, maxwell_residual, transport_coeffs
 
@@ -82,6 +84,50 @@ def test_equation_coefficients_vanish_ellipsoid(media, N, J):
     assert equation_residual(transport_coeffs(ps, media, N=N, J=J)) <= 1e-10
 
 
+@pytest.mark.parametrize("media", [MEDIA, MediaField.constant(1.3, 0.9)],
+                         ids=["affine", "constant"])
+@pytest.mark.parametrize("N,J", [(3, 2), (4, 2)])
+def test_consistent_slot_solves_its_datum(media, N, J):
+    # every slot the solvability choice sets is the direct solve of its own
+    # right-hand side with g = nu x a_{j,k}, although the recursion formed it
+    # from the three trial solutions
+    chart = SurfaceChart.ellipsoid(1.0, 1.2, 0.8)
+    gs = GammaSeries(chart, BASE, n1=N + J, order=N + J + 3)
+    ps = eikonal_coeffs(gs, media, SP, XI, N=N + J)
+    tab = transport_coeffs(ps, media, N=N, J=J)
+    assert tab.r0 >= 1e-12
+    checked = 0
+    for j in range(J):
+        for k in range(1, tab.K[j]):
+            g = cross(tab.nu, tab.a[(j, k)])
+            direct = tab.system.solve(*tab.rhs(j, k), g)
+            for name, ref in zip(("a", "b", "nu_cross_b"), direct):
+                got = np.array([c.coef for c in tab.batched[name][(j, k)]])
+                want = np.array([c.coef for c in ref])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            checked += 1
+    assert checked == sum(tab.K[j] - 1 for j in range(J))
+
+
+def test_one_solve_per_slot(monkeypatch):
+    # the consistent slot is combined from the solvability step's trial
+    # solutions, not solved a second time
+    N, J = 4, 2
+    gs = GammaSeries(CHART, BASE, n1=N + J, order=N + J + 3)
+    ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=N + J)
+    calls = []
+    solve = CrossSystem.solve
+
+    def counting(self, *args):
+        calls.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(CrossSystem, "solve", counting)
+    tab = transport_coeffs(ps, MEDIA, N=N, J=J)
+    assert tab.scheme == "consistent"
+    assert len(calls) == len(tab.a) == sum(tab.K.values())
+
+
 def test_pointwise_residual_slope(table):
     x1s = np.geomspace(3e-4, 3e-2, 8)
     res = []
@@ -127,6 +173,40 @@ def test_boundary_symbol_blocks(table):
     sym = boundary_symbol(table)
     assert np.max(np.abs(sym.m - table.iota_nu_B(0))) == 0.0
     assert np.max(np.abs(sym.m_tilde_full - (sym.n + table.iota_nu_B(1)))) == 0.0
+
+
+def test_flattened_corrector_built_once_on_read(monkeypatch):
+    # the symbol forms m, n and m_tilde_full; the flattened phase and
+    # transport of m_tilde run on its first read only
+    flattened = []
+    phase = maxdtn.transport.eikonal_coeffs
+
+    def recording(*args, **kwargs):
+        flattened.append(kwargs.get("flattened", False))
+        return phase(*args, **kwargs)
+
+    gs = GammaSeries(CHART, BASE, n1=3, order=6)
+    ps = eikonal_coeffs(gs, MEDIA, SP, (4.0, -3.0), N=3)
+    monkeypatch.setattr(maxdtn.transport, "eikonal_coeffs", recording)
+    sym = boundary_symbol(transport_coeffs(ps, MEDIA, N=2, J=1))
+    assert flattened == []
+    first = sym.m_tilde
+    assert flattened == [True]
+    assert sym.m_tilde is first
+    assert flattened == [True]
+
+
+def test_short_series_raises_on_corrector_read():
+    # a two-term series carries the symbol's own build, but not the N = 3
+    # flattened phase: only reading m_tilde needs it
+    gs = GammaSeries(CHART, BASE, n1=2, order=5)
+    ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=2)
+    tab = transport_coeffs(ps, MEDIA, N=1, J=1)
+    sym = boundary_symbol(tab)
+    assert np.array_equal(sym.m, tab.iota_nu_B(0))
+    assert np.array_equal(sym.m_tilde_full, sym.n + tab.iota_nu_B(1))
+    with pytest.raises(OrderBudgetExceeded):
+        sym.m_tilde
 
 
 def test_corrector_media_independence():
