@@ -6,7 +6,7 @@ from .eikonal import PhaseSeries, eikonal_coeffs, eikonal_residual
 from .errors import (AmbiguousBranch, CoincidentMedia, ConfigError,
                      ContourThroughZero, DegenerateRho, InteriorResonance,
                      MaxdtnError, OrderBudgetExceeded, OutsideRetainedRegion,
-                     RealFrequency, Singular, ZeroFrequencyCovector)
+                     RealFrequency, ZeroFrequencyCovector)
 from .geometry import (GammaSeries, MediaField, ScalarField, SurfaceChart,
                        beta_jets, beta_pointwise, gamma_pointwise)
 from .jets import Jet, NormalSeries

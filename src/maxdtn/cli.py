@@ -295,7 +295,8 @@ def cmd_te_scan(cfg: RunConfig):
     summary = [f"C = {_fmt(float(C))}",
                f"total winding = {sum(r.winding for r in reports)}",
                f"region free = {free}",
-               f"scanned up to Im = {_fmt(top)}; the band above is not examined"]
+               f"scanned up to Im = {_fmt(top)}; the band above is not examined",
+               f"modes scanned: ell = 1..{cfg.ell_max}, TE and TM; higher ell are not examined"]
     summary += [f"violator: {_fmt(z)}" for z in violators[:20]]
     ok = free if cfg.certify else True
     cols = ["re0", "re1", "im0", "im1", "ell", "pol", "winding"]

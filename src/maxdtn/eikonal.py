@@ -35,10 +35,11 @@ IMAG_SAMPLES = 40
 
 class PhaseSeries:
     """Phase coefficients phi_k (jets) at a fixed cotangent base point, with
-    the x1-coefficients psi_k of psi = gamma grad phi (jet 3-vectors)."""
+    the x1-coefficients psi_k of psi = gamma grad phi (jet 3-vectors) and
+    the x1-coefficients eps_k, mu_k of the media along the normal."""
 
     def __init__(self, gs: GammaSeries, sp, xiprime, phis, psis, rho_jet, media,
-                 flattened):
+                 media_series, flattened):
         self.gs = gs
         self.sp = sp
         self.base = gs.base
@@ -48,6 +49,7 @@ class PhaseSeries:
         self.rho_jet = rho_jet
         self.rho = rho_jet.value
         self.media = media
+        self.eps_k, self.mu_k = (m.coeffs for m in media_series)
         self.N = len(phis)
         self.delta = DELTA_DEFAULT
         self.flattened = flattened
@@ -94,13 +96,13 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
         raise OrderBudgetExceeded("GammaSeries too short for the requested phase order")
     beta = beta_jets(gs, xiprime)
     r0 = dot(beta, beta)
+    # the transport recursion reads these too, also for the flattened phase
+    eps_s, mu_s = media.normal_series(gs)
     if flattened:
         if r0.value.real <= 0.0:
             raise DegenerateRho("flattened phase requires r0 > 0")
         rho_jet = 1j * _sqrt_pos(r0)
-        epsmu = None
     else:
-        eps_s, mu_s = media.normal_series(gs)
         epsmu = eps_s * mu_s
         rho_jet = sqrt_upper(sp.z ** 2 * epsmu.coeffs[0] - r0)
     if abs(rho_jet.value) < 1e-14:
@@ -131,7 +133,7 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
         psis.append(vadd(psi, vscale(d1, gs.nu)))
         grads.append([d1, d2, d3])
 
-    ps = PhaseSeries(gs, sp, xiprime, phis, psis, rho_jet, media, flattened)
+    ps = PhaseSeries(gs, sp, xiprime, phis, psis, rho_jet, media, (eps_s, mu_s), flattened)
     while not flattened and not ps.imag_lower_bound_ok():
         ps.delta *= 0.5
         log.warning("phase positivity violated; delta halved to %g at base %s",

@@ -17,10 +17,6 @@ class OrderUnderflow(MaxdtnError):
     """Differentiation of an order-0 jet."""
 
 
-class Singular(MaxdtnError):
-    """Pivot underflow in the dense linear solver."""
-
-
 class FocalDegeneracy(MaxdtnError):
     """Singular boundary Jacobian (chart degenerate at the base point)."""
 

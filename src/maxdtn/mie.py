@@ -1,11 +1,12 @@
 """Exact per-mode impedances on the ball (separated-variables oracle).
 
 The first-kind Riccati-Bessel function psi_l(x) = x j_l(x) is evaluated
-for complex argument by regime switching (a series near zero, a downward
-continued fraction elsewhere), element by element over an array of
-arguments.  The exact interior impedance of each vector spherical mode is a
-ratio of psi_l and its derivative; it serves as the reference the
-boundary-symbol eigenvalues are tested against.
+for complex argument, orders and arguments broadcast together, by regime
+switching (a series near zero, a downward continued fraction elsewhere);
+every pair comes back normalized by a power of two, its magnitude carried
+in ``log_scale``.  The exact interior impedance of each vector spherical
+mode is a ratio of psi_l and its derivative (:func:`mode_ratio`); it serves
+as the reference the boundary-symbol eigenvalues are tested against.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .transport import transport_coeffs, boundary_symbol
 #: two-media matching use the same orientation of the normal.
 IMPEDANCE_SIGN = 1.0
 
-#: |Im x| beyond which the returned pair is left scaled by e^{-|Im x|}
-_SCALE_THRESHOLD = 300.0
-
 #: cap on the terms of the small-|x| Taylor series
 _SERIES_TERMS = 120
 
@@ -39,9 +37,9 @@ _SERIES_TERMS = 120
 class RiccatiPair:
     """(psi, dpsi) scaled by e^{-log_scale}; true values are psi*e^{log_scale}.
 
-    The fields are Python scalars for one order at a scalar argument, and
-    otherwise arrays of the argument's shape, after a leading order axis
-    when the orders are an array.
+    Normalized: max(|psi|, |dpsi|) lies in [1, 2) unless both vanish (then
+    log_scale = 0).  Python scalars for a scalar order and argument, else
+    arrays of their broadcast shape.
     """
     psi: complex
     dpsi: complex
@@ -60,13 +58,12 @@ _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 def _psi_series(ell, x):
-    """Taylor evaluation of (psi_ell, psi_ell', log_scale) on an array x,
-    with ``ell`` an integer array of x's shape (one order per element).
+    """Taylor evaluation of (psi_ell, psi_ell') e^{-log_scale} and log_scale
+    on an array x, with ``ell`` an integer array of x's shape (one order per
+    element).
 
-    The x^{ell+1} prefactor is kept in log form, so large ell and small |x|
-    cannot underflow silently: it is folded into the values (log_scale =
-    |Im x|) where its log modulus is within 300 of |Im x|, and otherwise
-    returned as log_scale.
+    The x^{ell+1}/(2ell+1)!! prefactor is kept in log form and its modulus
+    returned as log_scale, so large ell and small |x| cannot underflow.
     """
     # psi_ell = x^{ell+1}/(2ell+1)!! * sum_k c_k t^k,  t = -x^2/2,
     # c_0 = 1, c_k = c_{k-1} / (k (2ell+2k+1))
@@ -90,11 +87,8 @@ def _psi_series(ell, x):
     log_dd = (_lgamma(2.0 * ell + 2.0) - ell * math.log(2.0)
               - _lgamma(ell + 1.0)).astype(float)
     log_pref = (ell + 1.0) * np.log(x) - log_dd
-    s = np.abs(x.imag)
-    shift = log_pref.real - s
-    near = np.abs(shift) < _SCALE_THRESHOLD
-    fac = np.exp(np.where(near, shift, 0.0) + 1j * log_pref.imag)
-    return S * fac, dS * fac, np.where(near, s, log_pref.real)
+    phase = np.exp(1j * log_pref.imag)
+    return S * phase, dS * phase, log_pref.real
 
 
 #: the ratio product is brought back into [1e-150, 1e150] every this many
@@ -169,23 +163,23 @@ def _sweep(ells, x):
 def riccati_bessel(ell, x):
     """First-kind Riccati-Bessel pairs (psi_ell(x), psi_ell'(x)) for complex x.
 
-    ``ell`` is one order or a 1-d array of orders; ``x`` is a scalar or an
-    array.  The returned :class:`RiccatiPair` holds scalars for one order
-    at a scalar argument, and otherwise arrays of shape x.shape with, for
-    an array of orders, a leading axis over ``ell``.  Each (order, element)
-    is evaluated in its own regime: x = 0 exactly, the Taylor series for
-    |x| < 0.2 sqrt(ell+1), and otherwise a downward continued-fraction
-    sweep shared by every order and by up to _CHUNK arguments of similar
-    |x|, whose own order-0 member is checked against cot x (disagreement
-    beyond 1e-8, or a non-finite sweep, switches that element's orders
-    above 0 to the series; order 0 is sin x, cos x exactly).
-    Where the magnitude exponent stays within 300 (always when |Im x| <= 300
-    and psi is of moderate size) the true values are returned with
-    ``log_scale = 0``; otherwise the pair is returned scaled by
-    e^{-log_scale}, with log_scale = |Im x| plus any renormalizing exponent.
+    ``ell`` (integer orders) and ``x`` broadcast together like numpy
+    operands, giving arrays of the broadcast shape, or Python scalars when
+    both are scalars.  Each (order, element) is evaluated in its own
+    regime: x = 0 exactly, the Taylor series for |x| < 0.2 sqrt(ell+1),
+    and otherwise a downward continued-fraction sweep, run once per element
+    of ``x`` up to the largest order and shared by every order and by up to
+    _CHUNK arguments of similar |x|.  The sweep's own order-0 member is
+    checked against cot x (disagreement beyond 1e-8, or a non-finite sweep,
+    switches that element's orders above 0 to the series; order 0 is sin x,
+    cos x exactly).  Every pair is then scaled by a power of two into
+    max(|psi|, |psi'|) in [1, 2); true values are psi e^{log_scale}.
     """
-    ells = np.atleast_1d(np.asarray(ell)).astype(int)
-    xa = np.atleast_1d(np.asarray(x, dtype=complex)).ravel()
+    ell_in = np.asarray(ell).astype(int)
+    x_in = np.asarray(x, dtype=complex)
+    shape = np.broadcast_shapes(ell_in.shape, x_in.shape)
+    ells, which = np.unique(ell_in, return_inverse=True)
+    xa = x_in.ravel()
     psi = np.zeros((ells.size, xa.size), dtype=complex)
     dpsi = np.zeros_like(psi)
     ls = np.zeros(psi.shape)
@@ -206,47 +200,63 @@ def riccati_bessel(ell, x):
         psi[series], dpsi[series], ls[series] = _psi_series(ells[rows], xa[elems])
     if zero.any():
         dpsi[np.ix_(ells == 0, zero)] = 1.0
-    fold = np.abs(ls) <= _SCALE_THRESHOLD
-    fac = np.exp(np.where(fold, ls, 0.0))
-    psi *= fac
-    dpsi *= fac
-    ls[fold] = 0.0
-    if np.ndim(x) == 0 and np.ndim(ell) == 0:
+    # exact power-of-two normalization, subnormals too; a zero pair keeps k = 0
+    big = np.maximum(np.abs(psi), np.abs(dpsi))
+    k = np.where(big > 0.0, np.frexp(big)[1] - 1, 0)
+    for f in (psi, dpsi):
+        f.real, f.imag = np.ldexp(f.real, -k), np.ldexp(f.imag, -k)
+    ls += k * math.log(2.0)
+    if not shape:
         return RiccatiPair(complex(psi[0, 0]), complex(dpsi[0, 0]), float(ls[0, 0]))
-    shape = ells.shape[:np.ndim(ell)] + np.shape(x)
-    return RiccatiPair(psi.reshape(shape), dpsi.reshape(shape), ls.reshape(shape))
+    at = (np.broadcast_to(which.reshape(ell_in.shape), shape),
+          np.broadcast_to(np.arange(xa.size).reshape(x_in.shape), shape))
+    return RiccatiPair(psi[at], dpsi[at], ls[at])
+
+
+def mode_ratio(pol, psi, dpsi):
+    """The one TE/TM rule, (sign, num, den): TE (i, psi', psi), TM (-i, psi,
+    psi'), the sign times IMPEDANCE_SIGN.  The impedance is sign sqrt(eps/mu)
+    num/den and the two-media determinant sign (w1 num1 den2 - w2 num2 den1).
+    """
+    pol = np.asarray(pol)
+    te = pol == "TE"
+    if not (te | (pol == "TM")).all():
+        raise ValueError("pol must be 'TE' or 'TM'")
+    return (np.where(te, 1j, -1j) * IMPEDANCE_SIGN,
+            np.where(te, dpsi, psi), np.where(te, psi, dpsi))
 
 
 #: relative floor under which a mode denominator counts as resonant
 _RESONANCE_FLOOR = 1e-12
 
 
+def _impedances(ell, x, eps, mu, pol):
+    """Impedances of the (ell, pol) modes at x = kR, broadcast together, and
+    the mask of the resonant ones (denominator under 1e-12 of its pair)."""
+    rp = riccati_bessel(ell, x)
+    sign, num, den = mode_ratio(pol, rp.psi, rp.dpsi)
+    resonant = np.abs(den) < _RESONANCE_FLOOR * np.maximum(np.abs(num), np.abs(den))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sign * cmath.sqrt(eps / mu) * num / den, resonant
+
+
 def exact_mode_impedance(ell, lam, eps, mu, R, pol):
-    """Exact interior impedance of the (ell, pol) mode of the ball of radius R.
+    """Exact interior impedances of the (ell, pol) modes of the ball of radius R.
 
     TE: Z = i sqrt(eps/mu) psi'(kR)/psi(kR); TM: Z = -i sqrt(eps/mu)
-    psi(kR)/psi'(kR), with k = lam sqrt(eps mu).  Raises
-    :class:`InteriorResonance` when the denominator of the ratio falls under
-    1e-12 of the pair's scale (reported, never regularized).
+    psi(kR)/psi'(kR), with k = lam sqrt(eps mu) (:func:`mode_ratio`).
+    ``ell``, ``lam`` and ``pol`` broadcast together; scalars give a scalar.
+    Raises :class:`InteriorResonance`, naming the first resonant (ell, pol,
+    x), when a denominator falls under 1e-12 of its pair's scale (reported,
+    never regularized).
     """
-    x = complex(lam) * cmath.sqrt(eps * mu) * R
-    return _mode_impedance(ell, eps, mu, x, riccati_bessel(ell, x), pol)
-
-
-def _mode_impedance(ell, eps, mu, x, rp, pol):
-    """The (ell, pol) impedance from the Riccati pair ``rp`` at x = kR, which
-    TE and TM share."""
-    scale = max(abs(rp.psi), abs(rp.dpsi))
-    imp = 1j * cmath.sqrt(eps / mu) * IMPEDANCE_SIGN
-    if pol == "TE":
-        if abs(rp.psi) < _RESONANCE_FLOOR * scale:
-            raise InteriorResonance(f"psi_{ell}({x:.6g}) vanishes (TE mode)")
-        return imp * rp.dpsi / rp.psi
-    elif pol == "TM":
-        if abs(rp.dpsi) < _RESONANCE_FLOOR * scale:
-            raise InteriorResonance(f"psi_{ell}'({x:.6g}) vanishes (TM mode)")
-        return -imp * rp.psi / rp.dpsi
-    raise ValueError("pol must be 'TE' or 'TM'")
+    x = np.asarray(lam, dtype=complex) * cmath.sqrt(eps * mu) * R
+    Z, resonant = _impedances(ell, x, eps, mu, pol)
+    if resonant.any():
+        i = tuple(np.argwhere(resonant)[0])
+        el, p, at = (np.broadcast_to(v, resonant.shape)[i] for v in (ell, pol, x))
+        raise InteriorResonance(f"(ell={el}, {p}) mode denominator vanishes at x = {at:.6g}")
+    return Z[()]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +298,10 @@ def dtn_compare(ell_list, lam, media, R=1.0):
 
     ``media`` is either a MediaField of constant fields or an (eps, mu) pair.
     Each row covers one (ell, pol): the exact value and the relative error of
-    every truncation order in ORDERS at r0 = h^2 ell(ell+1)/R^2.  Modes at an
-    interior resonance are skipped and flagged.  Requires theta >= h^{2/5}
+    every truncation order in ORDERS at r0 = h^2 ell(ell+1)/R^2.  The exact
+    values of every ell come from one Riccati-Bessel call; modes at an
+    interior resonance are flagged from its mask and get no errors (an ell
+    with both modes resonant builds no symbol).  Requires theta >= h^{2/5}
     (the admissible-frequency region of the symbol estimates).
     """
     if isinstance(media, tuple):
@@ -304,25 +316,21 @@ def dtn_compare(ell_list, lam, media, R=1.0):
             f"theta={sp.theta:.3g} below h^(2/5)={sp.h ** 0.4:.3g}: "
             "outside the admissible frequency region")
     x = complex(lam) * cmath.sqrt(eps0 * mu0) * R
+    pols = ("TE", "TM")
+    Z, resonant = _impedances(np.asarray(ell_list)[:, None], x, eps0, mu0, np.array(pols))
     rows = []
-    for ell in ell_list:
-        r0 = sp.h ** 2 * ell * (ell + 1.0) / R ** 2
-        eigs = None
-        rp = riccati_bessel(ell, x)
-        for pol in ("TE", "TM"):
-            row = {"ell": ell, "pol": pol,
-                   "lam_re": lam.real, "lam_im": lam.imag}
-            try:
-                exact = _mode_impedance(ell, eps0, mu0, x, rp, pol)
-            except InteriorResonance:
+    for i, ell in enumerate(ell_list):
+        if not resonant[i].all():
+            r0 = sp.h ** 2 * ell * (ell + 1.0) / R ** 2
+            eigs = _symbol_eigenvalues(sp, chart, media, base, r0)
+        for p, pol in enumerate(pols):
+            row = {"ell": ell, "pol": pol, "lam_re": lam.real, "lam_im": lam.imag}
+            if resonant[i, p]:
                 row.update(resonant=True, exact=None)
-                rows.append(row)
-                continue
-            row.update(resonant=False, exact=exact)
-            if eigs is None:
-                eigs = _symbol_eigenvalues(sp, chart, media, base, r0)
-            for order, (te, tm) in zip(ORDERS, eigs):
-                pred = te if pol == "TE" else tm
-                row[f"err_order{order}"] = abs(pred - exact) / max(abs(exact), 1e-30)
+            else:
+                exact = complex(Z[i, p])
+                row.update(resonant=False, exact=exact)
+                for order, pred in zip(ORDERS, eigs):
+                    row[f"err_order{order}"] = abs(pred[p] - exact) / max(abs(exact), 1e-30)
             rows.append(row)
     return rows

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CoincidentMedia, ContourThroughZero
-from .mie import IMPEDANCE_SIGN, riccati_bessel
+from .mie import mode_ratio, riccati_bessel
 from .numerics import sqrt_upper
 from .spectral import calB
 
@@ -80,19 +80,19 @@ def _pairs(cfg: TransmissionConfig, ell, lam):
     """Riccati-Bessel pairs at x1 = lam n1 R and x2 = lam n2 R in one call.
 
     Returns (x, pair): x carries a leading axis of length 2 (medium 1,
-    medium 2) over lam's shape, and so does each field of the pair after
-    the order axis of an array ``ell``.
+    medium 2) over lam's shape, and each field of the pair is x broadcast
+    against ``ell``.
     """
     lam = np.asarray(lam, dtype=complex)
     x = np.stack([lam * (cfg.n1 * cfg.R), lam * (cfg.n2 * cfg.R)])
     return x, riccati_bessel(ell, x)
 
 
-def _products(cfg: TransmissionConfig, te, psi, dpsi):
-    """The two cleared products (t1, t2) of TE (where ``te``) or TM; the
-    determinant is i (t1 - t2) for TE and -i (t1 - t2) for TM."""
-    a, b = psi[0] * dpsi[1], psi[1] * dpsi[0]
-    return cfg.w1 * np.where(te, b, a), cfg.w2 * np.where(te, a, b)
+def _products(cfg: TransmissionConfig, pol, psi, dpsi):
+    """(sign, t1, t2) of :func:`mode_ratio` over the media axis of psi, dpsi:
+    the determinant is sign (t1 - t2), t1 = w1 num1 den2, t2 = w2 num2 den1."""
+    sign, num, den = mode_ratio(pol, psi, dpsi)
+    return sign, cfg.w1 * (num[0] * den[1]), cfg.w2 * (num[1] * den[0])
 
 
 def mode_determinant(cfg: TransmissionConfig, ell, lam, pol, scaled=False):
@@ -104,32 +104,23 @@ def mode_determinant(cfg: TransmissionConfig, ell, lam, pol, scaled=False):
     with x_j = lam n_j R; entire in lam.  With ``scaled=True`` returns
     ``(value, relative_magnitude, log_scale)`` where the true determinant is
     value * e^{log_scale} and relative_magnitude is |value| over the larger
-    of the two cleared products (the honest distance-to-zero measure).
+    of the two cleared products (the honest distance-to-zero measure).  The
+    pairs are normalized, so neither product can underflow.
 
     ``ell``, ``lam`` and ``pol`` broadcast together, so one call evaluates
     many modes at many points; every returned quantity has the broadcast
-    shape.  The pairs of every order at each element of ``lam`` come from
-    one :func:`riccati_bessel` sweep, which all the modes share (give the
-    modes their own axis, and lam is evaluated once for all of them).
+    shape.  Each element of ``lam`` is swept once by :func:`riccati_bessel`
+    for every order, which all the modes share (give the modes their own
+    axis, and lam is evaluated once for all of them).
     """
     ell, pol = np.asarray(ell), np.asarray(pol)
     lam = np.asarray(lam, dtype=complex)
-    te = pol == "TE"
-    if not (te | (pol == "TM")).all():
-        raise ValueError("pol must be 'TE' or 'TM'")
     shape = np.broadcast_shapes(ell.shape, lam.shape, pol.shape)
-    present = np.zeros(int(ell.max()) + 1, dtype=bool)
-    present[ell] = True
-    orders = np.flatnonzero(present)
-    _, rp = _pairs(cfg, orders, lam)
-    # element (order of ell, medium j, lam) of each pair field
-    at = (np.broadcast_to((np.cumsum(present) - 1)[ell], shape),
-          np.broadcast_to(np.arange(lam.size).reshape(lam.shape), shape))
-    psi, dpsi, log_scale = (f.reshape(len(orders), 2, -1)[at[0], :, at[1]]
-                            for f in (rp.psi, rp.dpsi, rp.log_scale))
-    t1, t2 = _products(cfg, te, np.moveaxis(psi, -1, 0), np.moveaxis(dpsi, -1, 0))
-    val = np.where(te, 1j, -1j) * IMPEDANCE_SIGN * (t1 - t2)
-    log_scale = log_scale.sum(axis=-1)
+    # lam at the full rank keeps the medium axis in front of every other
+    _, rp = _pairs(cfg, ell, lam.reshape((1,) * (len(shape) - lam.ndim) + lam.shape))
+    sign, t1, t2 = _products(cfg, pol, rp.psi, rp.dpsi)
+    val = sign * (t1 - t2)
+    log_scale = np.broadcast_to(rp.log_scale[0] + rp.log_scale[1], val.shape)
     if scaled:
         mag = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
         return val[()], (np.abs(val) / mag)[()], log_scale[()]
@@ -146,15 +137,13 @@ def _value_and_slope(cfg: TransmissionConfig, ell, lam, pol):
     x, rp = _pairs(cfg, ell, lam)
     psi, dpsi = rp.psi, rp.dpsi
     ddpsi = (ell * (ell + 1.0) / (x * x) - 1.0) * psi
-    te = pol == "TE"
-    t1, t2 = _products(cfg, te, psi, dpsi)
+    sign, t1, t2 = _products(cfg, pol, psi, dpsi)
     slope = 0.0
     for j, nR in enumerate((cfg.n1 * cfg.R, cfg.n2 * cfg.R)):
         p, d = psi.copy(), dpsi.copy()
         p[j], d[j] = nR * dpsi[j], nR * ddpsi[j]
-        s1, s2 = _products(cfg, te, p, d)
+        _, s1, s2 = _products(cfg, pol, p, d)
         slope = slope + (s1 - s2)
-    sign = (1j if te else -1j) * IMPEDANCE_SIGN
     return sign * (t1 - t2), sign * slope
 
 

@@ -88,7 +88,7 @@ class AmplitudeTable:
     of the recursion too; :func:`transport_coeffs` fills its slots.
     """
 
-    def __init__(self, ps: PhaseSeries, media, N, J, scheme, media_corrections):
+    def __init__(self, ps: PhaseSeries, N, J, scheme, media_corrections):
         gs = ps.gs
         self.ps = ps
         self.gs = gs
@@ -101,8 +101,7 @@ class AmplitudeTable:
         if gs.n1 < ntot or len(ps.psis) < ntot:
             raise OrderBudgetExceeded("phase/gamma series too short for transport order")
         self.psis = ps.psis[:ntot]
-        eps_s, mu_s = media.normal_series(gs)
-        self.eps_k, self.mu_k = eps_s.coeffs, mu_s.coeffs
+        self.eps_k, self.mu_k = ps.eps_k, ps.mu_k
         self.media_corrections = media_corrections
         self.nu = gs.nu
         beta = beta_jets(gs, ps.xiprime)
@@ -199,13 +198,15 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
 
     Levels j = 0..J (default N-1) with x1-orders k < N + J - j.  The
     flattened phase forces the literal scheme with constant-trace media.
-    One pass carries the three basis data as a batch of size 3.
+    One pass carries the three basis data as a batch of size 3.  ``media``
+    must be the media the phase was built with: their series along the
+    normal are read from ``ps``, which :func:`eikonal_coeffs` formed once.
     """
     J = N - 1 if J is None else J
     if ps.flattened:
         media_corrections = False
         scheme = "literal"
-    tab = AmplitudeTable(ps, media, N, J, scheme, media_corrections)
+    tab = AmplitudeTable(ps, N, J, scheme, media_corrections)
     for s in range(N + J):
         for j in range(min(s, J) + 1):
             k = s - j

@@ -7,7 +7,11 @@ arithmetic so that the reference shares no code with what it checks.
 
 import numpy as np
 
-from maxdtn.errors import Singular
+from maxdtn.errors import MaxdtnError
+
+
+class Singular(MaxdtnError):
+    """Pivot underflow in the dense linear solver."""
 
 #: absolute floor below which magnitudes are treated as zero
 TINY = 1e-300

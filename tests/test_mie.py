@@ -63,12 +63,14 @@ def test_closed_forms_low_order():
         x = complex(rng.uniform(-8, 8), rng.uniform(-4, 4))
         if abs(x) < 0.3:
             continue
+        # true values are the normalized pair times e^{log_scale}
         r0 = riccati_bessel(0, x)
-        assert abs(r0.psi - cmath.sin(x)) < 1e-12 * max(1.0, abs(cmath.sin(x)))
-        assert abs(r0.dpsi - cmath.cos(x)) < 1e-12 * max(1.0, abs(cmath.cos(x)))
+        fac = cmath.exp(r0.log_scale)
+        assert abs(r0.psi * fac - cmath.sin(x)) < 1e-12 * max(1.0, abs(cmath.sin(x)))
+        assert abs(r0.dpsi * fac - cmath.cos(x)) < 1e-12 * max(1.0, abs(cmath.cos(x)))
         r1 = riccati_bessel(1, x)
         want = cmath.sin(x) / x - cmath.cos(x)
-        assert abs(r1.psi - want) < 1e-11 * max(1.0, abs(want))
+        assert abs(r1.psi * cmath.exp(r1.log_scale) - want) < 1e-11 * max(1.0, abs(want))
 
 
 def riccati_second(ell, x):
@@ -106,8 +108,8 @@ def test_conjugation_symmetry():
 
 
 def test_scaled_pair_far_from_axis():
-    # |Im x| beyond the overflow threshold: values come back scaled, and the
-    # scale-free log-derivative still matches sin/cos asymptotics
+    # far from the axis the scale carries e^{|Im x|}, and the scale-free
+    # log-derivative still matches sin/cos asymptotics
     x = 10 + 400j
     rp = riccati_bessel(3, x)
     assert rp.log_scale > 300.0
@@ -246,7 +248,7 @@ def test_array_of_orders_matches_per_order_calls():
     assert maxdtn.mie._RENORM_EVERY == 32
     xs = np.array([0j, 0.15, 0.3 + 0.1j, 1.2 - 0.3j, math.pi, 3 + 4j,
                    12 - 5j, 25 + 10j, 10 + 400j])
-    batch = riccati_bessel(ORDERS, xs)
+    batch = riccati_bessel(ORDERS[:, None], xs)
     shape = (len(ORDERS), len(xs))
     assert batch.psi.shape == batch.dpsi.shape == batch.log_scale.shape == shape
     for i, ell in enumerate(ORDERS.tolist()):
@@ -282,7 +284,7 @@ def test_array_of_orders_against_mpmath():
     ]
     fallback = maxdtn.mie._sweep(ORDERS, np.array([math.pi + 0j]))[3]
     assert fallback[0] > 1e-8
-    rp = riccati_bessel(ORDERS, np.array(xs))
+    rp = riccati_bessel(ORDERS[:, None], np.array(xs))
     assert rp.log_scale[:, -1].min() > 300.0
     worst = 0.0
     for i, ell in enumerate(ORDERS.tolist()):
@@ -295,7 +297,7 @@ def test_array_of_orders_against_mpmath():
     assert worst <= 1e-10
     # deep decay: the ratio product leaves [1e-150, 1e150] and its
     # exponent is carried in log_scale
-    deep = riccati_bessel(np.array([150, 200]), np.array([3 + 0.5j, 3.3 + 1j]))
+    deep = riccati_bessel(np.array([[150], [200]]), np.array([3 + 0.5j, 3.3 + 1j]))
     assert deep.log_scale.max() < -300.0
     for i, ell in enumerate((150, 200)):
         for j, x in enumerate((3 + 0.5j, 3.3 + 1j)):
@@ -307,3 +309,109 @@ def test_array_of_orders_against_mpmath():
     zero = riccati_bessel(ORDERS, 0.0)
     assert np.all(zero.psi == 0.0)
     assert np.array_equal(zero.dpsi, (ORDERS == 0).astype(complex))
+
+
+def test_pairs_are_normalized_in_every_regime():
+    # every (order, element) is scaled by a power of two into
+    # max(|psi|, |psi'|) in [1, 2); a vanishing pair keeps log_scale = 0
+    xs = np.array([0j, 0.05 + 0.02j, 0.3 + 0.1j, math.pi, 3 + 0.5j, 25 + 10j,
+                   10 + 400j, 3 - 350j])
+    rp = riccati_bessel(np.array([0, 1, 7, 40, 150, 200])[:, None], xs)
+    big = np.maximum(np.abs(rp.psi), np.abs(rp.dpsi))
+    live = big > 0.0
+    assert np.all((big[live] >= 1.0) & (big[live] < 2.0))
+    assert np.all(rp.log_scale[~live] == 0.0)
+    assert np.count_nonzero(~live) == 5      # x = 0 at every order above 0
+    # the scale spans far past the double range in both directions
+    assert rp.log_scale.min() < -800.0 and rp.log_scale.max() > 300.0
+
+
+def test_orders_and_arguments_broadcast():
+    # (ell, x) broadcast like numpy; each element equals its own scalar call
+    ells = np.array([[0], [3], [33]])
+    xs = np.array([[0.2 + 0.1j, 3 + 4j], [12 - 5j, 10 + 400j]])
+    rp = riccati_bessel(ells[:, :, None], xs)
+    assert rp.psi.shape == rp.dpsi.shape == rp.log_scale.shape == (3, 2, 2)
+    for i, ell in enumerate(ells[:, 0].tolist()):
+        for j, k in np.ndindex(xs.shape):
+            one = riccati_bessel(ell, complex(xs[j, k]))
+            shift = cmath.exp(rp.log_scale[i, j, k] - one.log_scale)
+            for got, want in ((rp.psi[i, j, k], one.psi), (rp.dpsi[i, j, k], one.dpsi)):
+                assert abs(got * shift - want) <= 1e-14 * abs(want)
+    # repeated orders and an order axis against one argument
+    same = riccati_bessel(np.array([5, 2, 5]), 3 + 4j)
+    assert same.psi.shape == (3,) and same.psi[0] == same.psi[2]
+    assert isinstance(riccati_bessel(2, 3 + 4j).psi, complex)
+
+
+def test_each_argument_swept_once(monkeypatch):
+    # one sweep per argument, up to the largest order, serves every order
+    seen = []
+    sweep = maxdtn.mie._sweep
+
+    def recording(ells, x):
+        seen.append((ells.max(), x.size))
+        return sweep(ells, x)
+
+    monkeypatch.setattr(maxdtn.mie, "_sweep", recording)
+    riccati_bessel(np.array([[4], [9], [4], [1]]), np.array([3 + 1j, 7 - 2j, 12 + 0.5j]))
+    assert seen == [(9, 3)]
+
+
+def test_batched_impedances_match_scalar_calls():
+    ells = np.arange(1, 41)[:, None]
+    pols = np.array(["TE", "TM"])
+    for lam in (complex(1.0, 0.3) / 0.05, 2.0 + 0.7j):
+        Z = exact_mode_impedance(ells, lam, 1.3, 0.9, 1.0, pols)
+        assert Z.shape == (40, 2)
+        for (i, p), z in np.ndenumerate(Z):
+            one = exact_mode_impedance(i + 1, lam, 1.3, 0.9, 1.0, pols[p])
+            assert abs(z - one) <= 1e-13 * abs(one)
+    # lam broadcasts as well
+    lams = np.array([2.0 + 0.7j, 3.0 + 0.2j])
+    Z = exact_mode_impedance(3, lams, 1.3, 0.9, 1.0, "TM")
+    assert Z.shape == (2,)
+    one = exact_mode_impedance(3, lams[1], 1.3, 0.9, 1.0, "TM")
+    assert abs(Z[1] - one) <= 1e-14 * abs(one)
+
+
+def test_batched_resonance_names_the_mode():
+    # psi_1 vanishes at the first root of tan x = x: only (1, TE) is resonant
+    lam = 4.493409457909064
+    with pytest.raises(InteriorResonance, match=r"ell=1, TE.*x = 4\.49341"):
+        exact_mode_impedance(np.array([[2], [1]]), lam, 1.0, 1.0, 1.0, np.array(["TM", "TE"]))
+    Z = exact_mode_impedance(np.array([2, 1]), lam, 1.0, 1.0, 1.0, "TM")
+    assert np.all(np.isfinite(Z))
+
+
+def test_dtn_compare_one_riccati_call_for_every_ell(monkeypatch):
+    # several ell share one Riccati call, and each row equals the row of
+    # its own dtn_compare to rounding
+    calls = []
+    pair = maxdtn.mie.riccati_bessel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(maxdtn.mie, "riccati_bessel", counting)
+    lam = complex(1.0, 0.5) / (1 / 40)
+    rows = dtn_compare([10, 20, 30], lam, (1.3, 0.9))
+    assert len(calls) == 1
+    assert [(r["ell"], r["pol"]) for r in rows] == [(e, p) for e in (10, 20, 30) for p in ("TE", "TM")]
+    for r in rows:
+        one, = [s for s in dtn_compare([r["ell"]], lam, (1.3, 0.9)) if s["pol"] == r["pol"]]
+        assert abs(r["exact"] - one["exact"]) <= 1e-14 * abs(one["exact"])
+        assert r["err_order0"] == pytest.approx(one["err_order0"], rel=1e-6)
+
+
+def test_dtn_compare_flags_resonant_rows_from_the_mask(monkeypatch):
+    # with a resonance floor above 1 every mode counts as resonant: its rows
+    # are flagged, carry no errors, and no symbol is built
+    monkeypatch.setattr(maxdtn.mie, "_RESONANCE_FLOOR", 2.0)
+    builds = []
+    monkeypatch.setattr(maxdtn.mie, "boundary_symbol", lambda *a: builds.append(a))
+    rows = dtn_compare([10, 20], complex(1.0, 0.5) / (1 / 40), (1.0, 1.0))
+    assert len(rows) == 4
+    assert all(r["resonant"] and r["exact"] is None and "err_order0" not in r for r in rows)
+    assert builds == []

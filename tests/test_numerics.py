@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxdtn.errors import AmbiguousBranch, Singular
+from maxdtn.errors import AmbiguousBranch
 from maxdtn.numerics import cross, dot, matvec, sqrt_upper, vadd, vscale, vsub
 
-from dense_oracle import cross_solve_oracle, skew
+from dense_oracle import Singular, cross_solve_oracle, skew
 
 
 def test_sqrt_upper_branch():

@@ -114,8 +114,7 @@ def test_origin_zero_does_not_alias():
 
 @pytest.mark.parametrize("lam", [3.1 + 0.8j, 0.4 + 2.5j, 7.0 + 0.05j, 1.0 + 150j])
 def test_analytic_slope_matches_central_difference(lam):
-    # 1 + 150j puts |Im x1| on the 300 scaling threshold, between the
-    # two difference points
+    # 1 + 150j puts |Im x1| at 300, where the pairs carry a scale near e^300
     h = 1e-5j
     for ell in (1, 3, 12):
         for pol in ("TE", "TM"):
@@ -280,3 +279,41 @@ def test_symbol_T_coincident_media():
 def test_determinant_bad_polarization():
     with pytest.raises(ValueError):
         mode_determinant(CFG, 1, 2 + 1j, "XX")
+
+
+def _mpmath_relative_magnitude(cfg, ell, pol, lam):
+    """|det| over the larger cleared product, from mpmath's Bessel J."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def pair(x):
+            psi = lambda n: mp.sqrt(mp.pi * x / 2) * mp.besselj(n + mp.mpf(1) / 2, x)
+            p = psi(ell)
+            return p, psi(ell - 1) - ell / x * p
+
+        lam = mp.mpc(lam)
+        p1, d1 = pair(lam * mp.sqrt(cfg.eps1 * cfg.mu1) * cfg.R)
+        p2, d2 = pair(lam * mp.sqrt(cfg.eps2 * cfg.mu2) * cfg.R)
+        w1 = cfg.c1 * mp.sqrt(mp.mpf(cfg.eps1) / cfg.mu1)
+        w2 = cfg.c2 * mp.sqrt(mp.mpf(cfg.eps2) / cfg.mu2)
+        t1, t2 = (w1 * d1 * p2, w2 * d2 * p1) if pol == "TE" else (w1 * p1 * d2, w2 * p2 * d1)
+        return float(abs(t1 - t2) / max(abs(t1), abs(t2)))
+
+
+@pytest.mark.parametrize("ell", [100, 110, 120, 130])
+def test_high_order_determinant_does_not_underflow(ell):
+    # psi_120 is about 1e-157 at x1 = 4.58 and 1e-193 at x2 = 2.29: each
+    # pair is representable, and so is the determinant's relative magnitude
+    lam = 2.2911 + 0.09125j
+    for pol in ("TE", "TM"):
+        _, rel, _ = mode_determinant(CFG, ell, lam, pol, scaled=True)
+        want = _mpmath_relative_magnitude(CFG, ell, pol, lam)
+        assert abs(rel - want) <= 1e-10 * want
+
+
+def test_region_scan_free_through_high_orders():
+    # modes up to ell = 130 oscillate below Re 60 on these media; the scan
+    # certifies them, and no mode above 40 adds a winding
+    reports = region_scan(CFG, 130, 60.0, 0.33125)
+    assert region_is_free(reports)
+    assert len(reports) == 130 * 2 * 12
+    assert not any(r.winding for r in reports if r.ell > 40)

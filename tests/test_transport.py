@@ -271,3 +271,27 @@ def test_batched_residual_region_guard(table):
     x1s = np.array([1e-3, 10.0, 2e-3])
     with pytest.raises(OutsideRetainedRegion, match="x1=10.0"):
         maxwell_residual(table, x1s, h=1e-6)
+
+
+def test_media_series_formed_once_per_build(monkeypatch):
+    # the eikonal forms eps and mu along the normal once and the transport
+    # recursion reads them from the phase; reading the flattened corrector
+    # forms them once more, for its own phase
+    calls = []
+    series = MediaField.normal_series
+
+    def counting(self, gs):
+        calls.append(1)
+        return series(self, gs)
+
+    monkeypatch.setattr(MediaField, "normal_series", counting)
+    chart = SurfaceChart.ellipsoid(1.0, 1.2, 0.8)
+    gs = GammaSeries(chart, BASE, n1=5, order=8)
+    ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=5)
+    tab = transport_coeffs(ps, MEDIA, N=3, J=2)
+    assert len(calls) == 1
+    assert tab.eps_k is ps.eps_k and tab.mu_k is ps.mu_k
+    sym = boundary_symbol(transport_coeffs(eikonal_coeffs(gs, MEDIA, SP, XI, N=3), MEDIA, N=2, J=1))
+    assert len(calls) == 2
+    sym.m_tilde
+    assert len(calls) == 3
