@@ -1,18 +1,19 @@
 """Truncated multivariate Taylor arithmetic (jets) and normal-variable series.
 
-A :class:`Jet` is a dense truncated Taylor polynomial in the two tangential
+A :class:`Jet` is a truncated Taylor polynomial in the two tangential
 variables ``VARS`` = (x2, x3) around an (implicit) base point; all symbol
 recursions run on jets.
 A :class:`NormalSeries` is a polynomial in the boundary-normal variable whose
 coefficients are jets in the tangential variables, mirroring the x1-expansions
 used by the phase/amplitude recursions.
 
-Coefficients are stored densely up to a total order; binary
-operations truncate to the weaker operand, which automatically tracks the
-accuracy lost by differentiation.
+A jet of order o stores its coefficients of degree <= o by degree: that of
+x2^i x3^j at position d(d+1)/2 + i, d = i + j.  A truncation is a prefix, and
+binary operations read the operands' prefixes of the weaker order, which
+automatically tracks the accuracy lost by differentiation.
 
 A jet may carry leading batch axes: ``coef`` has shape
-``(*batch, order+1, ..., order+1)`` and holds one polynomial per batch
+``(*batch, (o+1)(o+2)/2)`` and holds one polynomial per batch
 element (Taylor arithmetic over a vector of directions).  Every operation
 broadcasts the batch axes like numpy, so a batched jet combines with an
 unbatched one (batch shape ``()``) element by element; ``.value`` is then an
@@ -45,52 +46,50 @@ def _indices(nvars: int, order: int):
     return tuple(idx)
 
 
+def _size(order):
+    """Number of coefficients of total degree <= order."""
+    return (order + 1) * (order + 2) // 2
+
+
+def _position(i, j):
+    """Position of the coefficient of x2^i x3^j."""
+    d = i + j
+    return d * (d + 1) // 2 + i
+
+
 @lru_cache(maxsize=None)
-def _mul_matrix(nvars: int, order: int, order_a=None, order_b=None):
+def _mul_matrix(nvars: int, order: int):
     """The 0/1 matrix folding outer(a, b) into the truncated product, by nonzeros.
 
-    Returns ``(ia, ib, starts, dest)`` over flattened coefficient tables: the
-    product's entry ``dest[k]`` is the sum of ``a[ia[j]] * b[ib[j]]`` over
-    ``starts[k] <= j < starts[k + 1]``.  The operands' tables may be of a
-    higher order than the product (``order_a``, ``order_b``, default
-    ``order``); only their entries of degree <= ``order`` are read.
+    Returns ``(ia, ib, starts)`` over the positions of :func:`_indices`: the
+    product's entry k sums ``a[ia[j]] * b[ib[j]]`` over ``starts[k] <= j <
+    starts[k + 1]``.  It serves operands of any order >= ``order`` too: their
+    positions start with these.
     """
-    def flat(i, o):
-        return int(np.ravel_multi_index(i, (o + 1,) * nvars))
-
-    oa = order if order_a is None else order_a
-    ob = order if order_b is None else order_b
     idx = _indices(nvars, order)
+    pos = {i: p for p, i in enumerate(idx)}
     terms = []
-    for ia in idx:
-        for ib in idx:
-            s = tuple(x + y for x, y in zip(ia, ib))
+    for pa, a in enumerate(idx):
+        for pb, b in enumerate(idx):
+            s = tuple(x + y for x, y in zip(a, b))
             if sum(s) <= order:
-                terms.append((flat(s, order), flat(ia, oa), flat(ib, ob)))
+                terms.append((pos[s], pa, pb))
     terms.sort(key=lambda t: t[0])
     dest, ia, ib = (np.array(t, dtype=np.intp) for t in zip(*terms))
-    first = np.flatnonzero(np.r_[True, dest[1:] != dest[:-1]])
-    return ia, ib, first, dest[first]
+    return ia, ib, np.flatnonzero(np.r_[True, dest[1:] != dest[:-1]])
 
 
 @lru_cache(maxsize=None)
-def _product_plan(order_a: int, order_b: int, shape_a, shape_b):
+def _product_plan(order: int, shape_a, shape_b):
     """:func:`_mul_matrix` laid over the operands' whole flattened arrays.
 
-    ``shape_a`` and ``shape_b`` are the operands' coefficient shapes
-    ``(*batch, o+1, ..., o+1)``; their batch axes broadcast.  Returns
-    ``(ia, ib, starts, dest, shape)``: the same gather/reduce/scatter
-    indices, repeated for every batch element of the product, and the
-    product's coefficient shape.
+    ``shape_a`` and ``shape_b`` are the operands' coefficient shapes, of
+    order >= ``order``; their batch axes broadcast.  Returns ``(ia, ib,
+    starts, shape)``: the gather/reduce indices repeated for every batch
+    element of the product, and the product's coefficient shape.
     """
-    order = min(order_a, order_b)
-    if order_a == order_b:
-        ia, ib, starts, dest = _mul_matrix(_NV, order)
-    else:
-        ia, ib, starts, dest = _mul_matrix(_NV, order, order_a, order_b)
-    batch_a = shape_a[:len(shape_a) - _NV]
-    batch_b = shape_b[:len(shape_b) - _NV]
-    batch = np.broadcast_shapes(batch_a, batch_b)
+    ia, ib, starts = _mul_matrix(_NV, order)
+    batch = np.broadcast_shapes(shape_a[:-1], shape_b[:-1])
 
     def tiled(idx, step, src_batch):
         # offset of each product element's source table, then its indices
@@ -98,27 +97,20 @@ def _product_plan(order_a: int, order_b: int, shape_a, shape_b):
         offsets = np.broadcast_to(src, batch).ravel() * step
         return (offsets[:, None] + idx).ravel()
 
-    return (tiled(ia, (order_a + 1) ** _NV, batch_a),
-            tiled(ib, (order_b + 1) ** _NV, batch_b),
+    return (tiled(ia, shape_a[-1], shape_a[:-1]),
+            tiled(ib, shape_b[-1], shape_b[:-1]),
             tiled(starts, len(ia), batch),
-            tiled(dest, (order + 1) ** _NV, batch),
-            batch + (order + 1,) * _NV)
+            batch + (_size(order),))
 
 
 @lru_cache(maxsize=None)
-def _keep(order: int):
-    """Complex 0/1 table zeroing the entries of total degree > order."""
-    grids = np.indices((order + 1,) * _NV).sum(axis=0)
-    return (grids <= order).astype(complex)
-
-
-@lru_cache(maxsize=None)
-def _dpowers(order: int, pos: int):
-    """Exponents 1..order along axis ``pos``, zero above the derivative's degree."""
-    shape = [1] * _NV
-    shape[pos] = order
-    powers = np.arange(1, order + 1, dtype=float).reshape(shape)
-    return powers * _keep(order - 1)
+def _derivative_plan(order: int, pos: int):
+    """(source positions, factors) of the derivative along variable ``pos``
+    of an order-``order`` jet: its entry for exponents e reads the entry for
+    e + unit(pos), times that exponent."""
+    idx = _indices(_NV, order - 1)
+    src = [_position(*(k + (v == pos) for v, k in enumerate(e))) for e in idx]
+    return np.array(src, dtype=np.intp), np.array([e[pos] + 1 for e in idx], dtype=complex)
 
 
 def _jet(order, coef):
@@ -157,6 +149,14 @@ def _trig_coefs(f, df, order):
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
+def _sum_of_products(xs, ys):
+    """x0 y0 + x1 y1 + ..., summed left to right."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
@@ -169,9 +169,8 @@ class Jet:
 
     def __init__(self, order, coef):
         self.order = int(order)
-        shape = (self.order + 1,) * _NV
         self.coef = np.asarray(coef, dtype=complex)
-        if self.coef.shape[self.coef.ndim - _NV:] != shape:
+        if self.coef.shape[-1:] != (_size(self.order),):
             raise ValueError("coefficient table shape mismatch")
 
     # -- constructors ---------------------------------------------------
@@ -179,8 +178,8 @@ class Jet:
     def constant(cls, c, order):
         """Constant jet; an array ``c`` gives one constant per batch element."""
         order = int(order)
-        coef = np.zeros(np.shape(c) + (order + 1,) * _NV, dtype=complex)
-        coef[(Ellipsis,) + (0,) * _NV] = c
+        coef = np.zeros(np.shape(c) + (_size(order),), dtype=complex)
+        coef[..., 0] = c
         return _jet(order, coef)
 
     @classmethod
@@ -188,21 +187,19 @@ class Jet:
         """Jet of the coordinate ``name`` with base value ``value``."""
         j = cls.constant(value, order)
         if order >= 1:
-            idx = [0] * _NV
-            idx[VARS.index(name)] = 1
-            j.coef[(Ellipsis,) + tuple(idx)] = 1.0
+            j.coef[..., _position(*(int(v == name) for v in VARS))] = 1.0
         return j
 
     # -- basic access ---------------------------------------------------
     @property
     def batch(self):
         """Shape of the leading batch axes (``()`` for a single jet)."""
-        return self.coef.shape[:self.coef.ndim - _NV]
+        return self.coef.shape[:-1]
 
     @property
     def value(self):
         """Constant (base-point) coefficient, per batch element."""
-        return _number(self.coef[(Ellipsis,) + (0,) * _NV])
+        return _number(self.coef[..., 0])
 
     def __getitem__(self, index):
         """The jet of batch element(s) ``index``; never indexes coefficients."""
@@ -214,13 +211,13 @@ class Jet:
         idx = tuple(powers.get(v, 0) for v in VARS)
         if sum(idx) > self.order:
             return _number(np.zeros(self.batch))
-        return _number(self.coef[(Ellipsis,) + idx])
+        return _number(self.coef[..., _position(*idx)])
 
     def evaluate(self, **offsets):
         """Evaluate the polynomial at base + offsets."""
         total = 0.0 + 0.0j
-        for idx in _indices(_NV, self.order):
-            term = self.coef[(Ellipsis,) + idx]
+        for p, idx in enumerate(_indices(_NV, self.order)):
+            term = self.coef[..., p]
             for v, k in zip(VARS, idx):
                 if k:
                     term = term * offsets.get(v, 0.0) ** k
@@ -228,41 +225,27 @@ class Jet:
         return _number(total)
 
     def truncate(self, order):
-        if order >= self.order:
-            return self
-        coef = self.coef[(Ellipsis,) + (slice(0, order + 1),) * _NV] * _keep(order)
-        return _jet(order, coef)
+        return self if order >= self.order else _jet(order, self.coef[..., :_size(order)])
 
     def max_abs(self):
         return float(np.max(np.abs(self.coef)))
 
     # -- ring operations ------------------------------------------------
-    def _aligned(self, other):
-        """(order, a, b): both coefficient tables cut to the weaker order.
-
-        Entries above that degree are left in place; callers zero them.
-        """
-        if other.order == self.order:
-            return self.order, self.coef, other.coef
-        order = min(self.order, other.order)
-        sl = (Ellipsis,) + (slice(0, order + 1),) * _NV
-        return order, self.coef[sl], other.coef[sl]
-
     def _sum(self, other, sign):
         if isinstance(other, Jet):
-            order, a, b = self._aligned(other)
-            coef = a + b if sign > 0 else a - b
-            if self.order != other.order:
-                coef *= _keep(order)
-            return _jet(order, coef)
+            order = min(self.order, other.order)
+            a, b = self.coef, other.coef
+            if other.order != self.order:
+                a, b = a[..., :_size(order)], b[..., :_size(order)]
+            return _jet(order, a + b if sign > 0 else a - b)
         if isinstance(other, _SCALARS):
             coef = self.coef.copy()
         elif isinstance(other, np.ndarray):   # one scalar per batch element
             batch = np.broadcast_shapes(self.batch, other.shape)
-            coef = np.array(np.broadcast_to(self.coef, batch + self.coef.shape[-_NV:]))
+            coef = np.array(np.broadcast_to(self.coef, batch + self.coef.shape[-1:]))
         else:
             return NotImplemented
-        coef[(Ellipsis,) + (0,) * _NV] += other if sign > 0 else -other
+        coef[..., 0] += other if sign > 0 else -other
         return _jet(self.order, coef)
 
     def __add__(self, other):
@@ -281,17 +264,14 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            ia, ib, starts, dest, shape = _product_plan(
-                self.order, other.order, self.coef.shape, other.coef.shape)
+            order = min(self.order, other.order)
+            ia, ib, starts, shape = _product_plan(order, self.coef.shape, other.coef.shape)
             terms = self.coef.ravel()[ia] * other.coef.ravel()[ib]
-            coef = np.zeros(shape, dtype=complex)
-            coef.ravel()[dest] = np.add.reduceat(terms, starts)
-            return _jet(min(self.order, other.order), coef)
+            return _jet(order, np.add.reduceat(terms, starts).reshape(shape))
         if isinstance(other, _SCALARS):
             return _jet(self.order, self.coef * complex(other))
         if isinstance(other, np.ndarray):     # one scalar per batch element
-            scale = other.reshape(other.shape + (1,) * _NV)
-            return _jet(self.order, self.coef * scale)
+            return _jet(self.order, self.coef * other[..., None])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -311,12 +291,8 @@ class Jet:
         """Partial derivative; lowers the order by one."""
         if self.order == 0:
             raise OrderUnderflow("cannot differentiate an order-0 jet")
-        pos = VARS.index(var)
-        order = self.order - 1
-        src = [slice(0, order + 1)] * _NV
-        src[pos] = slice(1, self.order + 1)
-        out = self.coef[(Ellipsis, *src)] * _dpowers(self.order, pos)
-        return _jet(order, out)
+        src, factors = _derivative_plan(self.order, VARS.index(var))
+        return _jet(self.order - 1, self.coef[..., src] * factors)
 
     # -- analytic composition -------------------------------------------
     def compose_series(self, series_coef):
@@ -396,14 +372,8 @@ class NormalSeries:
             raise ValueError("empty series")
 
     @classmethod
-    def constant(cls, jet_or_scalar, n1, template=None):
-        """Series with a single x1-independent coefficient, padded to length n1."""
-        if isinstance(jet_or_scalar, Jet):
-            c0 = jet_or_scalar
-        else:
-            if template is None:
-                raise ValueError("template jet required to lift a scalar")
-            c0 = Jet.constant(complex(jet_or_scalar), template.order)
+    def constant(cls, c0, n1):
+        """Series with the single x1-independent jet ``c0``, padded to length n1."""
         zero = c0 * 0.0
         return cls([c0] + [zero] * (n1 - 1))
 
@@ -419,19 +389,17 @@ class NormalSeries:
     def _coerce(self, other):
         if isinstance(other, NormalSeries):
             return other
-        if isinstance(other, Jet):
-            zero = other * 0.0
-            return NormalSeries([other] + [zero] * (self.n1 - 1))
         if isinstance(other, _SCALARS):
-            return NormalSeries.constant(other, self.n1, template=self.coeffs[0])
+            other = Jet.constant(complex(other), self.coeffs[0].order)
+        if isinstance(other, Jet):
+            return NormalSeries.constant(other, self.n1)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.n1, o.n1)
-        return NormalSeries([self.coeffs[k] + o.coeffs[k] for k in range(n)])
+        return NormalSeries([a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -440,9 +408,7 @@ class NormalSeries:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -454,28 +420,16 @@ class NormalSeries:
             return NormalSeries([c * other for c in self.coeffs])
         if not isinstance(other, NormalSeries):
             return NotImplemented
-        n = min(self.n1, other.n1)
-        out = []
-        for k in range(n):
-            acc = None
-            for ell in range(k + 1):
-                term = self.coeffs[ell] * other.coeffs[k - ell]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return NormalSeries(out)
+        return NormalSeries([_sum_of_products(self.coeffs[:k + 1], other.coeffs[k::-1])
+                             for k in range(min(self.n1, other.n1))])
 
     __rmul__ = __mul__
 
     def invert(self):
-        n = self.n1
         r0 = self.coeffs[0].invert()
         out = [r0]
-        for k in range(1, n):
-            acc = None
-            for j in range(1, k + 1):
-                term = self.coeffs[j] * out[k - j]
-                acc = term if acc is None else acc + term
-            out.append(-(r0 * acc))
+        for k in range(1, self.n1):
+            out.append(-(r0 * _sum_of_products(self.coeffs[1:k + 1], out[k - 1::-1])))
         return NormalSeries(out)
 
     def __repr__(self):

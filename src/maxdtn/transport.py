@@ -199,9 +199,12 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
     Levels j = 0..J (default N-1) with x1-orders k < N + J - j.  The
     flattened phase forces the literal scheme with constant-trace media.
     One pass carries the three basis data as a batch of size 3.  ``media``
-    must be the media the phase was built with: their series along the
-    normal are read from ``ps``, which :func:`eikonal_coeffs` formed once.
+    must be the phase's own media object, else ``ValueError``: their series
+    along the normal are read from ``ps``, formed once by :func:`eikonal_coeffs`.
     """
+    if media is not ps.media:
+        raise ValueError(f"transport_coeffs got the media object {media!r}, but "
+                         f"the phase was built with {ps.media!r}")
     J = N - 1 if J is None else J
     if ps.flattened:
         media_corrections = False

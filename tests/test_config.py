@@ -134,7 +134,6 @@ DEFAULTED_PARAMETERS = {
     "eikonal.eikonal_coeffs:flattened",
     "geometry.SurfaceChart.random_points:margin", "geometry.SurfaceChart.sphere:radius",
     "geometry.gamma_pointwise:x1",
-    "jets.NormalSeries.constant:template",
     "mie.dtn_compare:R",
     "quantizer.boundedness_check:n", "quantizer.composition_defect:n",
     "transmission.mode_determinant:scaled", "transmission.region_scan:n_tiles",

@@ -80,16 +80,31 @@ def test_truncate():
     assert t.order == 1
 
 
+def _size(order):
+    return (order + 1) * (order + 2) // 2
+
+
+def test_storage_is_a_degree_prefix():
+    # coefficients of degree <= o in degree order, x2^i x3^j at position
+    # d(d+1)/2 + i with d = i + j: a truncation is a prefix
+    for order in range(9):
+        assert Jet.constant(1.0, order).coef.shape == (_size(order),)
+    j = _random_jet(np.random.default_rng(11), (), 6)
+    for k in range(7):
+        assert np.array_equal(j.truncate(k).coef, j.coef[:_size(k)])
+    for d in range(7):
+        for i in range(d + 1):
+            assert j.coefficient(x2=i, x3=d - i) == j.coef[d * (d + 1) // 2 + i]
+
+
 def test_mixed_order_operands_truncate_to_the_weaker():
     # products and sums of jets of different orders read only the entries
-    # of degree <= the weaker order, with any table layout of the stronger
+    # of degree <= the weaker order: bitwise those of the truncated operands
     rng = np.random.default_rng(5)
 
     def random_jet(order):
-        shape = (order + 1,) * 2
-        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        coef[np.add.outer(np.arange(order + 1), np.arange(order + 1)) > order] = 0.0
-        return Jet(order, coef)
+        shape = (_size(order),)
+        return Jet(order, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
     for hi, lo in ((6, 2), (3, 0), (8, 7)):
         a, b = random_jet(hi), random_jet(lo)
@@ -97,7 +112,7 @@ def test_mixed_order_operands_truncate_to_the_weaker():
         for got, want in ((a * b, a_lo * b_lo), (b * a, b_lo * a_lo),
                           (a + b, a_lo + b_lo), (b - a, b_lo - a_lo)):
             assert got.order == lo
-            assert np.max(np.abs(got.coef - want.coef)) < 1e-13
+            assert np.array_equal(got.coef, want.coef)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,11 +155,10 @@ BATCHES = st.sampled_from([(3,), (2, 3)])
 
 
 def _random_jet(rng, batch, order, const=None):
-    shape = batch + (order + 1,) * 2
+    shape = batch + (_size(order),)
     coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    coef[..., np.add.outer(np.arange(order + 1), np.arange(order + 1)) > order] = 0.0
     if const is not None:
-        coef[..., 0, 0] = const
+        coef[..., 0] = const
     return Jet(order, coef)
 
 

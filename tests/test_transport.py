@@ -149,8 +149,9 @@ def test_residual_region_guard(table):
 def test_flat_chart_collapses():
     N, J = 3, 2
     gs = GammaSeries(SurfaceChart.plane(), (0.2, -0.3), n1=N + J, order=N + J + 3)
-    ps = eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, XI, N=N + J)
-    tab = transport_coeffs(ps, MediaField.constant(1.0, 1.0), N=N, J=J)
+    media = MediaField.constant(1.0, 1.0)
+    ps = eikonal_coeffs(gs, media, SP, XI, N=N + J)
+    tab = transport_coeffs(ps, media, N=N, J=J)
     worst = 0.0
     ta, tb = _basis(tab, "a"), _basis(tab, "b")
     for i in range(3):
@@ -160,6 +161,14 @@ def test_flat_chart_collapses():
             worst = max(worst, max(abs(c.value) for c in av))
             worst = max(worst, max(abs(c.value) for c in tb[i][(j, k)]))
     assert worst < 1e-12
+
+
+def test_media_other_than_the_phases_raise():
+    # the media series come from the phase: equal values are not enough
+    gs = GammaSeries(CHART, BASE, n1=2, order=5)
+    ps = eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, XI, N=2)
+    with pytest.raises(ValueError, match="media.*phase was built with"):
+        transport_coeffs(ps, MediaField.constant(1.0, 1.0), N=1, J=0)
 
 
 def test_order_budget_guard():
