@@ -382,9 +382,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig()
-        if args.config:
-            cfg = load_config(args.config, base=cfg)
+        cfg = load_config(args.config) if args.config else RunConfig()
         cfg.command = args.command
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir

@@ -57,7 +57,7 @@ class RunConfig:
 
     def validate(self):
         positive = ["radius", "eps", "mu", "eps2", "mu2", "c1", "c2",
-                    "re_max", "tol", "theta"]
+                    "re_max", "region_C", "tol", "theta"]
         for name in positive:
             v = getattr(self, name)
             if not _positive_finite(v):
@@ -76,8 +76,6 @@ class RunConfig:
             raise ConfigError("ell_max must be at least 1")
         if self.chart not in ("sphere", "plane", "ellipsoid"):
             raise ConfigError(f"unknown chart {self.chart!r}")
-        if self.region_C < 0.0:
-            raise ConfigError("region_C must be nonnegative")
         if any(h <= 0.0 for h in self.h_list):
             raise ConfigError("h_list entries must be positive")
         if any(t <= 0.0 for t in self.thetas):
@@ -109,9 +107,9 @@ _PARSERS = {
 _TYPES = get_type_hints(RunConfig)
 
 
-def load_config(path, base=None):
+def load_config(path):
     """Read an INI file ([run] section) into a RunConfig."""
-    cfg = base or RunConfig()
+    cfg = RunConfig()
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)

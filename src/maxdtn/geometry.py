@@ -257,28 +257,20 @@ def beta_jets(gs: GammaSeries, xiprime):
 # ---------------------------------------------------------------------------
 # media
 
-_FORMULAS = {}
-
-
-def _register(name):
-    def deco(fn):
-        _FORMULAS[name] = fn
-        return fn
-    return deco
-
-
-@_register("constant")
 def _f_constant(p, y):
     return p["value"] + 0.0 * y[0]
 
 
-@_register("affine")
 def _f_affine(p, y):
     return p["c0"] + p["g1"] * y[0] + p["g2"] * y[1] + p["g3"] * y[2]
 
 
+#: the closed forms a ScalarField names
+_FORMULAS = {"constant": _f_constant, "affine": _f_affine}
+
+
 class ScalarField:
-    """Positive scalar coefficient field given by a registered closed form."""
+    """Positive scalar coefficient field given by a named closed form."""
 
     def __init__(self, formula, **params):
         if formula not in _FORMULAS:

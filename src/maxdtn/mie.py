@@ -163,19 +163,24 @@ def _sweep(ells, x):
 def riccati_bessel(ell, x):
     """First-kind Riccati-Bessel pairs (psi_ell(x), psi_ell'(x)) for complex x.
 
-    ``ell`` (integer orders) and ``x`` broadcast together like numpy
-    operands, giving arrays of the broadcast shape, or Python scalars when
-    both are scalars.  Each (order, element) is evaluated in its own
-    regime: x = 0 exactly, the Taylor series for |x| < 0.2 sqrt(ell+1),
-    and otherwise a downward continued-fraction sweep, run once per element
-    of ``x`` up to the largest order and shared by every order and by up to
-    _CHUNK arguments of similar |x|.  The sweep's own order-0 member is
-    checked against cot x (disagreement beyond 1e-8, or a non-finite sweep,
-    switches that element's orders above 0 to the series; order 0 is sin x,
-    cos x exactly).  Every pair is then scaled by a power of two into
+    ``ell`` (nonnegative integer orders; ValueError naming any other) and
+    ``x`` broadcast together like numpy operands, giving arrays of the
+    broadcast shape, or Python scalars when both are scalars.  Each (order,
+    element) is evaluated in its own regime: x = 0 exactly, the Taylor
+    series for |x| < 0.2 sqrt(ell+1), and otherwise a downward
+    continued-fraction sweep, run once per element of ``x`` up to the
+    largest order and shared by every order and by up to _CHUNK arguments
+    of similar |x|.  The sweep's own order-0 member is checked against
+    cot x (disagreement beyond 1e-8, or a non-finite sweep, switches that
+    element's orders above 0 to the series; order 0 is sin x, cos x
+    exactly).  Every pair is then scaled by a power of two into
     max(|psi|, |psi'|) in [1, 2); true values are psi e^{log_scale}.
     """
-    ell_in = np.asarray(ell).astype(int)
+    ell_in = np.asarray(ell)
+    bad = ~((ell_in >= 0) & (ell_in % 1 == 0))
+    if bad.any():
+        raise ValueError(f"orders must be nonnegative integers, got {ell_in[bad]}")
+    ell_in = ell_in.astype(int)
     x_in = np.asarray(x, dtype=complex)
     shape = np.broadcast_shapes(ell_in.shape, x_in.shape)
     ells, which = np.unique(ell_in, return_inverse=True)
@@ -296,7 +301,7 @@ def _symbol_eigenvalues(sp, chart, media, base, r0_target):
 def dtn_compare(ell_list, lam, media, R=1.0):
     """Exact mode impedances vs boundary-symbol eigenvalues on the ball.
 
-    ``media`` is either a MediaField of constant fields or an (eps, mu) pair.
+    ``media`` is the (eps, mu) pair of the constant media.
     Each row covers one (ell, pol): the exact value and the relative error of
     every truncation order in ORDERS at r0 = h^2 ell(ell+1)/R^2.  The exact
     values of every ell come from one Riccati-Bessel call; modes at an
@@ -304,12 +309,10 @@ def dtn_compare(ell_list, lam, media, R=1.0):
     with both modes resonant builds no symbol).  Requires theta >= h^{2/5}
     (the admissible-frequency region of the symbol estimates).
     """
-    if isinstance(media, tuple):
-        eps0, mu0 = media
-        media = MediaField.constant(eps0, mu0)
+    eps0, mu0 = media
+    media = MediaField.constant(eps0, mu0)
     chart = SurfaceChart.sphere(R)
     base = (math.pi / 2.0, 0.0)
-    eps0, mu0 = media.boundary_values(chart, base[0], base[1])
     sp = split_lambda(lam)
     if sp.theta < sp.h ** 0.4:
         raise ConfigError(

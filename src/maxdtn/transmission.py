@@ -95,15 +95,14 @@ def _products(cfg: TransmissionConfig, pol, psi, dpsi):
     return sign, cfg.w1 * (num[0] * den[1]), cfg.w2 * (num[1] * den[0])
 
 
-def mode_determinant(cfg: TransmissionConfig, ell, lam, pol, scaled=False):
+def mode_determinant(cfg: TransmissionConfig, ell, lam, pol):
     """Denominator-cleared determinant whose zeros are the (ell, pol)
-    transmission eigenvalues.
+    transmission eigenvalues, as ``(value, relative_magnitude, log_scale)``.
 
     TE: i (c1 sqrt(eps1/mu1) psi'(x1) psi(x2) - c2 sqrt(eps2/mu2) psi'(x2) psi(x1)),
     TM: -i (c1 sqrt(eps1/mu1) psi(x1) psi'(x2) - c2 sqrt(eps2/mu2) psi(x2) psi'(x1)),
-    with x_j = lam n_j R; entire in lam.  With ``scaled=True`` returns
-    ``(value, relative_magnitude, log_scale)`` where the true determinant is
-    value * e^{log_scale} and relative_magnitude is |value| over the larger
+    with x_j = lam n_j R; entire in lam.  The true determinant is
+    value * e^{log_scale}, and relative_magnitude is |value| over the larger
     of the two cleared products (the honest distance-to-zero measure).  The
     pairs are normalized, so neither product can underflow.
 
@@ -121,10 +120,8 @@ def mode_determinant(cfg: TransmissionConfig, ell, lam, pol, scaled=False):
     sign, t1, t2 = _products(cfg, pol, rp.psi, rp.dpsi)
     val = sign * (t1 - t2)
     log_scale = np.broadcast_to(rp.log_scale[0] + rp.log_scale[1], val.shape)
-    if scaled:
-        mag = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
-        return val[()], (np.abs(val) / mag)[()], log_scale[()]
-    return (val * np.exp(log_scale))[()]
+    mag = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
+    return val[()], (np.abs(val) / mag)[()], log_scale[()]
 
 
 def _value_and_slope(cfg: TransmissionConfig, ell, lam, pol):
@@ -158,11 +155,12 @@ _NEARZERO_REL = 1e-10
 _JITTER = 1e-3
 _ATTEMPTS = 5
 
-#: refinement levels of a contour edge, the bisection levels one
-#: determinant evaluation takes ahead, and the box size at which
-#: locate_zeros polishes a box's zeros by Newton from its centre
-_MAX_DEPTH = 24
+#: bisection levels of one refinement round (it cuts a segment into
+#: 2^_AHEAD equal pieces), the refinement levels of a contour edge (a
+#: whole number of rounds), and the box size at which locate_zeros
+#: polishes a box's zeros by Newton from its centre
 _AHEAD = 4
+_MAX_DEPTH = 6 * _AHEAD
 _BOX_TOL = 1e-3
 
 #: relative step at which Newton polishing stops, and its iteration cap
@@ -208,14 +206,16 @@ def _knots(cfg: TransmissionConfig, rect):
 def _count_batch(cfg: TransmissionConfig, jobs):
     """Winding counts of many (ell, pol, rect) jobs, as count_zeros makes
     each alone; one entry per job, its count or the ContourThroughZero that
-    count_zeros would raise for it.
+    count_zeros would raise for it.  Raises ValueError for a rectangle
+    (re0, re1, im0, im1) that is not finite with re0 < re1 and im0 < im1.
 
     Every job follows its own segments and its own phase, but the seed
     knots of all jobs are one determinant evaluation (every mode at every
     distinct rectangle's knots, so jobs on one contour share them), and so
-    are the points ahead of every job's unresolved segments at a refinement
-    level.  A job that hits a zero drops out with its error; the others go
-    on.
+    is each refinement round: it cuts every unresolved segment of every job
+    into 2^_AHEAD equal pieces, evaluates their interior points in one call
+    and leaves the pieces to the next round to judge.  A job that hits a
+    zero drops out with its error; the others go on.
     """
     out = [None] * len(jobs)
     order = np.array([_origin_order(cfg, ell, pol) for ell, pol, _ in jobs])
@@ -225,6 +225,8 @@ def _count_batch(cfg: TransmissionConfig, jobs):
     size = 0
     for j, (ell, pol, rect) in enumerate(jobs):
         re0, re1, im0, im1 = rect
+        if not (all(map(math.isfinite, rect)) and re0 < re1 and im0 < im1):
+            raise ValueError(f"rectangle {rect} is not finite with re0 < re1 and im0 < im1")
         if not encloses[j] and re0 <= 0.0 <= re1 and im0 <= 0.0 <= im1:
             out[j] = ContourThroughZero(f"lam = 0 lies on the edge of {rect}")
             continue
@@ -238,7 +240,7 @@ def _count_batch(cfg: TransmissionConfig, jobs):
     pols = np.array([pol for _, pol, _ in jobs])
     lam = np.concatenate([k for _, k in rects.values()])
     val, rel, _ = mode_determinant(cfg, np.array([e for e, _ in modes])[:, None], lam,
-                                   np.array([p for _, p in modes])[:, None], scaled=True)
+                                   np.array([p for _, p in modes])[:, None])
     job, row, ia = [], [], []
     for j, (ell, pol, rect) in enumerate(jobs):
         if out[j] is None:
@@ -249,15 +251,10 @@ def _count_batch(cfg: TransmissionConfig, jobs):
     job, row, ia = np.concatenate(job), np.concatenate(row), np.concatenate(ia)
     a, b, va, vb = lam[ia], lam[ia + 1], val[row, ia], val[row, ia + 1]
     ra, rb = rel[row, ia], rel[row, ia + 1]
-    # ahead: each segment's interior points of its next bisection levels, in
-    # order, with their values.  A segment with none left gets the
-    # 2^_AHEAD - 1 points of its next _AHEAD levels in one evaluation; each
-    # level splits it at the middle point and hands each half its side.
-    ahead = (np.empty((len(a), 0), dtype=complex),) * 2 + (np.empty((len(a), 0)),)
     total = np.zeros(len(jobs))
-    for depth in range(_MAX_DEPTH + 1):
+    for depth in range(0, _MAX_DEPTH + 1, _AHEAD):
         failed = {}
-        if depth >= 3:
+        if depth:
             low = np.minimum(ra, rb)
             for i in np.nonzero(low < _NEARZERO_REL)[0].tolist():
                 failed.setdefault(int(job[i]), ContourThroughZero(
@@ -279,22 +276,14 @@ def _count_batch(cfg: TransmissionConfig, jobs):
         if not keep.any():
             break
         a, b, va, vb, ra, rb, job = (v[keep] for v in (a, b, va, vb, ra, rb, job))
-        ahead = tuple(v[keep] for v in ahead)
-        if ahead[0].shape[1] == 0:
-            pts = np.stack([a, b], axis=1)
-            for _ in range(_AHEAD):
-                grid = np.empty((len(a), 2 * pts.shape[1] - 1), dtype=complex)
-                grid[:, ::2], grid[:, 1::2] = pts, 0.5 * (pts[:, :-1] + pts[:, 1:])
-                pts = grid
-            ahead = (pts[:, 1:-1],) + mode_determinant(
-                cfg, ells[job][:, None], pts[:, 1:-1], pols[job][:, None], scaled=True)[:2]
-        h = ahead[0].shape[1] // 2
-        m, vm, rm = (v[:, h] for v in ahead)
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
-        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-        ra, rb = np.concatenate([ra, rm]), np.concatenate([rm, rb])
-        job = np.concatenate([job, job])
-        ahead = tuple(np.concatenate([v[:, :h], v[:, h + 1:]]) for v in ahead)
+        # the round: 2^_AHEAD equal pieces, each ending where the next begins
+        pts = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 2 ** _AHEAD + 1)
+        pts[:, -1] = b
+        vm, rm, _ = mode_determinant(cfg, ells[job][:, None], pts[:, 1:-1], pols[job][:, None])
+        v, r = np.column_stack([va, vm, vb]), np.column_stack([ra, rm, rb])
+        a, b = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+        va, vb, ra, rb = v[:, :-1].ravel(), v[:, 1:].ravel(), r[:, :-1].ravel(), r[:, 1:].ravel()
+        job = np.repeat(job, 2 ** _AHEAD)
     for j, (_, _, rect) in enumerate(jobs):
         if out[j] is not None:
             continue
@@ -309,13 +298,13 @@ def _count_batch(cfg: TransmissionConfig, jobs):
 def count_zeros(cfg: TransmissionConfig, ell, pol, rect):
     """Number of determinant zeros inside a closed rectangle, by winding.
 
-    ``rect`` is (re0, re1, im0, im1).  Edges are sampled adaptively until
-    every phase step is below 0.8 rad; a sample whose relative magnitude
-    drops under 1e-10 after three refinement levels raises
-    :class:`ContourThroughZero` (the caller should perturb the rectangle).
-    The seed knots of all four edges are one determinant evaluation; each
-    later evaluation takes every point the next _AHEAD bisection levels of
-    the unresolved segments can need, so it serves that many levels.
+    ``rect`` is (re0, re1, im0, im1), finite with re0 < re1 and im0 < im1
+    (ValueError otherwise).  Edges are sampled adaptively until every phase
+    step is below 0.8 rad: the seed knots of all four edges are one
+    evaluation, and each round after them cuts every unresolved segment into
+    2^_AHEAD equal pieces, evaluated in one call.  A piece end of relative
+    magnitude under 1e-10 raises :class:`ContourThroughZero` (the caller
+    should perturb the rectangle).
 
     The phase followed is that of D(lam) / lam^m, m the order of the zero
     at lam = 0: near the origin the phase of D itself turns m times faster
@@ -439,14 +428,15 @@ class TileReport:
     violators: list = field(default_factory=list)
 
 
-#: height of the scanned band above the curve's top, and the upper end
-#: and step of the bisection in calibrate_C
+#: height of the scanned band above the curve's top, the number of tiles
+#: across Re, and the upper end and step of the bisection in calibrate_C
 _IM_MARGIN = 10.0
+_N_TILES = 12
 _C_HI = 8.0
 _C_TOL = 0.05
 
 
-def region_scan(cfg: TransmissionConfig, ell_max, re_max, C, n_tiles=12):
+def region_scan(cfg: TransmissionConfig, ell_max, re_max, C):
     """Winding counts over the region Re in (0, re_max],
     Im >= C (Re + 1)^exponent, capped _IM_MARGIN above the curve's top.
 
@@ -454,11 +444,14 @@ def region_scan(cfg: TransmissionConfig, ell_max, re_max, C, n_tiles=12):
     region; any zero found in a tile is located and kept as a violator only
     when it actually lies above the curve.  Returns the list of per-tile,
     per-mode reports; the region is certified free when no report carries a
-    violator.
+    violator.  Raises ValueError unless ell_max >= 1, re_max > 0 and C > 0:
+    no other scan can certify anything.
     """
+    if not (ell_max >= 1 and re_max > 0.0 and C > 0.0):
+        raise ValueError(f"scan needs ell_max >= 1, re_max > 0, C > 0; got {ell_max, re_max, C}")
     p = cfg.exponent
     im_max = C * (re_max + 1.0) ** p + _IM_MARGIN
-    edges = np.linspace(0.0, re_max, n_tiles + 1)
+    edges = np.linspace(0.0, re_max, _N_TILES + 1)
     tiles = []
     for a, b in zip(edges[:-1], edges[1:]):
         im0 = C * (a + 1.0) ** p

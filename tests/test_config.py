@@ -110,7 +110,7 @@ def test_load_config_bad_boolean(tmp_path, text):
     ("eps", -1.0), ("radius", 0.0), ("theta", float("nan")),
     ("N", 1), ("chart", "torus"), ("grid_n", 100), ("npoints", -3),
     ("grid_n", 0), ("ell_max", 0), ("axes", (0.0, 1.0, 1.0)), ("axes", (1.0, 1.0)),
-    ("axes", (1.0, float("inf"), 1.0)), ("axes", (1.0, -1.2, 0.8)),
+    ("axes", (1.0, float("inf"), 1.0)), ("axes", (1.0, -1.2, 0.8)), ("region_C", 0.0),
 ])
 def test_validate_rejects(field, value):
     cfg = RunConfig()
@@ -130,13 +130,11 @@ def test_items_covers_all_fields():
 #: a new option is added here on purpose, not by accident
 DEFAULTED_PARAMETERS = {
     "cli._write_csv:summary", "cli.cmd_identities:fault_gamma", "cli.main:argv",
-    "config.load_config:base",
     "eikonal.eikonal_coeffs:flattened",
     "geometry.SurfaceChart.random_points:margin", "geometry.SurfaceChart.sphere:radius",
     "geometry.gamma_pointwise:x1",
     "mie.dtn_compare:R",
     "quantizer.boundedness_check:n", "quantizer.composition_defect:n",
-    "transmission.mode_determinant:scaled", "transmission.region_scan:n_tiles",
     "transport.maxwell_residual:ftilde",
     "transport.transport_coeffs:J", "transport.transport_coeffs:media_corrections",
     "transport.transport_coeffs:scheme",

@@ -186,6 +186,35 @@ def test_dtn_compare_errors_shrink_with_h():
         assert small["err_order1"] < small["err_order0"]
 
 
+def test_dtn_slopes_across_ell_h():
+    # at theta = 0.5 the symbol's errors fall like h (order 0) and h^2
+    # (order 1) at every ell h, through glancing (ell h = 1) too
+    hs = (1 / 40, 1 / 80, 1 / 160)
+    errs = {}
+    for h in hs:
+        ells = [round(eh / h) for eh in (0.25, 1.0, 2.0)]
+        for r in dtn_compare(ells, complex(1.0, 0.5) / h, (1.0, 1.0)):
+            assert not r["resonant"]
+            for o in (0, 1):
+                errs.setdefault((r["ell"] * h, r["pol"], o), []).append(r[f"err_order{o}"])
+    assert len(errs) == 3 * 2 * 2
+    for (_, _, o), e in errs.items():
+        slope = np.polyfit(np.log(hs), np.log(e), 1)[0]
+        assert slope >= (0.9 if o == 0 else 1.7)
+
+
+def test_orders_must_be_nonnegative_integers():
+    # a fractional order would run as its integer part (the impedance at
+    # 1.7 as the ell = 1 one), and a negative order has no pair
+    for ell in (2.5, 1.7, -1, np.array([1, 2.5]), np.array([[0], [-3]])):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            riccati_bessel(ell, 1.3 + 0.2j)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            exact_mode_impedance(ell, 2 + 1j, 1.0, 1.0, 1.0, "TE")
+    # an integer-valued float is an order
+    assert riccati_bessel(2.0, 1.3) == riccati_bessel(2, 1.3)
+
+
 def test_dtn_compare_builds_one_symbol_per_ell(monkeypatch):
     # both truncation orders are read from one boundary-symbol build
     calls = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import maxdtn.transmission
+from maxdtn.config import RunConfig
 from maxdtn.errors import (CoincidentMedia, ContourThroughZero,
                            InteriorResonance)
 from maxdtn.mie import exact_mode_impedance, riccati_bessel
@@ -52,17 +53,23 @@ def test_determinant_agrees_with_impedance_route():
                 alt = (CFG.c1 * z1 - CFG.c2 * z2) * p1.psi * p2.psi
             else:
                 alt = (CFG.c1 * z1 - CFG.c2 * z2) * p1.dpsi * p2.dpsi
-            val, _, _ = mode_determinant(CFG, ell, lam, pol, scaled=True)
+            val, _, _ = mode_determinant(CFG, ell, lam, pol)
             scale = max(abs(val), abs(alt))
             assert abs(val - alt) < 1e-11 * scale
+
+
+def _true_determinant(cfg, ell, lam, pol):
+    """The determinant itself, value * e^{log_scale}, for moderate |Im lam|."""
+    val, _, log_scale = mode_determinant(cfg, ell, lam, pol)
+    return val * np.exp(log_scale)
 
 
 def test_determinant_conjugation():
     # real coefficients: D(conj(lam)) = conj(D(lam))
     lam = 3.1 + 0.8j
     for pol in ("TE", "TM"):
-        a = mode_determinant(CFG, 2, lam, pol)
-        b = mode_determinant(CFG, 2, lam.conjugate(), pol)
+        a = _true_determinant(CFG, 2, lam, pol)
+        b = _true_determinant(CFG, 2, lam.conjugate(), pol)
         # the determinant carries an overall factor +-i, so conjugation
         # flips its sign
         assert abs(a.conjugate() + b) < 1e-12 * abs(a)
@@ -81,7 +88,7 @@ def test_located_roots_are_zeros():
     assert len(zs) == len(ROOTS_TM)
     for z, ref in zip(zs, ROOTS_TM):
         assert abs(z - ref) < 1e-6
-        _, rel, _ = mode_determinant(CFG, 1, z, "TM", scaled=True)
+        _, rel, _ = mode_determinant(CFG, 1, z, "TM")
         assert rel < 1e-10
 
 
@@ -119,9 +126,9 @@ def test_analytic_slope_matches_central_difference(lam):
     for ell in (1, 3, 12):
         for pol in ("TE", "TM"):
             val, slope = _value_and_slope(CFG, ell, lam, pol)
-            fd = (mode_determinant(CFG, ell, lam + h, pol)
-                  - mode_determinant(CFG, ell, lam - h, pol)) / (2 * h)
-            want = fd / mode_determinant(CFG, ell, lam, pol)
+            fd = (_true_determinant(CFG, ell, lam + h, pol)
+                  - _true_determinant(CFG, ell, lam - h, pol)) / (2 * h)
+            want = fd / _true_determinant(CFG, ell, lam, pol)
             assert abs(slope / val - want) < 1e-7 * abs(want)
 
 
@@ -223,7 +230,7 @@ def test_contour_through_zero_detected():
 
 
 def test_scaled_determinant_contract():
-    val, rel, log_scale = mode_determinant(CFG, 3, 2 + 400j, "TE", scaled=True)
+    val, rel, log_scale = mode_determinant(CFG, 3, 2 + 400j, "TE")
     assert 0.0 <= rel <= 2.0
     # true value = val * e^{log_scale}; the scale absorbs the exponential
     # growth so val itself stays representable
@@ -232,13 +239,13 @@ def test_scaled_determinant_contract():
 
 
 def test_region_scan_free_at_large_C():
-    reports = region_scan(CFG, 2, 10.0, 2.0, n_tiles=6)
+    reports = region_scan(CFG, 2, 10.0, 2.0)
     assert region_is_free(reports)
     assert all(r.winding == 0 for r in reports)
 
 
 def test_region_scan_finds_violator_at_small_C():
-    reports = region_scan(CFG, 1, 7.0, 0.05, n_tiles=6)
+    reports = region_scan(CFG, 1, 7.0, 0.05)
     assert not region_is_free(reports)
     violators = [z for r in reports for z in r.violators]
     assert any(abs(z - ROOTS_TM[0]) < 1e-6 for z in violators)
@@ -305,7 +312,7 @@ def test_high_order_determinant_does_not_underflow(ell):
     # pair is representable, and so is the determinant's relative magnitude
     lam = 2.2911 + 0.09125j
     for pol in ("TE", "TM"):
-        _, rel, _ = mode_determinant(CFG, ell, lam, pol, scaled=True)
+        _, rel, _ = mode_determinant(CFG, ell, lam, pol)
         want = _mpmath_relative_magnitude(CFG, ell, pol, lam)
         assert abs(rel - want) <= 1e-10 * want
 
@@ -317,3 +324,55 @@ def test_region_scan_free_through_high_orders():
     assert region_is_free(reports)
     assert len(reports) == 130 * 2 * 12
     assert not any(r.winding for r in reports if r.ell > 40)
+
+
+def test_malformed_rectangle_raises():
+    # a reversed edge winds clockwise, so its count has the wrong sign or
+    # counts zeros outside; a zero-width or NaN rectangle bounds nothing
+    for rect in [(7.0, 0.5, 0.05, 1.5), (7.0, 0.5, 1.5, 0.05),
+                 (0.5, 0.5, 0.05, 1.5), (0.5, 7.0, math.nan, 1.5)]:
+        for fn in (count_zeros, locate_zeros):
+            with pytest.raises(ValueError, match="rectangle"):
+                fn(CFG, 1, "TM", rect)
+
+
+def test_scan_that_cannot_certify_raises():
+    # no modes, zero-width tiles, or tiles down to the zero at lam = 0
+    for ell_max, re_max, C in [(0, 10.0, 0.5), (2, 0.0, 0.5), (2, -1.0, 0.5),
+                               (2, 10.0, 0.0), (2, 10.0, -0.1), (2, 10.0, math.nan)]:
+        with pytest.raises(ValueError, match="scan needs"):
+            region_scan(CFG, ell_max, re_max, C)
+
+
+def test_default_scan_covers_the_oscillating_modes():
+    # psi_ell oscillates only for |x| >~ ell + 1/2, so eigenvalues below
+    # re_max need ell <~ n_max re_max R: ten orders past that, the default
+    # scan is still free and no mode above its ell_max winds
+    run = RunConfig()
+    cfg = TransmissionConfig(run.eps, run.mu, run.c1, run.eps2, run.mu2, run.c2, R=run.radius)
+    ell_top = math.ceil(max(cfg.n1, cfg.n2) * run.re_max * cfg.R) + 10
+    assert ell_top == 53
+    reports = region_scan(cfg, ell_top, run.re_max, run.region_C)
+    assert region_is_free(reports)
+    assert {(r.ell, r.pol) for r in reports if r.winding} == {(2, "TM")}
+    assert not any(r.winding for r in reports if r.ell > run.ell_max)
+
+
+def test_each_refinement_call_cuts_segments_into_equal_pieces(monkeypatch):
+    # after the seeds, each round is one call on the 15 interior points of
+    # 16 equal pieces of every unresolved segment
+    seen = []
+    determinant = maxdtn.transmission.mode_determinant
+
+    def recording(cfg, ell, lam, pol):
+        seen.append(np.asarray(lam))
+        return determinant(cfg, ell, lam, pol)
+
+    monkeypatch.setattr(maxdtn.transmission, "mode_determinant", recording)
+    assert count_zeros(CFG, 1, "TM", (0.5, 7.0, 0.05, 1.5)) == 2
+    seeds, *rounds = seen
+    assert seeds.ndim == 1 and rounds
+    for pts in rounds:
+        assert pts.ndim == 2 and pts.shape[1] == 15
+        step = np.diff(pts, axis=1)
+        assert np.allclose(step, step[:, :1], rtol=1e-6, atol=0.0)
