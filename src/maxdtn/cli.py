@@ -29,7 +29,7 @@ from .quantizer import boundedness_check, composition_defect, operator_norm, \
     quantize
 from .numerics import sqrt_upper
 from .spectral import calB, split_lambda
-from .transmission import TransmissionConfig, calibrate_C, region_is_free, \
+from .transmission import TransmissionConfig, _calibrate, region_is_free, \
     region_scan, symbol_T
 from .transport import maxwell_residual, transport_coeffs
 
@@ -282,21 +282,22 @@ def cmd_dtn_compare(cfg: RunConfig):
 def cmd_te_scan(cfg: RunConfig):
     tcfg = TransmissionConfig(cfg.eps, cfg.mu, cfg.c1,
                               cfg.eps2, cfg.mu2, cfg.c2, R=cfg.radius)
-    if cfg.calibrate:
-        C = calibrate_C(tcfg, cfg.ell_max, cfg.re_max)
-    else:
-        C = cfg.region_C
+    C, witness = (_calibrate(tcfg, cfg.ell_max, cfg.re_max) if cfg.calibrate
+                  else (cfg.region_C, None))
     reports = region_scan(tcfg, cfg.ell_max, cfg.re_max, C)
     rows = [(r.re0, r.re1, r.im0, r.im1, r.ell, r.pol, r.winding)
             for r in reports]
     free = region_is_free(reports)
     violators = [z for r in reports for z in r.violators]
     top = max(r.im1 for r in reports)
-    summary = [f"C = {_fmt(float(C))}",
-               f"total winding = {sum(r.winding for r in reports)}",
-               f"region free = {free}",
-               f"scanned up to Im = {_fmt(top)}; the band above is not examined",
-               f"modes scanned: ell = 1..{cfg.ell_max}, TE and TM; higher ell are not examined"]
+    summary = [f"C = {_fmt(float(C))}"]
+    if witness is not None:
+        c_star, ell, pol, z = witness
+        summary.append(f"C* = {_fmt(c_star)} set by ell = {ell} {pol} at {_fmt(z)}")
+    summary += [f"total winding = {sum(r.winding for r in reports)}",
+                f"region free = {free}",
+                f"scanned up to Im = {_fmt(top)}; the band above is not examined",
+                f"modes scanned: ell = 1..{cfg.ell_max}, TE and TM; higher ell are not examined"]
     summary += [f"violator: {_fmt(z)}" for z in violators[:20]]
     ok = free if cfg.certify else True
     cols = ["re0", "re1", "im0", "im1", "ell", "pol", "winding"]

@@ -342,17 +342,26 @@ def _count_safe(cfg, jobs):
     return out
 
 
-def _newton(cfg, ell, pol, z0):
-    z = complex(z0)
+def _newton(cfg, ell, pol, box, confined):
+    """Newton's method from the centre of ``box``: the iterate where a step
+    falls below _NEWTON_TOL relative, if the determinant's relative
+    magnitude there is below _NEARZERO_REL, else None.  When ``confined``
+    it gives up (None) as soon as an iterate leaves the open box.
+    """
+    re0, re1, im0, im1 = box
+    z = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
     for _ in range(_NEWTON_MAXIT):
         f0, der = _value_and_slope(cfg, ell, z, pol)
         if der == 0.0:
-            break
+            return None
         step = complex(f0 / der)
         z -= step
+        if confined and not (re0 < z.real < re1 and im0 < z.imag < im1):
+            return None
         if abs(step) < _NEWTON_TOL * max(1.0, abs(z)):
-            break
-    return z
+            _, rel, _ = mode_determinant(cfg, ell, z, pol)
+            return z if rel < _NEARZERO_REL else None
+    return None
 
 
 def _split(cfg, ell, pol, rect, n):
@@ -382,10 +391,13 @@ def _split(cfg, ell, pol, rect, n):
 def locate_zeros(cfg: TransmissionConfig, ell, pol, rect):
     """All zeros in a rectangle by recursive subdivision + Newton polish.
 
-    Each box is split into four children that partition it exactly, so a
-    zero is found in one leaf only; the number of zeros returned equals the
-    winding count of the rectangle (raises :class:`ContourThroughZero`
-    otherwise).
+    A box counted to hold one zero keeps Newton's result from its centre
+    when every iterate stays inside the box: the count makes it the box's
+    zero.  Any other box is split into four children that partition it
+    exactly, so a zero is found in one leaf only, down to leaves smaller
+    than _BOX_TOL, polished by Newton from their centre.  The zeros
+    returned are zeros of the determinant, as many as the winding count of
+    the rectangle (raises :class:`ContourThroughZero` otherwise).
     """
     (count, root), = _count_safe(cfg, [(ell, pol, rect)])
     return _locate(cfg, ell, pol, root, count)
@@ -400,10 +412,16 @@ def _locate(cfg, ell, pol, root, count):
         if n == 0:
             continue
         re0, re1, im0, im1 = r
-        if max(re1 - re0, im1 - im0) < _BOX_TOL:
-            z = _newton(cfg, ell, pol, complex(0.5 * (re0 + re1), 0.5 * (im0 + im1)))
-            out.extend([z] * n)
-            continue
+        leaf = max(re1 - re0, im1 - im0) < _BOX_TOL
+        if n == 1 or leaf:
+            z = _newton(cfg, ell, pol, r, confined=not leaf)
+            if z is not None:
+                out.extend([z] * n)
+                continue
+            if leaf:
+                raise ContourThroughZero(
+                    f"(ell={ell}, {pol}): Newton from the centre of {r} reaches "
+                    f"no zero of the determinant")
         stack.extend(_split(cfg, ell, pol, r, n))
     if len(out) != count:
         raise ContourThroughZero(
@@ -429,11 +447,14 @@ class TileReport:
 
 
 #: height of the scanned band above the curve's top, the number of tiles
-#: across Re, and the upper end and step of the bisection in calibrate_C
+#: across Re, the upper end and step of the bisection in calibrate_C, and
+#: the slack by which a located zero below the curve still counts as a
+#: violator
 _IM_MARGIN = 10.0
 _N_TILES = 12
 _C_HI = 8.0
 _C_TOL = 0.05
+_SLACK = 1e-9
 
 
 def region_scan(cfg: TransmissionConfig, ell_max, re_max, C):
@@ -476,7 +497,7 @@ def region_scan(cfg: TransmissionConfig, ell_max, re_max, C):
             if n > 0:
                 zs = _locate(cfg, ell, pol, root, n)
                 rep.violators = [z for z in zs
-                                 if z.imag >= C * (z.real + 1.0) ** p - 1e-9]
+                                 if z.imag >= C * (z.real + 1.0) ** p - _SLACK]
             reports.append(rep)
     return reports
 
@@ -488,19 +509,49 @@ def region_is_free(reports):
 def calibrate_C(cfg: TransmissionConfig, ell_max, re_max):
     """Smallest C (to within _C_TOL) whose parabolic region is zero-free.
 
-    Plain bisection on C; the returned value carries a one-tol safety
-    margin so the certified region stays clear of the last violator found.
+    The result of bisection on C from _C_HI down to a step g <= _C_TOL,
+    plus a one-tol safety margin so the certified region stays clear of
+    the last violator found.
     """
+    return _calibrate(cfg, ell_max, re_max)[0]
+
+
+def _calibrate(cfg: TransmissionConfig, ell_max, re_max):
+    """(calibrate_C, witness): witness is (C*, ell, pol, z) of the violator
+    with the largest ratio C* = (Im z + _SLACK) / (Re z + 1)^p in the first
+    scan of C = _C_HI / 2^k that has violators, or None if none does.
+
+    Bisection returns the first multiple of g above C*, so one scan there
+    certifies it (none if it is a halving value scanned free); all these
+    values are dyadic, so the result is bitwise bisection's.  A scan's Im
+    cap rises with C, so that scan may see a violator the lower one did
+    not; bisection then goes on from the last two halvings.
+    """
+    p = cfg.exponent
     if not region_is_free(region_scan(cfg, ell_max, re_max, _C_HI)):
         raise ValueError(f"region not zero-free even at C = {_C_HI}")
-    lo, hi = 0.0, _C_HI
+    halvings = [_C_HI]
+    while halvings[-1] > _C_TOL:
+        halvings.append(0.5 * halvings[-1])
+    g = halvings[-1]
+    for lo, hi in zip(halvings[1:], halvings):
+        reports = region_scan(cfg, ell_max, re_max, lo)
+        if not region_is_free(reports):
+            break
+    else:
+        return g + _C_TOL, None
+    witness = max((((z.imag + _SLACK) / (z.real + 1.0) ** p, r.ell, r.pol, z)
+                   for r in reports for z in r.violators), key=lambda w: w[0])
+    cand = (math.floor(witness[0] / g) + 1) * g
+    if cand == hi or (lo < cand < hi and region_is_free(region_scan(cfg, ell_max, re_max, cand))):
+        return cand + _C_TOL, witness
     while hi - lo > _C_TOL:
         mid = 0.5 * (lo + hi)
         if region_is_free(region_scan(cfg, ell_max, re_max, mid)):
             hi = mid
         else:
             lo = mid
-    return hi + _C_TOL
+    return hi + _C_TOL, witness
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,26 @@ def test_te_scan_certified(tmp_path):
             in text)
 
 
+def test_te_scan_calibrated_names_the_violator_setting_C(tmp_path):
+    # the test_08 media at ell <= 4, Re <= 4: the ell = 1 TM eigenvalue
+    # 2.6945+0.7092i has the largest ratio Im / (Re + 1)^(5/7), which puts
+    # C on the first calibration grid value above it
+    cfg = write_cfg(tmp_path,
+                    "eps = 4.0\neps2 = 1.0\nmu2 = 1.0\nell_max = 4\nre_max = 4.0\n"
+                    "calibrate = true\ncertify = true\n")
+    rc = main(["te-scan", "--config", cfg, "--output-dir", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "te_scan.csv").read_text()
+    assert "# C = 0.33124999999999999\n" in text
+    assert "# region free = True\n" in text
+    m = re.search(r"^# C\* = (\S+) set by ell = 1 TM at (\S+)j$", text, re.M)
+    assert m
+    c_star, z = float(m.group(1)), complex(m.group(2) + "j")
+    assert abs(z - (2.6945328938 + 0.7091600682j)) < 1e-9
+    assert c_star == pytest.approx((z.imag + 1e-9) / (z.real + 1.0) ** (5.0 / 7.0), rel=1e-15)
+    assert 0.33125 - 0.05 - 0.03125 <= c_star < 0.33125 - 0.05
+
+
 def test_identities_points_column(tmp_path):
     # every identity of a clean run is evaluated at every point; under the
     # fault no point survives the tangency filter, so the two checks that

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 import maxdtn.transmission
+from calibration_oracle import bisect_C
 from maxdtn.config import RunConfig
 from maxdtn.errors import (CoincidentMedia, ContourThroughZero,
                            InteriorResonance)
 from maxdtn.mie import exact_mode_impedance, riccati_bessel
 from maxdtn.spectral import split_lambda
-from maxdtn.transmission import (TransmissionConfig, _count_batch, _count_safe,
-                                 _value_and_slope, calibrate_C, count_zeros, locate_zeros,
-                                 mode_determinant, region_is_free, region_scan,
-                                 symbol_T)
+from maxdtn.transmission import (TileReport, TransmissionConfig, _count_batch,
+                                 _count_safe, _newton, _value_and_slope, calibrate_C,
+                                 count_zeros, locate_zeros, mode_determinant,
+                                 region_is_free, region_scan, symbol_T)
 
 CFG = TransmissionConfig(4.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -188,34 +189,35 @@ def test_batched_contour_hit_fails_one_job_only():
     assert rect[0] < through[2][0] and rect[2] < z.imag < rect[3]
 
 
-def _count_riccati_calls(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of a transmission function."""
     calls = []
-    pair = maxdtn.transmission.riccati_bessel
+    fn = getattr(maxdtn.transmission, name)
 
-    def counting(*args):
-        calls.append(1)
-        return pair(*args)
+    def spying(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(maxdtn.transmission, "riccati_bessel", counting)
+    monkeypatch.setattr(maxdtn.transmission, name, spying)
     return calls
 
 
 def test_region_scan_one_riccati_call_when_hull_is_free(monkeypatch):
     # every (ell, pol) hull count of a free region is one sweep for all
     # eight modes
-    calls = _count_riccati_calls(monkeypatch)
+    calls = _spy(monkeypatch, "riccati_bessel")
     assert region_is_free(region_scan(CFG, 4, 4.0, 2.0))
     assert len(calls) == 1
 
 
 def test_region_scan_riccati_calls_with_a_violator(monkeypatch):
-    # the hull, the tiles of the modes with positive hull winding, the
-    # four children of each split and the Newton polish of the ell = 1 TM
-    # eigenvalue
-    calls = _count_riccati_calls(monkeypatch)
+    # the hull, the tiles of the modes with positive hull winding, and the
+    # Newton polish of the ell = 1 TM eigenvalue from its tile's centre
+    # (about 20 steps, no split)
+    calls = _spy(monkeypatch, "riccati_bessel")
     reports = region_scan(CFG, 4, 4.0, 0.25)
     assert not region_is_free(reports)
-    assert len(calls) <= 66
+    assert len(calls) <= 30
 
 
 def test_empty_rectangle():
@@ -376,3 +378,84 @@ def test_each_refinement_call_cuts_segments_into_equal_pieces(monkeypatch):
         assert pts.ndim == 2 and pts.shape[1] == 15
         step = np.diff(pts, axis=1)
         assert np.allclose(step, step[:, :1], rtol=1e-6, atol=0.0)
+
+
+#: the C = 0.25 tile of region_scan(CFG, 4, 4.0, 0.25) that holds ROOTS_TM[0]
+_TILE = (8.0 / 3.0, 3.0, 0.25 * (8.0 / 3.0 + 1.0) ** (5.0 / 7.0),
+         0.25 * 5.0 ** (5.0 / 7.0) + 10.0)
+
+
+def test_one_zero_box_is_polished_without_splitting(monkeypatch):
+    # Newton from the centre of the tall tile stays inside it and reaches
+    # the eigenvalue, which the tile's count of one makes its only zero
+    splits = _spy(monkeypatch, "_split")
+    zs = locate_zeros(CFG, 1, "TM", _TILE)
+    assert splits == []
+    assert len(zs) == 1 and abs(zs[0] - ROOTS_TM[0]) < 1e-10
+
+
+def test_newton_leaving_a_one_zero_box_falls_back_to_splitting(monkeypatch):
+    # from the centre of this flat box Newton's path leaves it, so the box
+    # is split as any other, and its one zero is still located
+    box = (2.6, 4.5, 0.6, 0.8)
+    assert _newton(CFG, 1, "TM", box, confined=True) is None
+    splits = _spy(monkeypatch, "_split")
+    zs = locate_zeros(CFG, 1, "TM", box)
+    assert splits
+    assert len(zs) == count_zeros(CFG, 1, "TM", box) == 1
+    assert abs(zs[0] - ROOTS_TM[0]) < 1e-10
+
+
+def test_located_zero_that_does_not_vanish_raises(monkeypatch):
+    # a Newton that never converges leaves every box, then reaches no zero
+    # from the centre of a leaf: the leaf is named, and nothing is returned
+    monkeypatch.setattr(maxdtn.transmission, "_value_and_slope",
+                        lambda cfg, ell, lam, pol: (1.0 + 0.0j, 1.0 + 0.0j))
+    z = ROOTS_TM[0]
+    box = (z.real - 0.05, z.real + 0.05, z.imag - 0.05, z.imag + 0.05)
+    with pytest.raises(ContourThroughZero, match=r"ell=1, TM.*reaches no zero"):
+        locate_zeros(CFG, 1, "TM", box)
+
+
+# media with their calibrated C at ell <= 4, Re <= 4, by bisection
+_CALIBRATION_MEDIA = [
+    ((4.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.33125),
+    ((3.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.425),
+    ((5.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.33125),
+    ((2.5, 1.0, 1.0, 1.0, 1.0, 1.0), 0.45625),
+    ((6.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.3),
+    ((4.0, 1.0, 1.0, 1.5, 1.0, 1.0), 0.425),
+    ((1.0, 1.0, 1.0, 4.0, 1.0, 1.0), 0.33125),
+    ((3.0, 2.0, 2.0, 1.0, 1.0, 1.0), 0.3),
+]
+
+
+@pytest.mark.parametrize("media, C", _CALIBRATION_MEDIA)
+def test_calibration_equals_bisection(media, C):
+    cfg = TransmissionConfig(*media)
+    assert calibrate_C(cfg, 4, 4.0) == bisect_C(cfg, 4, 4.0) == C
+
+
+def test_calibration_scans(monkeypatch):
+    # the halvings 8, 4, 2, 1, 0.5 are free and 0.25 locates the ell = 1 TM
+    # eigenvalue; one scan certifies the grid value just above its ratio
+    scans = _spy(monkeypatch, "region_scan")
+    assert calibrate_C(CFG, 4, 4.0) == 0.33125
+    assert [C for _, _, _, C in scans] == [8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.28125]
+
+
+def test_calibration_falls_back_to_bisection(monkeypatch):
+    # a violator that only the certifying scan sees (as a zero above the
+    # lower scan's Im cap would be) sends calibration back to bisection
+    scan = maxdtn.transmission.region_scan
+
+    def stub(cfg, ell_max, re_max, C):
+        reports = scan(cfg, ell_max, re_max, C)
+        if C == 0.28125:
+            reports.append(TileReport(0.0, 1.0, 0.0, 1.0, 1, "TE", 1, [0.5 + 2.0j]))
+        return reports
+
+    monkeypatch.setattr(maxdtn.transmission, "region_scan", stub)
+    want = bisect_C(CFG, 4, 4.0)
+    assert want == 0.3625
+    assert calibrate_C(CFG, 4, 4.0) == want
