@@ -12,6 +12,13 @@ drive the transport recursion.
 A "flattened" variant replaces rho by i sqrt(r0) and drops the z^2 eps mu
 term; it feeds the high-frequency corrector of the boundary symbol.  The
 pointwise checks take every x1 of an array in one call.
+
+One build covers a batch of cotangent points at one GammaSeries: z and the
+components of xi' may be arrays of one point shape P, and every phase jet
+then carries the batch P + (1,) (the trailing axis meets the basis axis of
+the transport amplitudes).  Scalars keep unbatched jets.  The checks are
+per element: a degenerate rho names its point, and delta is halved only
+where the lower bound on Im phi fails.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateRho, OrderBudgetExceeded, OutsideRetainedRegion
 from .geometry import GammaSeries, _sqrt_pos, beta_jets, gamma_pointwise
-from .jets import VARS, Jet
+from .jets import VARS, Jet, _at
 from .numerics import dot, matvec, sqrt_upper, vadd, vscale
 
 log = logging.getLogger(__name__)
@@ -33,17 +40,36 @@ DELTA_DEFAULT = 0.1
 IMAG_SAMPLES = 40
 
 
+def _per_point(v):
+    """A point quantity (z or a component of xi') as a jet's per-element
+    scalar: a scalar stays one, an array of point shape P gets a trailing
+    axis of 1."""
+    return v if np.ndim(v) == 0 else np.asarray(v)[..., None]
+
+
+def _at_point(mask):
+    """jets._at naming the point of a per-point mask of shape P + (1,)."""
+    return _at(mask[..., 0] if np.ndim(mask) else mask)
+
+
 class PhaseSeries:
     """Phase coefficients phi_k (jets) at a fixed cotangent base point, with
     the x1-coefficients psi_k of psi = gamma grad phi (jet 3-vectors) and
-    the x1-coefficients eps_k, mu_k of the media along the normal."""
+    the x1-coefficients eps_k, mu_k of the media along the normal.
 
-    def __init__(self, gs: GammaSeries, sp, xiprime, phis, psis, rho_jet, media,
+    For a batch of points, rho and delta are arrays of shape P + (1,); the
+    pointwise checks (``grad_at``, ``retained``, the residuals) take an
+    unbatched phase.
+    """
+
+    def __init__(self, gs: GammaSeries, sp, xiprime, beta, phis, psis, rho_jet, media,
                  media_series, flattened):
         self.gs = gs
         self.sp = sp
+        self.z = _per_point(sp.z)
         self.base = gs.base
         self.xiprime = tuple(xiprime)
+        self.beta = beta
         self.phis = list(phis)           # phi_k, k = 0..deg (deg = len-1)
         self.psis = list(psis)           # psi_k, k = 0..deg-1
         self.rho_jet = rho_jet
@@ -54,8 +80,13 @@ class PhaseSeries:
         self.delta = DELTA_DEFAULT
         self.flattened = flattened
 
+    @property
+    def points(self):
+        """Point shape P of the batch (``()`` for one point)."""
+        return np.shape(self.rho)[:-1]
+
     def x1_max(self):
-        return 2.0 * self.delta * min(1.0, abs(self.rho) ** 3)
+        return 2.0 * self.delta * np.minimum(1.0, np.abs(self.rho) ** 3)
 
     def grad_at(self, x1):
         """grad_x phi at (base, x1): shape x1.shape + (3,) for scalar or array x1."""
@@ -70,8 +101,10 @@ class PhaseSeries:
         return sum(self.phis[k].value * x1 ** k for k in range(self.N))
 
     def imag_lower_bound_ok(self):
+        """Im phi >= x1 Im rho / 2 on (0, x1_max], per point."""
         x1s = np.linspace(0.0, self.x1_max(), IMAG_SAMPLES + 1)[1:]
-        return bool(np.all(self.phi_value(x1s).imag >= x1s * self.rho.imag / 2.0 - 1e-13))
+        return np.all(self.phi_value(x1s).imag >= x1s * np.imag(self.rho) / 2.0 - 1e-13,
+                      axis=0)
 
     def retained(self, x1, closed):
         """x1 as an array in (0, x1_max], or [0, x1_max] when ``closed``;
@@ -90,27 +123,33 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     Produces phi_0..phi_N, zeroing the x1-coefficients of the defect through
     order N-1, so the pointwise residual is O(x1^N), and psi_0..psi_{N-1}.
     With ``flattened=True`` the frequency term is dropped and rho is replaced
-    by i sqrt(r0); the result is media-independent.
+    by i sqrt(r0); the result is media-independent.  ``sp.z`` and the
+    components of ``xiprime`` broadcast to the point shape of the batch
+    (module docstring).
     """
     if gs.n1 < N:
         raise OrderBudgetExceeded("GammaSeries too short for the requested phase order")
-    beta = beta_jets(gs, xiprime)
+    xi = [_per_point(x) for x in xiprime]
+    beta = beta_jets(gs, xi)
     r0 = dot(beta, beta)
     # the transport recursion reads these too, also for the flattened phase
     eps_s, mu_s = media.normal_series(gs)
+    z2 = _per_point(sp.z) ** 2
     if flattened:
-        if r0.value.real <= 0.0:
-            raise DegenerateRho("flattened phase requires r0 > 0")
+        bad = np.real(r0.value) <= 0.0
+        if np.any(bad):
+            raise DegenerateRho("flattened phase requires r0 > 0" + _at_point(bad))
         rho_jet = 1j * _sqrt_pos(r0)
     else:
         epsmu = eps_s * mu_s
-        rho_jet = sqrt_upper(sp.z ** 2 * epsmu.coeffs[0] - r0)
-    if abs(rho_jet.value) < 1e-14:
-        raise DegenerateRho("|rho| below 1e-14 at the phase base point")
+        rho_jet = sqrt_upper(z2 * epsmu.coeffs[0] - r0)
+    small = np.abs(rho_jet.value) < 1e-14
+    if np.any(small):
+        raise DegenerateRho("|rho| below 1e-14 at the phase base point" + _at_point(small))
 
     # phi_0 = -<xi', x' - base>: gradient -xi' in (x2, x3)
     x2, x3 = (Jet.variable(v, 0.0, gs.order) for v in VARS)
-    phi0 = Jet.constant(0.0, gs.order) - xiprime[0] * x2 - xiprime[1] * x3
+    phi0 = Jet.constant(0.0, gs.order) - xi[0] * x2 - xi[1] * x3
 
     gam = [gs.gamma_k(m) for m in range(N)]
     phis = [phi0, rho_jet]
@@ -127,19 +166,22 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
             Sk = 2.0 * dot(psis[0], psi)
             for i in range(1, k):
                 Sk = Sk + dot(psis[i], psis[k - i])
-            rhs = -Sk if flattened else sp.z ** 2 * epsmu.coeffs[k] - Sk
+            rhs = -Sk if flattened else z2 * epsmu.coeffs[k] - Sk
             phis.append((rhs * inv_2rho) * (1.0 / (k + 1)))
         d1 = (k + 1) * phis[k + 1]
         psis.append(vadd(psi, vscale(d1, gs.nu)))
         grads.append([d1, d2, d3])
 
-    ps = PhaseSeries(gs, sp, xiprime, phis, psis, rho_jet, media, (eps_s, mu_s), flattened)
-    while not flattened and not ps.imag_lower_bound_ok():
-        ps.delta *= 0.5
-        log.warning("phase positivity violated; delta halved to %g at base %s",
-                    ps.delta, ps.base)
-        if ps.delta < 1e-8:
-            raise DegenerateRho("Im phi lower bound unattainable")
+    ps = PhaseSeries(gs, sp, xiprime, beta, phis, psis, rho_jet, media, (eps_s, mu_s),
+                     flattened)
+    ok = flattened or ps.imag_lower_bound_ok()
+    while not np.all(ok):
+        ps.delta = np.where(ok, ps.delta, 0.5 * ps.delta)[()]
+        log.warning("phase positivity violated; delta halved to %g at base %s%s",
+                    np.min(ps.delta), ps.base, _at_point(~ok))
+        if np.any(ps.delta < 1e-8):
+            raise DegenerateRho("Im phi lower bound unattainable" + _at_point(ps.delta < 1e-8))
+        ok = ps.imag_lower_bound_ok()
     return ps
 
 

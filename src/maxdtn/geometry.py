@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FocalDegeneracy, ZeroConstantTerm
-from .jets import Jet, NormalSeries
+from .jets import Jet, NormalSeries, _at
 from .numerics import cross, dot
 
 # ---------------------------------------------------------------------------
@@ -33,9 +33,11 @@ def _sqrt_pos(u):
     """Positive square root; for jets, series continuation off a positive value."""
     if isinstance(u, Jet):
         c = u.value
-        if abs(c.imag) > 1e-13 * (1 + abs(c)) or c.real <= 0.0:
-            raise ZeroConstantTerm("positive-branch sqrt needs a positive real constant term")
-        return u.sqrt_series(np.sqrt(c.real), c.real)
+        bad = (np.abs(np.imag(c)) > 1e-13 * (1 + np.abs(c))) | (np.real(c) <= 0.0)
+        if np.any(bad):
+            raise ZeroConstantTerm(
+                "positive-branch sqrt needs a positive real constant term" + _at(bad))
+        return u.sqrt_series(np.sqrt(np.real(c)), np.real(c))
     return np.sqrt(u)
 
 
@@ -134,13 +136,13 @@ class SurfaceChart:
         dnu3 = -dg3 / gn + grad * dgn3 / gn ** 2
         return {"s": s, "t2": t2, "t3": t3, "nu": nu, "dnu2": dnu2, "dnu3": dnu3}
 
-    def normal_jets(self, base, order):
-        """Inward unit normal as a 3-vector of jets at the base point."""
+    def normal_jets(self, base, s):
+        """Inward unit normal as a 3-vector of jets at the base point, one
+        order below the embedding jets ``s`` there."""
         if self.kind == "plane":
-            one = Jet.constant(1.0, order)
+            one = Jet.constant(1.0, s[0].order - 1)
             zero = one * 0.0
             return [one, zero, zero]
-        s = self.embed_jets(base, order + 1)
         t2 = [c.derivative("x2") for c in s]
         t3 = [c.derivative("x3") for c in s]
         raw = cross(t2, t3)
@@ -151,10 +153,10 @@ class SurfaceChart:
         sign = 1.0 if sum(ref[i] * cand[i].value.real for i in range(3)) > 0 else -1.0
         return [sign * c for c in cand]
 
-    def jacobian_series(self, base, n1, order):
-        """Columns of dy/dx as NormalSeries 3-vectors: (nu, t2 + x1 dnu2, t3 + x1 dnu3)."""
-        s = self.embed_jets(base, order + 2)
-        nu = self.normal_jets(base, order + 1)
+    def jacobian_series(self, base, s, n1, order):
+        """Columns of dy/dx as NormalSeries 3-vectors: (nu, t2 + x1 dnu2, t3 + x1 dnu3),
+        from the embedding jets ``s`` of order ``order + 2``."""
+        nu = self.normal_jets(base, s)
         cols = [[NormalSeries.constant(c.truncate(order), n1) for c in nu]]
         for var in ("x2", "x3"):
             t = [c.derivative(var).truncate(order + 1) for c in s]
@@ -190,14 +192,19 @@ def _adjugate3(m):
 
 
 class GammaSeries:
-    """gamma(x) = (dy/dx)^{-T} as an x1-series of jet-valued 3x3 matrices."""
+    """gamma(x) = (dy/dx)^{-T} as an x1-series of jet-valued 3x3 matrices.
+
+    Keeps the boundary embedding s(x') as jets of order ``order + 2``
+    (``embedding``); every series at the base point reads its prefix.
+    """
 
     def __init__(self, chart, base, n1, order):
         self.chart = chart
         self.base = tuple(float(v) for v in base)
         self.n1 = int(n1)
         self.order = int(order)
-        cols = chart.jacobian_series(self.base, self.n1, self.order)
+        self.embedding = chart.embed_jets(self.base, self.order + 2)
+        cols = chart.jacobian_series(self.base, self.embedding, self.n1, self.order)
         jac = [[cols[j][i] for j in range(3)] for i in range(3)]  # rows of J
         det = _det3(jac)
         if abs(det.value) < 1e-12:
@@ -313,11 +320,10 @@ class MediaField:
 
     def normal_series(self, gs: GammaSeries):
         """(eps, mu) as NormalSeries with jet coefficients along y = s + x1 nu."""
-        s = gs.chart.embed_jets(gs.base, gs.order)
         nu = gs.nu
         y = []
         for i in range(3):
-            comp = NormalSeries.constant(s[i].truncate(gs.order), gs.n1)
+            comp = NormalSeries.constant(gs.embedding[i].truncate(gs.order), gs.n1)
             if gs.n1 > 1:
                 comp.coeffs[1] = nu[i].truncate(gs.order)
             y.append(comp)

@@ -273,67 +273,75 @@ ORDERS = (0, 1)
 
 
 def _symbol_eigenvalues(sp, chart, media, base, r0_target):
-    """(TE, TM) eigenvalues of the truncated boundary symbol at fixed r0,
-    one pair per order in ORDERS, all read from one symbol build.
+    """(TE, TM) eigenvalues of the truncated boundary symbol at fixed r0, as
+    an array indexed by (order in ORDERS, polarization, point of ``sp`` and
+    ``r0_target``), all read from one batched symbol build.
 
     The covector is aligned with the first coordinate direction; TE is the
     tangential direction perpendicular to beta, TM the beta direction.
     """
     beta_unit, g = beta_pointwise(chart, base[0], base[1], 1.0, 0.0)
-    s = math.sqrt(r0_target / g)
-    xi = (s, 0.0)
+    s = np.sqrt(r0_target / g)
     gs = GammaSeries(chart, base, n1=3, order=6)
-    ps = eikonal_coeffs(gs, media, sp, xi, N=3)
-    tab = transport_coeffs(ps, media, N=2, J=1)
-    sym = boundary_symbol(tab)
-    nu = np.array([c.value for c in gs.nu])
-    beta = np.array(beta_unit) * s
-    bhat = (beta / np.linalg.norm(beta.real)).astype(complex)
-    phat = np.cross(nu.real, bhat.real).astype(complex)
+    ps = eikonal_coeffs(gs, media, sp, (s, 0.0), N=3)
+    sym = boundary_symbol(transport_coeffs(ps, media, N=2, J=1))
+    nu = np.array([c.value for c in gs.nu]).real
+    bhat = beta_unit / np.linalg.norm(beta_unit)
+    proj = np.array([np.cross(nu, bhat), bhat], dtype=complex)
     out = []
-    for M in (sym.m, sym.m + sp.h * sym.m_tilde_full):
-        blk = np.array([[u @ M @ v for v in (phat, bhat)] for u in (phat, bhat)])
-        w, V = np.linalg.eig(blk)
-        out.append((w[0], w[1]) if abs(V[0, 0]) >= abs(V[0, 1]) else (w[1], w[0]))
-    return out
+    for M in (sym.m, sym.m + sp.h[:, None, None] * sym.m_tilde_full):
+        w, V = np.linalg.eig(proj @ M @ proj.T)
+        te_first = np.abs(V[:, 0, 0]) >= np.abs(V[:, 0, 1])
+        out.append((np.where(te_first, w[:, 0], w[:, 1]), np.where(te_first, w[:, 1], w[:, 0])))
+    return np.array(out)
 
 
-def dtn_compare(ell_list, lam, media, R=1.0):
+def dtn_compare(ell, lam, media, R=1.0):
     """Exact mode impedances vs boundary-symbol eigenvalues on the ball.
 
-    ``media`` is the (eps, mu) pair of the constant media.
-    Each row covers one (ell, pol): the exact value and the relative error of
-    every truncation order in ORDERS at r0 = h^2 ell(ell+1)/R^2.  The exact
-    values of every ell come from one Riccati-Bessel call; modes at an
-    interior resonance are flagged from its mask and get no errors (an ell
-    with both modes resonant builds no symbol).  Requires theta >= h^{2/5}
-    (the admissible-frequency region of the symbol estimates).
+    ``ell`` and ``lam`` broadcast together like the operands of
+    :func:`exact_mode_impedance`; ``media`` is the (eps, mu) pair of the
+    constant media.  Each row covers one (ell, lam, pol), in the broadcast
+    order with TE before TM: the exact value and the relative error of every
+    truncation order in ORDERS at r0 = h^2 ell(ell+1)/R^2.  The exact values
+    come from one Riccati-Bessel call and the symbols of every (ell, lam)
+    from one batched build at one GammaSeries; modes at an interior
+    resonance are flagged from its mask and get no errors (an (ell, lam)
+    with both modes resonant is left out of the build).  Requires theta >=
+    h^{2/5} at every lam (the admissible-frequency region of the symbol
+    estimates), else ConfigError naming the first lam outside.
     """
     eps0, mu0 = media
     media = MediaField.constant(eps0, mu0)
     chart = SurfaceChart.sphere(R)
     base = (math.pi / 2.0, 0.0)
+    x = np.asarray(lam, dtype=complex) * cmath.sqrt(eps0 * mu0) * R
+    ell, lam, x = (np.ravel(v) for v in np.broadcast_arrays(ell, lam, x))
     sp = split_lambda(lam)
-    if sp.theta < sp.h ** 0.4:
+    outside = sp.theta < sp.h ** 0.4
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
         raise ConfigError(
-            f"theta={sp.theta:.3g} below h^(2/5)={sp.h ** 0.4:.3g}: "
+            f"theta={sp.theta[i]:.3g} below h^(2/5)={sp.h[i] ** 0.4:.3g} at lam={lam[i]:.6g}: "
             "outside the admissible frequency region")
-    x = complex(lam) * cmath.sqrt(eps0 * mu0) * R
     pols = ("TE", "TM")
-    Z, resonant = _impedances(np.asarray(ell_list)[:, None], x, eps0, mu0, np.array(pols))
+    Z, resonant = _impedances(ell[:, None], x[:, None], eps0, mu0, np.array(pols))
+    build = ~resonant.all(axis=1)
+    pred = np.zeros((len(ORDERS), len(pols), len(ell)), dtype=complex)
+    if build.any():
+        r0 = sp.h[build] ** 2 * ell[build] * (ell[build] + 1.0) / R ** 2
+        pred[..., build] = _symbol_eigenvalues(split_lambda(lam[build]), chart, media, base, r0)
     rows = []
-    for i, ell in enumerate(ell_list):
-        if not resonant[i].all():
-            r0 = sp.h ** 2 * ell * (ell + 1.0) / R ** 2
-            eigs = _symbol_eigenvalues(sp, chart, media, base, r0)
+    for i in range(len(ell)):
         for p, pol in enumerate(pols):
-            row = {"ell": ell, "pol": pol, "lam_re": lam.real, "lam_im": lam.imag}
+            row = {"ell": int(ell[i]), "pol": pol,
+                   "lam_re": float(lam[i].real), "lam_im": float(lam[i].imag)}
             if resonant[i, p]:
                 row.update(resonant=True, exact=None)
             else:
                 exact = complex(Z[i, p])
                 row.update(resonant=False, exact=exact)
-                for order, pred in zip(ORDERS, eigs):
-                    row[f"err_order{order}"] = abs(pred[p] - exact) / max(abs(exact), 1e-30)
+                for o, order in enumerate(ORDERS):
+                    row[f"err_order{order}"] = abs(pred[o, p, i] - exact) / max(abs(exact), 1e-30)
             rows.append(row)
     return rows

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import RealFrequency, ZeroFrequencyCovector
 from .geometry import beta_pointwise
+from .jets import _at
 from .numerics import sqrt_upper
 
 #: cutoff scale of eta (the transition sits in r0 in [C0, 2*C0])
@@ -32,17 +33,16 @@ def split_lambda(lam):
     """Split a complex frequency into (h, z, theta).
 
     h is the reciprocal of the dominant part of lambda, z = h*lambda, and
-    theta = |Im z|; by construction max(|Re z|, |Im z|) = 1.
+    theta = |Im z|; by construction max(|Re z|, |Im z|) = 1.  An array of
+    frequencies gives arrays of its shape, a scalar gives scalars.
     """
-    lam = complex(lam)
-    if lam.imag == 0.0:
-        raise RealFrequency("Im lambda = 0: theta > 0 is required")
-    if abs(lam.real) >= abs(lam.imag):
-        h = 1.0 / abs(lam.real)
-    else:
-        h = 1.0 / abs(lam.imag)
+    lam = np.asarray(lam, dtype=complex)
+    real = lam.imag == 0.0
+    if real.any():
+        raise RealFrequency("Im lambda = 0: theta > 0 is required" + _at(real))
+    h = 1.0 / np.maximum(np.abs(lam.real), np.abs(lam.imag))
     z = h * lam
-    return SpectralParameter(lam=lam, h=h, z=z, theta=abs(z.imag))
+    return SpectralParameter(lam=lam[()], h=h[()], z=z[()], theta=np.abs(z.imag)[()])
 
 
 def rho(r0, sp: SpectralParameter, eps0mu0):

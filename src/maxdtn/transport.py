@@ -8,6 +8,9 @@ linear in the boundary datum f~, so one pass of the recursion carries the
 three coordinate basis vectors together: every amplitude entry is a jet with
 a batch axis of size 3 (one column of the table per element), while the
 geometry, the media and the phase stay unbatched and broadcast against it.
+A phase built for a batch of points P (batch P + (1,), see
+:mod:`maxdtn.eikonal`) gives amplitudes of batch P + (3,) and a symbol of
+matrices P + (3, 3), every element as its own point's build.
 
 Two schemes are provided.  The "literal" scheme gauges the tangential part
 of a_{j,k} to zero for k >= 1; it satisfies the mu-equations exactly but
@@ -23,9 +26,10 @@ curl term 1j*k*(nu x a_{j,k}, nu x b_{j,k}), and the cross-system solve
 returns nu x b in closed form.  One solve of the batch (data, 0), (0, tau0),
 (0, tau1) gives the defect's constant part d0 and its slopes m1, m2, and a
 2x2 system gives (p1, p2); the solve being linear, the same weights combine
-the three solutions into the slot.  Levels are built with a staircase of
-x1-orders (deeper h-levels get fewer) so every retained coefficient identity
-closes.
+the three solutions into the slot.  The level-(j+1), order-(k-1) right-hand
+side formed for that choice is kept and later completed by the curl term
+alone.  Levels are built with a staircase of x1-orders (deeper h-levels get
+fewer) so every retained coefficient identity closes.
 
 The boundary symbol is m + h*mtilde: m comes from the (0,0) block, and the
 first-order corrector combines a commutator term n (from the two-point
@@ -46,7 +50,7 @@ import numpy as np
 from .crosssys import CrossSystem
 from .eikonal import PhaseSeries, eikonal_coeffs
 from .errors import OrderBudgetExceeded
-from .geometry import GammaSeries, beta_jets, gamma_pointwise
+from .geometry import GammaSeries, beta_from_gamma, gamma_pointwise
 from .numerics import cross, dot, vadd, vscale, vsub
 from .spectral import calB, cutoff_eta, cutoff_eta_prime, m0_matrix
 
@@ -57,9 +61,6 @@ COMM_COEF = 1j
 
 #: the three basis data as one batch: component c holds (e_0[c], e_1[c], e_2[c])
 _BASIS = list(np.eye(3))
-#: weights of the data, tau0 and tau1 in the batch (data, 0), (0, tau0),
-#: (0, tau1) of the solvability choice, on a trial axis ahead of the basis axis
-_DATA, _TAU0, _TAU1 = np.eye(3)[:, :, None]
 #: constant antisymmetric basis: iota_nu = sum_j nu_j * I_j
 I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
           np.array([[0.0, 0, 1.0], [0, 0, 0], [-1.0, 0, 0]]),
@@ -104,8 +105,8 @@ class AmplitudeTable:
         self.eps_k, self.mu_k = ps.eps_k, ps.mu_k
         self.media_corrections = media_corrections
         self.nu = gs.nu
-        beta = beta_jets(gs, ps.xiprime)
-        self.z = ps.sp.z
+        beta = ps.beta
+        self.z = ps.z
         self.system = CrossSystem(ps.rho_jet, self.nu, beta, self.z, self.mu_k[0])
         self.gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
                       for m in range(ntot)]
@@ -113,23 +114,35 @@ class AmplitudeTable:
         self.g0 = vscale(-1.0, cross(self.nu, _BASIS))
         # tangential covector basis for the datum of a_{j,k}, k >= 1
         self.tau = (beta, cross(self.nu, beta))
-        self.r0 = dot(beta, beta).value.real
+        self.r0 = np.real(dot(beta, beta).value)
+        # weights of the data, tau0 and tau1 in the batch (data, 0), (0, tau0),
+        # (0, tau1) of the solvability choice, on a trial axis ahead of the
+        # point and basis axes
+        self.trial_weights = np.eye(3).reshape((3, 3) + (1,) * (len(ps.points) + 1))
         self.a, self.b, self.nxb = {}, {}, {}
         self.batched = {"a": self.a, "b": self.b, "nu_cross_b": self.nxb}
+        self._partial = {}
 
     def matrix(self, which, j, k):
-        """A_{j,k} or B_{j,k} as a numeric 3x3 array (columns = basis data)."""
+        """A_{j,k} or B_{j,k} as a numeric array of shape P + (3, 3)
+        (columns = basis data)."""
         vec = self.batched["a" if which == "A" else "b"][(j, k)]
-        return np.array([comp.value for comp in vec])
+        return np.moveaxis(np.array([comp.value for comp in vec]), 0, -2)
 
     def iota_nu_B(self, j):
-        """iota_nu B_{j,0} from the dedicated nu x b closed forms."""
-        return np.array([comp.value for comp in self.nxb[(j, 0)]])
+        """iota_nu B_{j,0} from the dedicated nu x b closed forms, P + (3, 3)."""
+        return np.moveaxis(np.array([comp.value for comp in self.nxb[(j, 0)]]), 0, -2)
 
     def rhs(self, j, k):
-        """(a#, b#) at slot (j,k) from the stored slots; the curl term of the
-        slot (j-1, k+1), when it is not stored yet, is left out."""
+        """(a#, b#) at slot (j,k) from the stored slots.  While slot (j-1, k+1)
+        is not stored, its curl term is left out and the sums are kept; the
+        first call after it is stored adds that term alone."""
         a, b = self.a, self.b
+        if (j, k) in self._partial and (j - 1, k + 1) in a:
+            a_sh, b_sh = self._partial.pop((j, k))
+            w = 1j * (k + 1)
+            return (vadd(a_sh, vscale(w, cross(self.nu, a[(j - 1, k + 1)]))),
+                    vadd(b_sh, vscale(w, cross(self.nu, b[(j - 1, k + 1)]))))
         a_sh = self.zerov
         b_sh = self.zerov
         z = self.z
@@ -151,6 +164,8 @@ class AmplitudeTable:
                         gb[c] = gb[c] + (ell + 1) * exb[c]
                 a_sh = vadd(a_sh, vscale(1j, ga))
                 b_sh = vadd(b_sh, vscale(1j, gb))
+            if (j - 1, k + 1) not in a:
+                self._partial[(j, k)] = (a_sh, b_sh)
         return a_sh, b_sh
 
     @cached_property
@@ -173,19 +188,25 @@ class AmplitudeTable:
 
     def solve_slot(self, j, k, a_sh, b_sh):
         """(a, b, nu x b) of slot (j,k): datum g0 at (0,0), the solvability
-        choice for k >= 1, else zero."""
-        if k == 0 or self.scheme == "literal" or j == self.J or self.r0 < 1e-12:
+        choice for k >= 1, else zero.  A point with r0 < 1e-12 has no
+        tangential basis and takes datum zero."""
+        flat = self.r0 < 1e-12
+        if k == 0 or self.scheme == "literal" or j == self.J or np.all(flat):
             return self.system.solve(a_sh, b_sh, self.g0 if j == k == 0 else self.zerov)
         # the level-(j+1), order-(k-1) defect is d0 + p1 m1 + p2 m2 for
         # g = p1 tau0 + p2 tau1 (module docstring); rhs() leaves slot (j,k) out
-        g = vadd(vscale(_TAU0, self.tau[0]), vscale(_TAU1, self.tau[1]))
-        trial = self.system.solve(vscale(_DATA, a_sh), vscale(_DATA, b_sh), g)
+        data, tau0, tau1 = self.trial_weights
+        g = vadd(vscale(tau0, self.tau[0]), vscale(tau1, self.tau[1]))
+        trial = self.system.solve(vscale(data, a_sh), vscale(data, b_sh), g)
         curl = self.defect(g, trial[2])
         rest = self.defect(*self.rhs(j + 1, k - 1))
         d0 = [rest[r] + 1j * k * curl[r][0] for r in range(2)]
         m = [[1j * k * curl[r][c + 1] for c in range(2)] for r in range(2)]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        inv_det = det.invert()
+        if np.any(flat):     # weights 0 there: the slot is the trial of the data
+            inv_det = (det + flat.astype(float)).invert() * (~flat).astype(float)
+        else:
+            inv_det = det.invert()
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
         p2 = (m[1][0] * d0[0] - m[0][0] * d0[1]) * inv_det
         # the solve is linear in (a#, b#, g): the slot combines the trials
@@ -223,14 +244,24 @@ def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
 # ---------------------------------------------------------------------------
 # boundary symbol
 
+def _mat(v):
+    """A per-point number (point shape P) against matrices of shape P + (3, 3)."""
+    return np.asarray(v)[..., None, None]
+
+
+def _outer(u, v):
+    """Outer products u_i v_j of 3-vectors, batched over points."""
+    return u[..., :, None] * v[..., None, :]
+
+
 def _dxi_ingredients(gs: GammaSeries, xiprime):
-    """beta, r0, and their xi'-gradients at the base point (numeric)."""
+    """beta (P + (3,)), r0, and their xi'-gradients at the base point (numeric)."""
     g0 = gs.gamma0_value().real
     t2, t3 = g0[:, 1], g0[:, 2]
-    beta = xiprime[0] * t2 + xiprime[1] * t3
-    r0 = float(beta @ beta)
+    beta = beta_from_gamma(g0, *xiprime)
+    r0 = np.sum(beta * beta, axis=-1)
     dbeta = [t2, t3]
-    dr0 = [2.0 * float(beta @ t) for t in dbeta]
+    dr0 = [2.0 * np.sum(beta * t, axis=-1) for t in dbeta]
     return beta, r0, dbeta, dr0
 
 
@@ -239,10 +270,11 @@ def _dxi_m(z, mu0, beta, r0, dbeta, dr0, rho):
     eye = np.eye(3)
     out = []
     B = calB(beta)
+    rho = _mat(rho)
     for db, dr in zip(dbeta, dr0):
-        drho = -dr / (2.0 * rho)
-        dB = np.outer(db, beta) + np.outer(beta, db)
-        out.append((drho * eye - drho / rho ** 2 * B + dB / rho) / (z * mu0))
+        drho = -_mat(dr) / (2.0 * rho)
+        dB = _outer(db, beta) + _outer(beta, db)
+        out.append((drho * eye - drho / rho ** 2 * B + dB / rho) / _mat(z * mu0))
     return out
 
 
@@ -257,9 +289,9 @@ def _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0):
     out = []
     for db, dr in zip(dbeta, dr0):
         ds = dr / (2.0 * s)
-        dB = np.outer(db, beta) + np.outer(beta, db)
-        dm0 = 1j * (ds * eye + ds / r0 * B - dB / s) / (z * mu0)
-        out.append(cut * dm0 + dcut_dr0 * dr * m0)
+        dB = _outer(db, beta) + _outer(beta, db)
+        dm0 = 1j * (_mat(ds) * eye + _mat(ds / r0) * B - dB / _mat(s)) / _mat(z * mu0)
+        out.append(_mat(cut) * dm0 + _mat(dcut_dr0 * dr) * m0)
     return out
 
 
@@ -269,7 +301,7 @@ def _commutator_n(gs: GammaSeries, dm_list):
     iota = np.zeros((3, 3))
     for j in range(3):
         iota += nu_val[j] * I_MATS[j]
-    n = np.zeros((3, 3), dtype=complex)
+    n = np.zeros(dm_list[0].shape, dtype=complex)
     for j in range(3):
         dnu = [gs.nu[j].derivative("x2").value.real, gs.nu[j].derivative("x3").value.real]
         for alpha in range(2):
@@ -278,7 +310,8 @@ def _commutator_n(gs: GammaSeries, dm_list):
 
 
 class BoundarySymbol:
-    """Boundary impedance symbol data at one cotangent point."""
+    """Boundary impedance symbol data at one cotangent point, or at each of
+    a batch of them (matrices of shape P + (3, 3))."""
 
     def __init__(self, m, m_tilde_full, n, ps: PhaseSeries, mu0, dxi):
         self.m = m
@@ -289,14 +322,15 @@ class BoundarySymbol:
     @cached_property
     def m_tilde(self):
         """Flattened corrector n_flat + flattened iota_nu B_{1,0}, built on
-        first read: cutoff m0 in the commutator; zero at r0 = 0."""
+        first read: cutoff m0 in the commutator; zero at r0 = 0 (a batch
+        with r0 = 0 at some points only raises ZeroFrequencyCovector)."""
         ps, r0 = self._ps, self._dxi[1]
-        if not r0 > 0.0:
-            return np.zeros((3, 3), dtype=complex)
+        if not np.any(r0 > 0.0):
+            return np.zeros(np.shape(r0) + (3, 3), dtype=complex)
         n_flat = _commutator_n(ps.gs, _dxi_m0_cut(ps.sp.z, self._mu0, *self._dxi))
         ps_flat = eikonal_coeffs(ps.gs, ps.media, ps.sp, ps.xiprime, N=3, flattened=True)
         t_flat = transport_coeffs(ps_flat, ps.media, N=2, J=1)
-        return n_flat + (1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
+        return n_flat + _mat(1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
 
 
 def boundary_symbol(table: AmplitudeTable):
@@ -304,12 +338,14 @@ def boundary_symbol(table: AmplitudeTable):
 
     Returns a BoundarySymbol with the principal block m (= iota_nu B_{0,0})
     and the full corrector m_tilde_full = n + iota_nu B_{1,0}; its flattened
-    corrector m_tilde is built when first read.
+    corrector m_tilde is built when first read.  A table of a batch of points
+    gives matrices of shape P + (3, 3).
     """
     ps = table.ps
     dxi = _dxi_ingredients(table.gs, ps.xiprime)
     mu0 = table.mu_k[0].value
-    n_full = _commutator_n(table.gs, _dxi_m(table.sp.z, mu0, *dxi, ps.rho))
+    rho = np.reshape(ps.rho, ps.points)
+    n_full = _commutator_n(table.gs, _dxi_m(table.sp.z, mu0, *dxi, rho))
     m_tilde_full = n_full + table.iota_nu_B(1) if table.J >= 1 else n_full
     return BoundarySymbol(table.iota_nu_B(0), m_tilde_full, n_full, ps, mu0, dxi)
 

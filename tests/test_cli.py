@@ -248,13 +248,19 @@ def test_dtn_compare_empty_h_list_fails(tmp_path, capsys):
 
 
 def test_dtn_compare_all_resonant_fails(monkeypatch):
-    # every mode resonant leaves no point to fit for any (pol, order)
-    def resonant(ells, lam, media, R):
-        return [{"ell": ells[0], "pol": pol, "lam_re": lam.real, "lam_im": lam.imag,
-                 "resonant": True, "exact": None} for pol in ("TE", "TM")]
+    # every mode resonant leaves no point to fit for any (pol, order); the
+    # command makes one call for all of h_list, (ell, lam) broadcast together
+    calls = []
+
+    def resonant(ells, lams, media, R):
+        calls.append(1)
+        return [{"ell": ell, "pol": pol, "lam_re": lam.real, "lam_im": lam.imag,
+                 "resonant": True, "exact": None}
+                for ell, lam in zip(ells, lams) for pol in ("TE", "TM")]
 
     monkeypatch.setattr(cli, "dtn_compare", resonant)
     rows, _, ok, summary = cli.cmd_dtn_compare(RunConfig())
+    assert calls == [1]
     assert not ok
     assert len(rows) == 2 * len(RunConfig().h_list)
     assert len(summary) == 4

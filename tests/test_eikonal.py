@@ -179,3 +179,36 @@ def test_batched_region_guard_names_first_bad():
     x1s = np.array([0.5 * top, 2.0 * top, 0.25 * top, 3.0 * top])
     with pytest.raises(OutsideRetainedRegion, match=f"x1={2.0 * top}"):
         eikonal_residual(ps, x1s)
+
+
+def test_batched_phase_matches_each_point():
+    # one build over points (z, xi') at one GammaSeries: element p equals the
+    # build of point p alone, bit for bit, delta included.  The first point
+    # (steep eps along the normal, near glancing) needs three halvings.
+    gs = GammaSeries(SurfaceChart.plane(), (0.2, -0.3), n1=3, order=5)
+    media = MediaField(ScalarField("affine", c0=9.0, g1=80.0, g2=0.0, g3=0.0),
+                       ScalarField("constant", value=1.0))
+    lams = np.array([5.0 + 0.05j, 5.0 + 0.05j, 5.0 + 2.0j])
+    xi = (np.array([8.0 ** 0.5, 2.0, 0.4]), np.array([0.0, 0.0, -0.3]))
+    ps = eikonal_coeffs(gs, media, split_lambda(lams), xi, N=2)
+    assert ps.points == (3,)
+    assert ps.phis[2].batch == (3, 1) and ps.psis[1][0].batch == (3, 1)
+    for p in range(3):
+        one = eikonal_coeffs(gs, media, split_lambda(lams[p]), (xi[0][p], xi[1][p]), N=2)
+        assert one.points == () and one.phis[2].batch == ()
+        assert np.asarray(ps.delta)[p, 0] == one.delta
+        for k in range(3):
+            assert np.array_equal(ps.phis[k].coef[p, 0], one.phis[k].coef)
+        for k in range(2):
+            for c in range(3):
+                assert np.array_equal(ps.psis[k][c].coef[p, 0], one.psis[k][c].coef)
+    assert one.delta == 0.1
+    assert eikonal_coeffs(gs, media, split_lambda(lams[0]), (xi[0][0], 0.0), N=2).delta == 0.0125
+
+
+def test_batched_degenerate_point_is_named():
+    # the flattened phase needs r0 > 0 at every point: the second has xi' = 0
+    gs = GammaSeries(SurfaceChart.sphere(1.0), (1.1, 0.3), n1=4, order=6)
+    xi = (np.array([0.5, 0.0, 0.2]), np.array([0.1, 0.0, 0.0]))
+    with pytest.raises(DegenerateRho, match=r"batch index \(1,\)"):
+        eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, xi, N=3, flattened=True)

@@ -215,20 +215,36 @@ def test_orders_must_be_nonnegative_integers():
     assert riccati_bessel(2.0, 1.3) == riccati_bessel(2, 1.3)
 
 
-def test_dtn_compare_builds_one_symbol_per_ell(monkeypatch):
-    # both truncation orders are read from one boundary-symbol build
-    calls = []
-    build = maxdtn.mie.boundary_symbol
+def test_dtn_compare_builds_one_symbol_for_every_ell_lam(monkeypatch):
+    # ell and lam broadcast: both truncation orders of all 3 x 2 (ell, lam)
+    # are read from one batched boundary-symbol build and the exact values
+    # from one Riccati call, and every row equals the row of its own
+    # dtn_compare: the exact value within 1e-12 relative, and the relative
+    # errors within 1e-12 (the predicted eigenvalue within 1e-12 of |exact|)
+    calls = {"boundary_symbol": [], "riccati_bessel": []}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
+    def counting(name):
+        original = getattr(maxdtn.mie, name)
 
-    monkeypatch.setattr(maxdtn.mie, "boundary_symbol", counting)
-    rows = dtn_compare([20], complex(1.0, 0.5) / (1 / 40), (1.0, 1.0))
-    assert [r["pol"] for r in rows] == ["TE", "TM"]
-    assert all("err_order0" in r and "err_order1" in r for r in rows)
-    assert len(calls) == 1
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(maxdtn.mie, name, counting(name))
+    ells = np.array([[10], [20], [30]])
+    lams = np.array([complex(1.0, 0.5) * 40, complex(1.0, 0.6) * 60])
+    rows = dtn_compare(ells, lams, (1.3, 0.9))
+    assert {k: len(v) for k, v in calls.items()} == {"boundary_symbol": 1, "riccati_bessel": 1}
+    assert [(r["ell"], r["lam_re"], r["pol"]) for r in rows] == [
+        (e, lam.real, p) for e in (10, 20, 30) for lam in lams for p in ("TE", "TM")]
+    for r in rows:
+        lam = complex(r["lam_re"], r["lam_im"])
+        one, = [s for s in dtn_compare([r["ell"]], lam, (1.3, 0.9)) if s["pol"] == r["pol"]]
+        assert abs(r["exact"] - one["exact"]) <= 1e-12 * abs(one["exact"])
+        for o in (0, 1):
+            assert abs(r[f"err_order{o}"] - one[f"err_order{o}"]) <= 1e-12
 
 
 def test_dtn_compare_builds_no_flattened_corrector(monkeypatch):

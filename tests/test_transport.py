@@ -8,7 +8,7 @@ from maxdtn.crosssys import CrossSystem
 from maxdtn.errors import OrderBudgetExceeded, OutsideRetainedRegion
 from maxdtn.eikonal import eikonal_coeffs
 from maxdtn.jets import Jet
-from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart
+from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart, beta_pointwise
 from maxdtn.numerics import cross, dot
 from maxdtn.spectral import split_lambda, symbol_m
 from maxdtn.transport import boundary_symbol, maxwell_residual, transport_coeffs
@@ -304,3 +304,59 @@ def test_media_series_formed_once_per_build(monkeypatch):
     assert len(calls) == 2
     sym.m_tilde
     assert len(calls) == 3
+
+
+def _symbols(lams, xi, N=3, J=1):
+    gs = GammaSeries(CHART, BASE, n1=N, order=6)
+    ps = eikonal_coeffs(gs, MEDIA, split_lambda(lams), xi, N=N)
+    return boundary_symbol(transport_coeffs(ps, MEDIA, N=2, J=J))
+
+
+def test_batched_symbol_matches_each_point():
+    # one transport pass over points (z, xi') at one GammaSeries: amplitudes
+    # of batch P + (3,), and element p of every symbol matrix as the build of
+    # point p alone.  The last point has xi' = 0, where r0 < 1e-12 takes the
+    # zero datum in place of the solvability choice.
+    lams = np.array([5.0 + 2.0j, 40.0 + 20.0j, 3.0 - 1.0j, 5.0 + 2.0j])
+    xi = (np.array([0.4, 4.0, -1.2, 0.0]), np.array([-0.3, -3.0, 0.5, 0.0]))
+    sym = _symbols(lams, xi)
+    assert sym.m.shape == sym.m_tilde_full.shape == sym.n.shape == (4, 3, 3)
+    for p in range(4):
+        one = _symbols(lams[p], (xi[0][p], xi[1][p]))
+        assert one.m.shape == (3, 3)
+        for name in ("m", "m_tilde_full", "n"):
+            a, b = getattr(sym, name)[p], getattr(one, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_batched_flattened_corrector_matches_each_point():
+    # m_tilde of a batch: r0 beyond the cutoff support, and one point inside
+    # its transition r0 in [10, 20]
+    lams = np.array([5.0 + 2.0j, 7.0 + 1.0j, 5.0 + 2.0j])
+    xi = (np.array([5.2, -4.0, 3.5]), np.array([3.1, 2.5, 0.3]))
+    r0 = beta_pointwise(CHART, *BASE, *xi)[1]
+    assert r0[0] > 20.0 and r0[1] > 20.0 and 10.0 < r0[2] < 20.0
+    sym = _symbols(lams, xi)
+    assert sym.m_tilde.shape == (3, 3, 3)
+    for p in range(3):
+        one = _symbols(lams[p], (xi[0][p], xi[1][p])).m_tilde
+        assert np.max(np.abs(sym.m_tilde[p] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_right_hand_side_formed_once(monkeypatch):
+    # the level-(j+1), order-(k-1) right-hand side formed for the solvability
+    # choice of slot (j, k) is completed, not formed again, at its own slot
+    formed = []
+    grad_cross = maxdtn.transport._grad_cross
+
+    def counting(cols, vec):
+        formed.append(1)
+        return grad_cross(cols, vec)
+
+    gs = GammaSeries(CHART, BASE, n1=3, order=6)
+    ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=3)
+    monkeypatch.setattr(maxdtn.transport, "_grad_cross", counting)
+    tab = transport_coeffs(ps, MEDIA, N=2, J=1)
+    # level 1 has orders k = 0, 1: sum_k 2 (k + 1) curl terms, each once
+    assert len(formed) == 2 * (1 + 2)
+    assert tab.K == {0: 3, 1: 2}
