@@ -28,7 +28,7 @@ import logging
 import numpy as np
 
 from .errors import DegenerateRho, OrderBudgetExceeded, OutsideRetainedRegion
-from .geometry import GammaSeries, _sqrt_pos, beta_jets, gamma_pointwise
+from .geometry import GammaSeries, _not_positive, _sqrt_pos, beta_jets, gamma_pointwise
 from .jets import VARS, Jet, _at
 from .numerics import dot, matvec, sqrt_upper, vadd, vscale
 
@@ -136,9 +136,9 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     eps_s, mu_s = media.normal_series(gs)
     z2 = _per_point(sp.z) ** 2
     if flattened:
-        bad = np.real(r0.value) <= 0.0
+        bad = _not_positive(r0.value)
         if np.any(bad):
-            raise DegenerateRho("flattened phase requires r0 > 0" + _at_point(bad))
+            raise DegenerateRho("flattened phase requires a real r0 > 0" + _at_point(bad))
         rho_jet = 1j * _sqrt_pos(r0)
     else:
         epsmu = eps_s * mu_s

@@ -29,11 +29,16 @@ def _cos(u):
     return u.cos() if isinstance(u, Jet) else np.cos(u)
 
 
+def _not_positive(c):
+    """Mask of the values c that are not positive reals (up to rounding)."""
+    return (np.abs(np.imag(c)) > 1e-13 * (1 + np.abs(c))) | (np.real(c) <= 0.0)
+
+
 def _sqrt_pos(u):
     """Positive square root; for jets, series continuation off a positive value."""
     if isinstance(u, Jet):
         c = u.value
-        bad = (np.abs(np.imag(c)) > 1e-13 * (1 + np.abs(c))) | (np.real(c) <= 0.0)
+        bad = _not_positive(c)
         if np.any(bad):
             raise ZeroConstantTerm(
                 "positive-branch sqrt needs a positive real constant term" + _at(bad))

@@ -190,7 +190,7 @@ class AmplitudeTable:
         """(a, b, nu x b) of slot (j,k): datum g0 at (0,0), the solvability
         choice for k >= 1, else zero.  A point with r0 < 1e-12 has no
         tangential basis and takes datum zero."""
-        flat = self.r0 < 1e-12
+        flat = np.asarray(self.r0 < 1e-12)
         if k == 0 or self.scheme == "literal" or j == self.J or np.all(flat):
             return self.system.solve(a_sh, b_sh, self.g0 if j == k == 0 else self.zerov)
         # the level-(j+1), order-(k-1) defect is d0 + p1 m1 + p2 m2 for
@@ -203,10 +203,8 @@ class AmplitudeTable:
         d0 = [rest[r] + 1j * k * curl[r][0] for r in range(2)]
         m = [[1j * k * curl[r][c + 1] for c in range(2)] for r in range(2)]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if np.any(flat):     # weights 0 there: the slot is the trial of the data
-            inv_det = (det + flat.astype(float)).invert() * (~flat).astype(float)
-        else:
-            inv_det = det.invert()
+        # weights 0 where flat: the slot is the trial of the data there
+        inv_det = (det + flat.astype(float)).invert() * (~flat).astype(float)
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
         p2 = (m[1][0] * d0[0] - m[0][0] * d0[1]) * inv_det
         # the solve is linear in (a#, b#, g): the slot combines the trials

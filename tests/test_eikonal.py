@@ -206,9 +206,11 @@ def test_batched_phase_matches_each_point():
     assert eikonal_coeffs(gs, media, split_lambda(lams[0]), (xi[0][0], 0.0), N=2).delta == 0.0125
 
 
-def test_batched_degenerate_point_is_named():
-    # the flattened phase needs r0 > 0 at every point: the second has xi' = 0
+@pytest.mark.parametrize("bad_xi", [0.0, 0.3 + 0.2j])
+def test_batched_degenerate_point_is_named(bad_xi):
+    # the flattened phase needs a real r0 > 0 at every point: the second has
+    # xi' = 0 (r0 = 0) or a complex xi' (complex r0)
     gs = GammaSeries(SurfaceChart.sphere(1.0), (1.1, 0.3), n1=4, order=6)
-    xi = (np.array([0.5, 0.0, 0.2]), np.array([0.1, 0.0, 0.0]))
-    with pytest.raises(DegenerateRho, match=r"batch index \(1,\)"):
+    xi = (np.array([0.5, bad_xi, 0.2]), np.array([0.1, 0.0, 0.0]))
+    with pytest.raises(DegenerateRho, match=r"batch index \(1,\)$"):
         eikonal_coeffs(gs, MediaField.constant(1.0, 1.0), SP, xi, N=3, flattened=True)
