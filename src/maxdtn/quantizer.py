@@ -7,10 +7,12 @@ and K[j, k] = a(x_j, h k) e^{i k.x_j} the sampled symbol times a phase
 table.  ``quantize`` realizes it as a dense n^2 x n^2 matrix, row j being
 the FFT of K's row j.  ``composition_defect`` assembles no operator
 matrix: it applies Op(a)Op(b) - Op(ab) and its adjoint through the
-factors, so no n^2 x n^2 product is formed.  Pure multiplication and
-multiplier symbols (a constant is both) short-circuit in ``quantize`` to
-their exact matrices so the algebraic invariants hold to the last bit; a
-pure multiplier is a circulant of norm max |a(h k)|.
+factors, so no n^2 x n^2 product is formed.  A norm that is not read
+exactly comes from Lanczos on M* M with full reorthogonalization, stopped
+when the relative Ritz residual is at most ``POWER_TOL``.  Pure
+multiplication and multiplier symbols (a constant is both) short-circuit
+in ``quantize`` to their exact matrices so the algebraic invariants hold
+to the last bit; a pure multiplier is a circulant of norm max |a(h k)|.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ class AliasWarning(UserWarning):
 
 
 class ConvergenceWarning(UserWarning):
-    """Power iteration stopped at its iteration cap before meeting tol."""
+    """Lanczos stopped at its step cap before meeting tol."""
 
 
-#: power iteration: step cap, relative stopping tolerance, starting-vector seed
+#: Lanczos on M* M: step cap, bound on the relative Ritz residual,
+#: starting-vector seed
 POWER_ITERS, POWER_TOL, POWER_SEED = 300, 1e-9, 0
 
 
@@ -66,29 +69,36 @@ def _flat(n):
 
 
 def _sample(a, h, n):
-    """The symbol on the grid, A[j, k] = a(x_j, h k), and its kind.
-
-    The kind is "multiplication" when A does not vary along k (a constant
-    included), "multiplier" when it does not vary along x, else "mixed".
-    A mixed symbol emits :class:`AliasWarning` when more than 1e-8 of its
-    spatial spectral mass sits in the highest-frequency band of the grid.
-    """
+    """The symbol on the grid, A[j, k] = a(x_j, h k), and its kind (see
+    :func:`_kind`)."""
     X1, X2, K1, K2 = _flat(n)
     A = np.asarray(a(X1[:, None], X2[:, None],
                      h * K1[None, :], h * K2[None, :]), dtype=complex)
     if A.shape != (n * n, n * n):
         A = np.broadcast_to(A, (n * n, n * n)).copy()
+    return A, _kind(A, n, stacklevel=4)
+
+
+def _kind(A, n, stacklevel):
+    """The kind of the sampled symbol A, warning when it aliases.
+
+    The kind is "multiplication" when A does not vary along k (a constant
+    included), "multiplier" when it does not vary along x, else "mixed".
+    A mixed symbol emits :class:`AliasWarning` when more than 1e-8 of its
+    spatial spectral mass sits in the highest-frequency band of the grid;
+    ``stacklevel`` counts from this function to the user's call.
+    """
     # a varying first row (column) rules a kind out before the full scan
     if np.all(A[0] == A[0, 0]) and np.all(A == A[:, :1]):
-        return A, "multiplication"
+        return "multiplication"
     if np.all(A[:, 0] == A[0, 0]) and np.all(A == A[:1, :]):
-        return A, "multiplier"
+        return "multiplier"
     mass, total = _nyquist_mass(A, n)
     if total > 0.0 and mass > 1e-8 * total:
         warnings.warn(
             f"{mass / total:.2e} of spatial spectral mass at the Nyquist band",
-            AliasWarning, stacklevel=3)
-    return A, "mixed"
+            AliasWarning, stacklevel=stacklevel)
+    return "mixed"
 
 
 def _phases(n):
@@ -164,36 +174,52 @@ def _nyquist_mass(A, n):
 def _power_norm(apply, adjoint, size):
     """Largest singular value of a map given as (apply, adjoint) callables.
 
-    Power iteration on adjoint(apply(.)); the rule is :func:`operator_norm`'s.
+    Lanczos on adjoint(apply(.)) from the seeded vector, the basis kept as
+    one (k, size) array and each new vector fully reorthogonalized by two
+    classical Gram-Schmidt passes.  ``POWER_TOL`` bounds the relative Ritz
+    residual of the largest Ritz value; the rule is :func:`operator_norm`'s.
     """
     rng = np.random.default_rng(POWER_SEED)
-    v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    v /= np.linalg.norm(v)
-    s_old = 0.0
-    for _ in range(POWER_ITERS):
-        v = adjoint(apply(v))
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        s = math.sqrt(nv)
-        if abs(s - s_old) <= POWER_TOL * max(s, 1.0):
+    w = rng.normal(size=size) + 1j * rng.normal(size=size)
+    beta = np.linalg.norm(w)
+    V = np.empty((min(POWER_ITERS, size), size), dtype=complex)   # the basis
+    alphas, betas = [], []
+    for k in range(POWER_ITERS):
+        V[k] = w / beta
+        w = adjoint(apply(V[k]))
+        alpha = 0.0
+        for _ in range(2):                         # classical Gram-Schmidt, twice
+            c = V[:k + 1].conj() @ w
+            w -= c @ V[:k + 1]
+            alpha += c[k].real
+        beta = np.linalg.norm(w)
+        alphas.append(alpha)
+        betas.append(beta)
+        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
+                                      + np.diag(betas[:-1], -1))
+        theta, s = evals[-1], evecs[:, -1]
+        # a small Ritz residual, or an invariant (or full) Krylov space,
+        # where theta is exact
+        if (beta * abs(s[-1]) <= POWER_TOL * theta
+                or beta <= np.finfo(float).eps * theta or k + 1 == size):
             break
-        s_old = s
     else:
-        warnings.warn(f"power iteration stopped after {POWER_ITERS} iterations "
-                      f"without meeting tol = {POWER_TOL:g}", ConvergenceWarning,
+        warnings.warn(f"Lanczos stopped after {POWER_ITERS} steps without "
+                      f"meeting tol = {POWER_TOL:g}", ConvergenceWarning,
                       stacklevel=3)
-    return float(np.linalg.norm(apply(v)) / np.linalg.norm(v))
+    y = s @ V[:k + 1]                              # the Ritz vector
+    return float(np.linalg.norm(apply(y)) / np.linalg.norm(y))
 
 
 def operator_norm(M):
-    """Spectral norm by power iteration on M* M (deterministic seed).
+    """Spectral norm by Lanczos on M* M, fully reorthogonalized.
 
+    The start vector is seeded by ``POWER_SEED``.  Lanczos stops when the
+    Ritz residual of the largest Ritz value theta of M* M is at most
+    ``POWER_TOL * theta``, or when the Krylov space is invariant.
     Emits :class:`ConvergenceWarning` when ``POWER_ITERS`` steps run out
-    before two successive estimates agree to ``POWER_TOL``; the last
-    estimate is returned.
-    The estimate is ||M v|| / ||v||: the iterate's length is not assumed 1.
+    first; the last estimate is returned.  The estimate is ||M y|| / ||y||
+    at the Ritz vector y, so it is exact for an isometry.
     """
     Mh = M.conj().T
     return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1])
@@ -227,24 +253,28 @@ def _defect_operator(Ka, Kb, Kab, n):
 def composition_defect(a, b, h_list, n=32):
     """Norms ||Op(a)Op(b) - Op(ab)|| per h and the fitted log-log slope.
 
-    Each norm comes from power iteration (as in :func:`operator_norm`) on
-    the factored defect: Op(c) = K_c F with K_c the sampled symbol times
-    the phase table, so one step costs six n^2-length matrix-vector
-    products and four FFTs, and no n^2 x n^2 product is formed.  Every
-    mixed symbol among a, b and ab is checked for aliasing as in
+    Each norm comes from Lanczos with full reorthogonalization, stopped by
+    the relative Ritz residual (as in :func:`operator_norm`), on the
+    factored defect: Op(c) = K_c F with K_c the sampled symbol times the
+    phase table, so one step costs six n^2-length matrix-vector products
+    and four FFTs, and no n^2 x n^2 product is formed.  a and b are
+    sampled once per h and ab's samples are their product; the samples
+    are multiplied by the phases in place, so a and b must return new
+    arrays, as any numpy expression of their arguments does.  Every mixed
+    symbol among a, b and ab is checked for aliasing as in
     :func:`quantize`.  Returns (defects, slope); the slope fit drops values
     at the numerical floor so an exactly-commuting pair reports slope nan
     with zero defects.
     """
-    def ab(x1, x2, s1, s2):
-        return a(x1, x2, s1, s2) * b(x1, x2, s1, s2)
-
     E = _phases(n)                 # raises past the budget, before sampling
     defects = []
     for h in h_list:
-        Ka = _sample(a, h, n)[0] * E
-        Kb = _sample(b, h, n)[0] * E
-        Kab = _sample(ab, h, n)[0] * E
+        Ka, Kb = _sample(a, h, n)[0], _sample(b, h, n)[0]
+        Kab = Ka * Kb                  # ab's samples, checked as _sample's are
+        _kind(Kab, n, stacklevel=3)
+        Ka *= E
+        Kb *= E
+        Kab *= E
         defects.append(_power_norm(*_defect_operator(Ka, Kb, Kab, n), n * n))
         del Ka, Kb, Kab                  # freed before the next h is sampled
     defects = np.array(defects)
@@ -262,7 +292,7 @@ def boundedness_check(symbol_factory, h_list, thetas, n=32):
 
     ``symbol_factory(h, theta)`` returns the symbol callable for that cell.
     Rows are (h, theta, norm); a multiplier's norm is exact, max |a(h k)|,
-    and only an x-dependent symbol's comes from power iteration.  The
+    and only an x-dependent symbol's comes from :func:`operator_norm`.  The
     exponent is the mean over h of the per-h slope of log(norm) against
     log(theta).
     """

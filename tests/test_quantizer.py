@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maxdtn import quantizer
 from maxdtn.quantizer import (AliasWarning, ConvergenceWarning,
                               _defect_operator, _flat, _nyquist_mass, _phases,
                               _sample, boundedness_check, composition_defect,
@@ -72,12 +73,35 @@ def test_mixed_symbol_matches_direct_sum():
     assert np.max(np.abs(op.matrix - M)) < 1e-11
 
 
+def _unitary(rng, m):
+    Q, R = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.default_rng(15)
-    for _ in range(5):
-        M = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-        ref = np.linalg.svd(M, compute_uv=False)[0]
-        assert abs(operator_norm(M) - ref) < 1e-6 * ref
+    cases = [rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+             for m in (40, 40, 40, 40, 40, 3, 8, 16, 32)]
+    # clustered top singular values, the gap from 1e-4 down to a double one
+    for m in (3, 8, 16, 32):
+        for gap in (1e-4, 5e-5, 1e-6, 0.0):
+            s = np.concatenate([[1.0, 1.0 - gap],
+                                np.sort(rng.uniform(0.1, 0.9, m - 2))[::-1]])
+            cases.append((_unitary(rng, m) * s) @ _unitary(rng, m).conj().T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in cases:
+            ref = np.linalg.svd(M, compute_uv=False)[0]
+            assert abs(operator_norm(M) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("gap", [1e-4, 9e-5, 5e-5, 1e-5])
+def test_operator_norm_clustered_diagonal(gap):
+    # two successive estimates of a tight cluster agree long before either
+    # is the norm; the Ritz residual does not stop there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(operator_norm(np.diag([1.0, 1.0 - gap, 0.5])) - 1.0) <= 1e-12
 
 
 def test_alias_warning():
@@ -152,11 +176,17 @@ def test_multiplier_norm_matches_svd():
         assert abs(norm - ref) <= 1e-12 * ref
 
 
-def test_operator_norm_warns_when_unconverged():
-    # top two singular values 9e-5 apart: 300 iterations do not separate them
-    M = np.diag([1.0, 1.0 - 9e-5, 0.5])
+def test_operator_norm_warns_when_unconverged(monkeypatch):
+    # about 22 Lanczos steps converge on this matrix; a cap of 3 warns and
+    # returns the last estimate, a lower bound on the norm
+    rng = np.random.default_rng(15)
+    M = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    ref = np.linalg.svd(M, compute_uv=False)[0]
+    monkeypatch.setattr(quantizer, "POWER_ITERS", 3)
     with pytest.warns(ConvergenceWarning):
-        operator_norm(M)
+        est = operator_norm(M)
+    assert 0.5 * ref < est <= ref * (1.0 + 1e-12)
+    assert abs(est - ref) > 1e-6 * ref
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert abs(operator_norm(np.diag([1.0, 0.5, 0.25])) - 1.0) < 1e-9
@@ -246,18 +276,43 @@ def test_defect_operator_matches_dense(n):
         assert _rel(adjoint(w), D.conj().T @ w) <= 1e-12
 
 
+# test_09's pair
+_PAIR = (lambda x1, x2, s1, s2: np.exp(1j * x1) * (1.0 + 0.5 * np.sin(s2 + 0.3)),
+         lambda x1, x2, s1, s2: np.cos(x2) * (1.0 + 0.4 * np.sin(s2 - 0.2)))
+_HS = [2.0 ** -k for k in range(3, 8)]
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_composition_defect_matches_dense_norm(n):
-    # test_09's pair; the reference forms the n^2 x n^2 defect matrix
-    a = lambda x1, x2, s1, s2: np.exp(1j * x1) * (1.0 + 0.5 * np.sin(s2 + 0.3))
-    b = lambda x1, x2, s1, s2: np.cos(x2) * (1.0 + 0.4 * np.sin(s2 - 0.2))
+    # the reference is the dense SVD of the formed n^2 x n^2 defect matrix;
+    # at n = 32 only the smallest h, one 1024 x 1024 SVD
+    a, b = _PAIR
     ab = lambda x1, x2, s1, s2: a(x1, x2, s1, s2) * b(x1, x2, s1, s2)
-    hs = [2.0 ** -k for k in range(3, 8)]
+    hs = _HS if n == 16 else _HS[-1:]
     defects, _ = composition_defect(a, b, hs, n=n)
     for h, d in zip(hs, defects):
-        ref = operator_norm(quantize(a, h, n).matrix @ quantize(b, h, n).matrix
-                            - quantize(ab, h, n).matrix)
+        D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
+             - quantize(ab, h, n).matrix)
+        ref = np.linalg.svd(D, compute_uv=False)[0]
         assert abs(d - ref) <= 1e-12 * ref
+
+
+def test_composition_defect_application_count(monkeypatch):
+    # the Ritz-residual stop applies test_09's defects 34 times over its
+    # five h (7/6/7/7/7, the final Ritz vector's application included)
+    calls = []
+
+    def counted(*args):
+        apply, adjoint = _defect_operator(*args)
+
+        def apply_counted(v):
+            calls.append(1)
+            return apply(v)
+        return apply_counted, adjoint
+
+    monkeypatch.setattr(quantizer, "_defect_operator", counted)
+    composition_defect(*_PAIR, _HS, n=32)
+    assert len(calls) <= 45
 
 
 @pytest.mark.parametrize("n", [8, 9])
