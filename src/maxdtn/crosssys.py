@@ -87,22 +87,35 @@ class CrossSystem:
         self.psi0 = vsub(vscale(rho, nu), beta)
 
     def solve(self, a_sharp, b_sharp, g):
-        """Return (a, b, nu_cross_b) for the right-hand side (a#, b#, g)."""
+        """Return (a, b, nu_cross_b) for the right-hand side (a#, b#, g).
+
+        None stands for a zero a#, b# or g, and the crosses and dots of that
+        term are skipped; at least one of the three must be given.
+        """
         rho, nu, beta = self.rho, self.nu, self.beta
-        nu_x_g = cross(nu, g)
         # normal component of a
-        nu_a = (self.inv_rho * dot(nu, cross(beta, g))
-                - self.inv_rho2 * dot(cross(beta, a_sharp), nu)
-                + self.zmu_inv_rho2 * dot(b_sharp, nu))
-        a = vadd(vscale(-1.0, nu_x_g), vscale(nu_a, nu))
-
-        b = vscale(self.inv_zmu, vsub(cross(self.psi0, a), a_sharp))
-
+        nu_a = None
+        if g is not None:
+            nu_x_g = cross(nu, g)
+            nu_a = self.inv_rho * dot(nu, cross(beta, g))
+        if a_sharp is not None:
+            t = self.inv_rho2 * dot(cross(beta, a_sharp), nu)
+            nu_a = -t if nu_a is None else nu_a - t
+        if b_sharp is not None:
+            t = self.zmu_inv_rho2 * dot(b_sharp, nu)
+            nu_a = t if nu_a is None else nu_a + t
+        a = vscale(nu_a, nu)
         # z*mu0 * (nu x b) = rho*(nu x g) - <nu,a>*beta - nu x a#
-        nu_cross_b = vscale(self.inv_zmu,
-                            vsub(vsub(vscale(rho, nu_x_g), vscale(nu_a, beta)),
-                                 cross(nu, a_sharp)))
-        return a, b, nu_cross_b
+        if g is None:
+            zmu_nxb = vscale(-nu_a, beta)
+        else:
+            a = vadd(vscale(-1.0, nu_x_g), a)
+            zmu_nxb = vsub(vscale(rho, nu_x_g), vscale(nu_a, beta))
+        b = cross(self.psi0, a)
+        if a_sharp is not None:
+            b = vsub(b, a_sharp)
+            zmu_nxb = vsub(zmu_nxb, cross(nu, a_sharp))
+        return a, vscale(self.inv_zmu, b), vscale(self.inv_zmu, zmu_nxb)
 
 
 def solve_cross_system(inp: CrossSystemInput):

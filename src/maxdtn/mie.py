@@ -284,7 +284,7 @@ def _symbol_eigenvalues(sp, chart, media, base, r0_target):
     s = np.sqrt(r0_target / g)
     gs = GammaSeries(chart, base, n1=3, order=6)
     ps = eikonal_coeffs(gs, media, sp, (s, 0.0), N=3)
-    sym = boundary_symbol(transport_coeffs(ps, media, N=2, J=1))
+    sym = boundary_symbol(transport_coeffs(ps, media, N=1, J=1))
     nu = np.array([c.value for c in gs.nu]).real
     bhat = beta_unit / np.linalg.norm(beta_unit)
     proj = np.array([np.cross(nu, bhat), bhat], dtype=complex)

@@ -9,7 +9,8 @@ the FFT of K's row j.  ``composition_defect`` assembles no operator
 matrix: it applies Op(a)Op(b) - Op(ab) and its adjoint through the
 factors, so no n^2 x n^2 product is formed.  A norm that is not read
 exactly comes from Lanczos on M* M with full reorthogonalization, stopped
-when the relative Ritz residual is at most ``POWER_TOL``.  Pure
+when the relative Ritz residual is at most ``POWER_TOL``; a composition
+defect also stops at the rounding floor of the difference it forms.  Pure
 multiplication and multiplier symbols (a constant is both) short-circuit
 in ``quantize`` to their exact matrices so the algebraic invariants hold
 to the last bit; a pure multiplier is a circulant of norm max |a(h k)|.
@@ -171,13 +172,18 @@ def _nyquist_mass(A, n):
     return mass, n * n * sq(A)
 
 
-def _power_norm(apply, adjoint, size):
+def _power_norm(apply, adjoint, size, scale):
     """Largest singular value of a map given as (apply, adjoint) callables.
 
     Lanczos on adjoint(apply(.)) from the seeded vector, the basis kept as
     one (k, size) array and each new vector fully reorthogonalized by two
     classical Gram-Schmidt passes.  ``POWER_TOL`` bounds the relative Ritz
     residual of the largest Ritz value; the rule is :func:`operator_norm`'s.
+    A map that forms a difference passes ``scale``, a one-element list into
+    which each apply writes the size of the terms it subtracts per unit
+    input (else None): Lanczos then also stops when the norm estimate
+    sqrt(theta) is at most sqrt(size) * eps times it, the rounding floor of
+    that difference.
     """
     rng = np.random.default_rng(POWER_SEED)
     w = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -198,10 +204,12 @@ def _power_norm(apply, adjoint, size):
         evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
                                       + np.diag(betas[:-1], -1))
         theta, s = evals[-1], evecs[:, -1]
-        # a small Ritz residual, or an invariant (or full) Krylov space,
-        # where theta is exact
+        # a small Ritz residual, an invariant (or full) Krylov space, where
+        # theta is exact, or sqrt(theta) at the rounding floor (theta < 0 too)
+        floor = 0.0 if scale is None else math.sqrt(size) * np.finfo(float).eps * scale[0]
         if (beta * abs(s[-1]) <= POWER_TOL * theta
-                or beta <= np.finfo(float).eps * theta or k + 1 == size):
+                or beta <= np.finfo(float).eps * theta or k + 1 == size
+                or theta <= floor * floor):
             break
     else:
         warnings.warn(f"Lanczos stopped after {POWER_ITERS} steps without "
@@ -222,15 +230,19 @@ def operator_norm(M):
     at the Ritz vector y, so it is exact for an isometry.
     """
     Mh = M.conj().T
-    return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1])
+    return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1], None)
 
 
-def _defect_operator(Ka, Kb, Kab, n):
+def _defect_operator(Ka, Kb, Kab, n, scale=None):
     """D = Op(a)Op(b) - Op(ab) = Ka F Kb F - Kab F and its adjoint, as maps.
 
     F^H is the inverse FFT, and K^H w is formed as conj(conj(w) K), so no
-    conjugate transpose of a factor is copied.
+    conjugate transpose of a factor is copied.  Each apply writes
+    max(||Ka F Kb F v||, ||Kab F v||) / ||v|| to ``scale[0]`` when a
+    one-element list ``scale`` is given (see :func:`_power_norm`).
     """
+    scale = [0.0] if scale is None else scale
+
     def fft(v):
         return np.fft.fft2(v.reshape(n, n), norm="forward").ravel()
 
@@ -242,7 +254,9 @@ def _defect_operator(Ka, Kb, Kab, n):
 
     def apply(v):
         u = fft(v)
-        return Ka @ fft(Kb @ u) - Kab @ u
+        ab, c = Ka @ fft(Kb @ u), Kab @ u
+        scale[0] = max(np.linalg.norm(ab), np.linalg.norm(c)) / np.linalg.norm(v)
+        return ab - c
 
     def adjoint(w):
         return ifft(kh(Kb, ifft(kh(Ka, w))) - kh(Kab, w))
@@ -254,7 +268,9 @@ def composition_defect(a, b, h_list, n=32):
     """Norms ||Op(a)Op(b) - Op(ab)|| per h and the fitted log-log slope.
 
     Each norm comes from Lanczos with full reorthogonalization, stopped by
-    the relative Ritz residual (as in :func:`operator_norm`), on the
+    the relative Ritz residual (as in :func:`operator_norm`) or once the
+    estimate is under n eps times the larger of ||Op(a)Op(b) v|| and
+    ||Op(ab) v|| per unit v, where it is rounding noise; it runs on the
     factored defect: Op(c) = K_c F with K_c the sampled symbol times the
     phase table, so one step costs six n^2-length matrix-vector products
     and four FFTs, and no n^2 x n^2 product is formed.  a and b are
@@ -275,7 +291,8 @@ def composition_defect(a, b, h_list, n=32):
         Ka *= E
         Kb *= E
         Kab *= E
-        defects.append(_power_norm(*_defect_operator(Ka, Kb, Kab, n), n * n))
+        scale = [0.0]
+        defects.append(_power_norm(*_defect_operator(Ka, Kb, Kab, n, scale), n * n, scale))
         del Ka, Kb, Kab                  # freed before the next h is sampled
     defects = np.array(defects)
     keep = defects > 1e-13

@@ -23,22 +23,29 @@ equations -- so that both equations hold through all retained orders.  That
 condition is affine in the datum g = nu x a_{j,k} = p1 tau0 + p2 tau1: the
 slot enters the level-(j+1), order-(k-1) right-hand side only through the
 curl term 1j*k*(nu x a_{j,k}, nu x b_{j,k}), and the cross-system solve
-returns nu x b in closed form.  One solve of the batch (data, 0), (0, tau0),
-(0, tau1) gives the defect's constant part d0 and its slopes m1, m2, and a
-2x2 system gives (p1, p2); the solve being linear, the same weights combine
-the three solutions into the slot.  The level-(j+1), order-(k-1) right-hand
-side formed for that choice is kept and later completed by the curl term
-alone.  Levels are built with a staircase of x1-orders (deeper h-levels get
-fewer) so every retained coefficient identity closes.
+returns nu x b in closed form.  The slot's data are solved once with g = 0,
+giving the defect's constant part d0; the solutions for g = tau0 and
+g = tau1 with zero data give its slopes m1, m2, and depend on neither the
+slot nor the basis datum, so the table solves them once.  A 2x2 system gives
+(p1, p2); the solve being linear, the same weights combine the three
+solutions into the slot.  The level-(j+1), order-(k-1) right-hand side
+formed for that choice is kept and later completed by the curl term alone.
+Levels are built with a staircase of x1-orders (deeper h-levels get fewer)
+so every retained coefficient identity closes.  A zero term of a
+right-hand side or datum is passed to the solve as None and costs nothing:
+slot (0,0) has no right-hand side, and every slot without a solvability
+choice has datum zero.
 
 The boundary symbol is m + h*mtilde: m comes from the (0,0) block, and the
 first-order corrector combines a commutator term n (from the two-point
-normal factor in the datum) with the (1,0) block.  The high-frequency
-flattened corrector (media-independent after scaling by mu0) uses the
-literal scheme with rho replaced by i sqrt(r0) and is built on first read;
-the full corrector used for per-mode convergence comparisons keeps rho and
-the consistent scheme.  The pointwise residual contracts the basis axis
-with the datum f~ and takes every x1 of an array in one call.
+normal factor in the datum) with the (1,0) block.  These two blocks are all
+the symbol reads, so a table with N = 1, J = 1 (slots (0,0), (0,1) and
+(1,0)) serves it.  The high-frequency flattened corrector (media-independent
+after scaling by mu0) uses the literal scheme with rho replaced by
+i sqrt(r0), from an N = 2 flattened phase and such a table, and is built on
+first read; the full corrector used for per-mode convergence comparisons
+keeps rho and the consistent scheme.  The pointwise residual contracts the
+basis axis with the datum f~ and takes every x1 of an array in one call.
 """
 
 from __future__ import annotations
@@ -67,6 +74,16 @@ I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
           np.array([[0.0, -1.0, 0], [1.0, 0, 0], [0, 0, 0]])]
 
 
+def _plus(u, v):
+    """u + v for 3-vectors, None standing for a zero u."""
+    return v if u is None else vadd(u, v)
+
+
+def _minus(u, v):
+    """u - v for 3-vectors, None standing for a zero u."""
+    return [-c for c in v] if u is None else vsub(u, v)
+
+
 def _grad_cross(gamma_cols, vec):
     """(gamma nabla') x vec = sum_{m=2,3} col_m(gamma) x d_m(vec) (jet path)."""
     out = [None, None, None]
@@ -86,7 +103,9 @@ class AmplitudeTable:
     K[j] = N + J - j.  Every entry is a jet 3-vector whose jets carry the
     basis index i as their batch axis; ``.value`` of the components gives
     the base-point numbers.  The table holds the datum-independent series
-    of the recursion too; :func:`transport_coeffs` fills its slots.
+    of the recursion too, and the two tau solutions of the solvability
+    choice, solved on first use; :func:`transport_coeffs` fills its slots,
+    sum(K) solves in all (two more for the tau pair of a consistent table).
     """
 
     def __init__(self, ps: PhaseSeries, N, J, scheme, media_corrections):
@@ -110,15 +129,10 @@ class AmplitudeTable:
         self.system = CrossSystem(ps.rho_jet, self.nu, beta, self.z, self.mu_k[0])
         self.gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
                       for m in range(ntot)]
-        self.zerov = [self.nu[0] * 0.0] * 3
         self.g0 = vscale(-1.0, cross(self.nu, _BASIS))
         # tangential covector basis for the datum of a_{j,k}, k >= 1
         self.tau = (beta, cross(self.nu, beta))
         self.r0 = np.real(dot(beta, beta).value)
-        # weights of the data, tau0 and tau1 in the batch (data, 0), (0, tau0),
-        # (0, tau1) of the solvability choice, on a trial axis ahead of the
-        # point and basis axes
-        self.trial_weights = np.eye(3).reshape((3, 3) + (1,) * (len(ps.points) + 1))
         self.a, self.b, self.nxb = {}, {}, {}
         self.batched = {"a": self.a, "b": self.b, "nu_cross_b": self.nxb}
         self._partial = {}
@@ -134,21 +148,21 @@ class AmplitudeTable:
         return np.moveaxis(np.array([comp.value for comp in self.nxb[(j, 0)]]), 0, -2)
 
     def rhs(self, j, k):
-        """(a#, b#) at slot (j,k) from the stored slots.  While slot (j-1, k+1)
-        is not stored, its curl term is left out and the sums are kept; the
-        first call after it is stored adds that term alone."""
+        """(a#, b#) at slot (j,k) from the stored slots, (None, None) when no
+        term enters (slot (0,0)).  While slot (j-1, k+1) is not stored, its
+        curl term is left out and the sums are kept; the first call after it
+        is stored adds that term alone."""
         a, b = self.a, self.b
         if (j, k) in self._partial and (j - 1, k + 1) in a:
             a_sh, b_sh = self._partial.pop((j, k))
             w = 1j * (k + 1)
             return (vadd(a_sh, vscale(w, cross(self.nu, a[(j - 1, k + 1)]))),
                     vadd(b_sh, vscale(w, cross(self.nu, b[(j - 1, k + 1)]))))
-        a_sh = self.zerov
-        b_sh = self.zerov
+        a_sh = b_sh = None
         z = self.z
         for ell in range(k):
-            a_sh = vsub(a_sh, cross(self.psis[k - ell], a[(j, ell)]))
-            b_sh = vsub(b_sh, cross(self.psis[k - ell], b[(j, ell)]))
+            a_sh = _minus(a_sh, cross(self.psis[k - ell], a[(j, ell)]))
+            b_sh = _minus(b_sh, cross(self.psis[k - ell], b[(j, ell)]))
             if self.media_corrections:
                 a_sh = vadd(a_sh, vscale(z * self.mu_k[k - ell], b[(j, ell)]))
                 b_sh = vsub(b_sh, vscale(z * self.eps_k[k - ell], a[(j, ell)]))
@@ -162,8 +176,8 @@ class AmplitudeTable:
                     for c in range(3):
                         ga[c] = ga[c] + (ell + 1) * exa[c]
                         gb[c] = gb[c] + (ell + 1) * exb[c]
-                a_sh = vadd(a_sh, vscale(1j, ga))
-                b_sh = vadd(b_sh, vscale(1j, gb))
+                a_sh = _plus(a_sh, vscale(1j, ga))
+                b_sh = _plus(b_sh, vscale(1j, gb))
             if (j - 1, k + 1) not in a:
                 self._partial[(j, k)] = (a_sh, b_sh)
         return a_sh, b_sh
@@ -186,29 +200,39 @@ class AmplitudeTable:
         """
         return [dot(u, a_sh) + dot(w, b_sh) for u, w in self.cokernel]
 
+    @cached_property
+    def tau_solutions(self):
+        """(a, b, nu x b) for the data g = tau0 and g = tau1 with a# = b# = 0:
+        the slopes of the solvability choice, the same at every slot."""
+        return [self.system.solve(None, None, t) for t in self.tau]
+
+    @cached_property
+    def tau_curls(self):
+        """Cokernel components of the curl terms (nu x a, nu x b) of the two
+        tau solutions, indexed [tau][component]."""
+        return [self.defect(t, sol[2]) for t, sol in zip(self.tau, self.tau_solutions)]
+
     def solve_slot(self, j, k, a_sh, b_sh):
         """(a, b, nu x b) of slot (j,k): datum g0 at (0,0), the solvability
         choice for k >= 1, else zero.  A point with r0 < 1e-12 has no
         tangential basis and takes datum zero."""
         flat = np.asarray(self.r0 < 1e-12)
         if k == 0 or self.scheme == "literal" or j == self.J or np.all(flat):
-            return self.system.solve(a_sh, b_sh, self.g0 if j == k == 0 else self.zerov)
+            return self.system.solve(a_sh, b_sh, self.g0 if j == k == 0 else None)
         # the level-(j+1), order-(k-1) defect is d0 + p1 m1 + p2 m2 for
         # g = p1 tau0 + p2 tau1 (module docstring); rhs() leaves slot (j,k) out
-        data, tau0, tau1 = self.trial_weights
-        g = vadd(vscale(tau0, self.tau[0]), vscale(tau1, self.tau[1]))
-        trial = self.system.solve(vscale(data, a_sh), vscale(data, b_sh), g)
-        curl = self.defect(g, trial[2])
+        data = self.system.solve(a_sh, b_sh, None)
         rest = self.defect(*self.rhs(j + 1, k - 1))
-        d0 = [rest[r] + 1j * k * curl[r][0] for r in range(2)]
-        m = [[1j * k * curl[r][c + 1] for c in range(2)] for r in range(2)]
+        d0 = [rest[r] + 1j * k * dot(w, data[2]) for r, (_, w) in enumerate(self.cokernel)]
+        m = [[1j * k * self.tau_curls[c][r] for c in range(2)] for r in range(2)]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        # weights 0 where flat: the slot is the trial of the data there
+        # weights 0 where flat: the slot is the solution of the data there
         inv_det = (det + flat.astype(float)).invert() * (~flat).astype(float)
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
         p2 = (m[1][0] * d0[0] - m[0][0] * d0[1]) * inv_det
-        # the solve is linear in (a#, b#, g): the slot combines the trials
-        return tuple([c[0] + p1 * c[1] + p2 * c[2] for c in vec] for vec in trial)
+        # the solve is linear in (a#, b#, g): the slot combines the solutions
+        return tuple([d + p1 * t0 + p2 * t1 for d, t0, t1 in zip(*vecs)]
+                     for vecs in zip(data, *self.tau_solutions))
 
 
 def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
@@ -320,14 +344,16 @@ class BoundarySymbol:
     @cached_property
     def m_tilde(self):
         """Flattened corrector n_flat + flattened iota_nu B_{1,0}, built on
-        first read: cutoff m0 in the commutator; zero at r0 = 0 (a batch
-        with r0 = 0 at some points only raises ZeroFrequencyCovector)."""
+        first read from an N = 2 flattened phase and an N = 1, J = 1 table,
+        which hold the (1,0) block and nothing past it: cutoff m0 in the
+        commutator; zero at r0 = 0 (a batch with r0 = 0 at some points only
+        raises ZeroFrequencyCovector)."""
         ps, r0 = self._ps, self._dxi[1]
         if not np.any(r0 > 0.0):
             return np.zeros(np.shape(r0) + (3, 3), dtype=complex)
         n_flat = _commutator_n(ps.gs, _dxi_m0_cut(ps.sp.z, self._mu0, *self._dxi))
-        ps_flat = eikonal_coeffs(ps.gs, ps.media, ps.sp, ps.xiprime, N=3, flattened=True)
-        t_flat = transport_coeffs(ps_flat, ps.media, N=2, J=1)
+        ps_flat = eikonal_coeffs(ps.gs, ps.media, ps.sp, ps.xiprime, N=2, flattened=True)
+        t_flat = transport_coeffs(ps_flat, ps.media, N=1, J=1)
         return n_flat + _mat(1.0 - cutoff_eta(r0)) * t_flat.iota_nu_B(1)
 
 

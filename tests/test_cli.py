@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxdtn import cli
+from maxdtn import cli, mie
 from maxdtn.cli import main
 from maxdtn.config import RunConfig
 from maxdtn.quantizer import quantize
@@ -236,6 +236,21 @@ def test_degenerate_configs_exit_2(tmp_path, command, text):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_dtn_compare_rows_equal_those_of_a_fuller_table(monkeypatch):
+    # the symbol reads iota_nu B_{0,0} and iota_nu B_{1,0} only, so the
+    # N = 1, J = 1 table gives the rows of the N = 2, J = 1 table bitwise
+    cfg = RunConfig()
+    report = cli.cmd_dtn_compare(cfg)
+    transport_coeffs = mie.transport_coeffs
+
+    def fuller(ps, media, N, J):
+        assert (N, J) == (1, 1)
+        return transport_coeffs(ps, media, N=2, J=1)
+
+    monkeypatch.setattr(mie, "transport_coeffs", fuller)
+    assert cli.cmd_dtn_compare(cfg) == report
 
 
 def test_dtn_compare_empty_h_list_fails(tmp_path, capsys):

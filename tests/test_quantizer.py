@@ -297,9 +297,8 @@ def test_composition_defect_matches_dense_norm(n):
         assert abs(d - ref) <= 1e-12 * ref
 
 
-def test_composition_defect_application_count(monkeypatch):
-    # the Ritz-residual stop applies test_09's defects 34 times over its
-    # five h (7/6/7/7/7, the final Ritz vector's application included)
+def _count_applications(monkeypatch):
+    """A list that gains one entry per application of a composition defect."""
     calls = []
 
     def counted(*args):
@@ -311,8 +310,49 @@ def test_composition_defect_application_count(monkeypatch):
         return apply_counted, adjoint
 
     monkeypatch.setattr(quantizer, "_defect_operator", counted)
+    return calls
+
+
+def test_composition_defect_application_count(monkeypatch):
+    # the Ritz-residual stop applies test_09's defects 34 times over its
+    # five h (7/6/7/7/7, the final Ritz vector's application included)
+    calls = _count_applications(monkeypatch)
     composition_defect(*_PAIR, _HS, n=32)
     assert len(calls) <= 45
+
+
+def test_composition_defect_stops_at_the_rounding_floor(monkeypatch):
+    # an exactly commuting pair leaves rounding noise of about 1e-16, on
+    # which a relative Ritz residual has nothing to converge to (32 and 37
+    # applications at n = 16 without the floor rule): Lanczos stops once
+    # the estimate is under n eps times the size of the subtracted terms
+    a = lambda x1, x2, s1, s2: np.cos(x1) + 0.0 * s1
+    b = lambda x1, x2, s1, s2: np.sin(s1) + 0.0 * x1
+    calls = _count_applications(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1 / 8, 1 / 16):
+            calls.clear()
+            defects, _ = composition_defect(a, b, [h], n=16)
+            assert len(calls) <= 4
+            assert defects[0] < 1e-13
+        _, slope = composition_defect(a, b, [1 / 8, 1 / 16], n=16)
+    assert np.isnan(slope)
+
+
+def test_rounding_floor_leaves_a_resolved_defect_alone(monkeypatch):
+    # test_09's pair stops by the Ritz residual long before the floor: the
+    # same 34 applications and bitwise the same norms as without the rule
+    calls = _count_applications(monkeypatch)
+    with_floor = composition_defect(*_PAIR, _HS, n=32)[0]
+    count = len(calls)
+    power_norm = quantizer._power_norm
+    monkeypatch.setattr(quantizer, "_power_norm",
+                        lambda apply, adjoint, size, scale: power_norm(apply, adjoint, size, None))
+    calls.clear()
+    without = composition_defect(*_PAIR, _HS, n=32)[0]
+    assert count == len(calls) <= 45
+    assert np.array_equal(with_floor, without)
 
 
 @pytest.mark.parametrize("n", [8, 9])

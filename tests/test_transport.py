@@ -10,10 +10,10 @@ from maxdtn.eikonal import eikonal_coeffs
 from maxdtn.jets import Jet
 from maxdtn.geometry import GammaSeries, MediaField, ScalarField, SurfaceChart, beta_pointwise
 from maxdtn.numerics import cross, dot
-from maxdtn.spectral import split_lambda, symbol_m
+from maxdtn.spectral import cutoff_eta, split_lambda, symbol_m
 from maxdtn.transport import boundary_symbol, maxwell_residual, transport_coeffs
 
-from coefficient_oracle import equation_residual
+from coefficient_oracle import equation_residual, trial_batch_table
 
 SP = split_lambda(5.0 + 2.0j)
 CHART = SurfaceChart.sphere(1.0)
@@ -110,8 +110,8 @@ def test_consistent_slot_solves_its_datum(media, N, J):
 
 
 def test_one_solve_per_slot(monkeypatch):
-    # the consistent slot is combined from the solvability step's trial
-    # solutions, not solved a second time
+    # every slot is one solve of its own data; the consistent slots combine
+    # it with the two tau solutions, which the table solves once
     N, J = 4, 2
     gs = GammaSeries(CHART, BASE, n1=N + J, order=N + J + 3)
     ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=N + J)
@@ -123,9 +123,12 @@ def test_one_solve_per_slot(monkeypatch):
         return solve(self, *args)
 
     monkeypatch.setattr(CrossSystem, "solve", counting)
-    tab = transport_coeffs(ps, MEDIA, N=N, J=J)
-    assert tab.scheme == "consistent"
-    assert len(calls) == len(tab.a) == sum(tab.K.values())
+    for scheme, tau_solves in (("consistent", 2), ("literal", 0)):
+        calls.clear()
+        tab = transport_coeffs(ps, MEDIA, N=N, J=J, scheme=scheme)
+        assert tab.scheme == scheme
+        assert len(tab.a) == sum(tab.K.values())
+        assert len(calls) == len(tab.a) + tau_solves
 
 
 def test_pointwise_residual_slope(table):
@@ -206,16 +209,26 @@ def test_flattened_corrector_built_once_on_read(monkeypatch):
 
 
 def test_short_series_raises_on_corrector_read():
-    # a two-term series carries the symbol's own build, but not the N = 3
-    # flattened phase: only reading m_tilde needs it
+    # m_tilde reads the N = 2 flattened phase: a two-term series carries it,
+    # equal to the three-term series' result; a one-term series carries the
+    # symbol's own build but not that phase, so only reading m_tilde raises
+    xi = (4.0, -3.0)
     gs = GammaSeries(CHART, BASE, n1=2, order=5)
-    ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=2)
+    ps = eikonal_coeffs(gs, MEDIA, SP, xi, N=2)
     tab = transport_coeffs(ps, MEDIA, N=1, J=1)
     sym = boundary_symbol(tab)
     assert np.array_equal(sym.m, tab.iota_nu_B(0))
     assert np.array_equal(sym.m_tilde_full, sym.n + tab.iota_nu_B(1))
+    gs3 = GammaSeries(CHART, BASE, n1=3, order=5)
+    sym3 = boundary_symbol(transport_coeffs(eikonal_coeffs(gs3, MEDIA, SP, xi, N=3),
+                                            MEDIA, N=2, J=1))
+    assert np.array_equal(sym.m_tilde, sym3.m_tilde)
+    gs1 = GammaSeries(CHART, BASE, n1=1, order=5)
+    tab1 = transport_coeffs(eikonal_coeffs(gs1, MEDIA, SP, xi, N=1), MEDIA, N=1, J=0)
+    sym1 = boundary_symbol(tab1)
+    assert np.array_equal(sym1.m, tab1.iota_nu_B(0))
     with pytest.raises(OrderBudgetExceeded):
-        sym.m_tilde
+        sym1.m_tilde
 
 
 def test_corrector_media_independence():
@@ -360,3 +373,58 @@ def test_right_hand_side_formed_once(monkeypatch):
     # level 1 has orders k = 0, 1: sum_k 2 (k + 1) curl terms, each once
     assert len(formed) == 2 * (1 + 2)
     assert tab.K == {0: 3, 1: 2}
+
+
+_ELLIPSOID = SurfaceChart.ellipsoid(1.0, 1.2, 0.8)
+
+
+@pytest.mark.parametrize("media", [MEDIA, MediaField.constant(1.3, 0.9)],
+                         ids=["affine", "constant"])
+@pytest.mark.parametrize("chart", [CHART, _ELLIPSOID], ids=["sphere", "ellipsoid"])
+@pytest.mark.parametrize("batched", [False, True], ids=["point", "batch"])
+def test_flattened_corrector_reads_its_blocks_only(media, chart, batched):
+    # m_tilde builds an N = 2 flattened phase and an N = 1, J = 1 table; it
+    # equals the corrector formed from the N = 3 phase and the N = 2, J = 1
+    # table, whose slots (0, 2) and (1, 1) it never read
+    if batched:
+        sp = split_lambda(np.array([5.0 + 2.0j, 7.0 + 1.0j, 5.0 + 2.0j]))
+        xi = (np.array([5.2, -4.0, 3.5]), np.array([3.1, 2.5, 0.3]))
+    else:
+        sp, xi = SP, (5.2, 3.1)
+    gs = GammaSeries(chart, BASE, n1=3, order=6)
+    ps = eikonal_coeffs(gs, media, sp, xi, N=3)
+    sym = boundary_symbol(transport_coeffs(ps, media, N=2, J=1))
+    dxi = maxdtn.transport._dxi_ingredients(gs, xi)
+    n_flat = maxdtn.transport._commutator_n(
+        gs, maxdtn.transport._dxi_m0_cut(sp.z, ps.mu_k[0].value, *dxi))
+    ps_flat = eikonal_coeffs(gs, media, sp, xi, N=3, flattened=True)
+    t_flat = transport_coeffs(ps_flat, media, N=2, J=1)
+    r0 = dxi[1]
+    want = n_flat + np.asarray(1.0 - cutoff_eta(r0))[..., None, None] * t_flat.iota_nu_B(1)
+    assert sym.m_tilde.shape == want.shape == np.shape(r0) + (3, 3)
+    assert np.array_equal(sym.m_tilde, want)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["point", "batch"])
+def test_consistent_slots_match_trial_batch(batched):
+    # every slot (a, b, nu x b) equals the (data, tau0, tau1) trial batch
+    # solved with explicit zero vectors; the batch has a point with xi' = 0
+    # (r0 < 1e-12), which takes its data trial alone
+    N, J = 4, 2
+    if batched:
+        sp = split_lambda(np.array([5.0 + 2.0j, 40.0 + 20.0j, 3.0 - 1.0j]))
+        xi = (np.array([0.4, 4.0, 0.0]), np.array([-0.3, -3.0, 0.0]))
+    else:
+        sp, xi = SP, XI
+    gs = GammaSeries(_ELLIPSOID, BASE, n1=N + J, order=N + J + 3)
+    ps = eikonal_coeffs(gs, MEDIA, sp, xi, N=N + J)
+    tab = transport_coeffs(ps, MEDIA, N=N, J=J)
+    ref = trial_batch_table(ps, N, J)
+    if batched:
+        assert np.count_nonzero(tab.r0 < 1e-12) == 1
+    assert tab.a.keys() == ref.a.keys()
+    for name in ("a", "b", "nu_cross_b"):
+        for slot, vec in tab.batched[name].items():
+            for got, want in zip(vec, ref.batched[name][slot]):
+                assert got.order == want.order
+                assert np.array_equal(got.coef, want.coef), (name, slot)
