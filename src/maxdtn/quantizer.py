@@ -181,9 +181,10 @@ def _power_norm(apply, adjoint, size, scale):
     residual of the largest Ritz value; the rule is :func:`operator_norm`'s.
     A map that forms a difference passes ``scale``, a one-element list into
     which each apply writes the size of the terms it subtracts per unit
-    input (else None): Lanczos then also stops when the norm estimate
-    sqrt(theta) is at most sqrt(size) * eps times it, the rounding floor of
-    that difference.
+    input (else None): Lanczos then also stops when theta + beta, which
+    bounds ||A* A v_k|| and so also the part of A* A the Krylov space has
+    not yet resolved, is at most the square of sqrt(size) * eps times it,
+    the rounding floor of that difference.
     """
     rng = np.random.default_rng(POWER_SEED)
     w = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -205,11 +206,11 @@ def _power_norm(apply, adjoint, size, scale):
                                       + np.diag(betas[:-1], -1))
         theta, s = evals[-1], evecs[:, -1]
         # a small Ritz residual, an invariant (or full) Krylov space, where
-        # theta is exact, or sqrt(theta) at the rounding floor (theta < 0 too)
+        # theta is exact, or theta and the unresolved rest at the rounding floor
         floor = 0.0 if scale is None else math.sqrt(size) * np.finfo(float).eps * scale[0]
         if (beta * abs(s[-1]) <= POWER_TOL * theta
                 or beta <= np.finfo(float).eps * theta or k + 1 == size
-                or theta <= floor * floor):
+                or theta + beta <= floor * floor):
             break
     else:
         warnings.warn(f"Lanczos stopped after {POWER_ITERS} steps without "
@@ -233,15 +234,14 @@ def operator_norm(M):
     return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1], None)
 
 
-def _defect_operator(Ka, Kb, Kab, n, scale=None):
+def _defect_operator(Ka, Kb, Kab, n, scale):
     """D = Op(a)Op(b) - Op(ab) = Ka F Kb F - Kab F and its adjoint, as maps.
 
     F^H is the inverse FFT, and K^H w is formed as conj(conj(w) K), so no
     conjugate transpose of a factor is copied.  Each apply writes
-    max(||Ka F Kb F v||, ||Kab F v||) / ||v|| to ``scale[0]`` when a
-    one-element list ``scale`` is given (see :func:`_power_norm`).
+    max(||Ka F Kb F v||, ||Kab F v||) / ||v|| to ``scale[0]``, a
+    one-element list (see :func:`_power_norm`).
     """
-    scale = [0.0] if scale is None else scale
 
     def fft(v):
         return np.fft.fft2(v.reshape(n, n), norm="forward").ravel()
@@ -268,9 +268,10 @@ def composition_defect(a, b, h_list, n=32):
     """Norms ||Op(a)Op(b) - Op(ab)|| per h and the fitted log-log slope.
 
     Each norm comes from Lanczos with full reorthogonalization, stopped by
-    the relative Ritz residual (as in :func:`operator_norm`) or once the
-    estimate is under n eps times the larger of ||Op(a)Op(b) v|| and
-    ||Op(ab) v|| per unit v, where it is rounding noise; it runs on the
+    the relative Ritz residual (as in :func:`operator_norm`) or once both
+    the estimate and the part not yet resolved are under n eps times the
+    larger of ||Op(a)Op(b) v|| and ||Op(ab) v|| per unit v, where they are
+    rounding noise; it runs on the
     factored defect: Op(c) = K_c F with K_c the sampled symbol times the
     phase table, so one step costs six n^2-length matrix-vector products
     and four FFTs, and no n^2 x n^2 product is formed.  a and b are

@@ -240,16 +240,28 @@ def test_degenerate_configs_exit_2(tmp_path, command, text):
 
 def test_dtn_compare_rows_equal_those_of_a_fuller_table(monkeypatch):
     # the symbol reads iota_nu B_{0,0} and iota_nu B_{1,0} only, so the
-    # N = 1, J = 1 table gives the rows of the N = 2, J = 1 table bitwise
+    # N = 1, J = 1 table on an n1 = 2 series and an N = 2 phase gives the
+    # rows of the N = 2, J = 1 table on an n1 = 3 series and N = 3 phase
     cfg = RunConfig()
     report = cli.cmd_dtn_compare(cfg)
+    gamma_series, eikonal_coeffs = mie.GammaSeries, mie.eikonal_coeffs
     transport_coeffs = mie.transport_coeffs
 
-    def fuller(ps, media, N, J):
+    def fuller_series(chart, base, n1, order):
+        assert n1 == 2
+        return gamma_series(chart, base, n1=3, order=order)
+
+    def fuller_phase(gs, media, sp, xiprime, N):
+        assert N == 2
+        return eikonal_coeffs(gs, media, sp, xiprime, N=3)
+
+    def fuller_table(ps, media, N, J):
         assert (N, J) == (1, 1)
         return transport_coeffs(ps, media, N=2, J=1)
 
-    monkeypatch.setattr(mie, "transport_coeffs", fuller)
+    monkeypatch.setattr(mie, "GammaSeries", fuller_series)
+    monkeypatch.setattr(mie, "eikonal_coeffs", fuller_phase)
+    monkeypatch.setattr(mie, "transport_coeffs", fuller_table)
     assert cli.cmd_dtn_compare(cfg) == report
 
 

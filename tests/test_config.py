@@ -135,7 +135,6 @@ DEFAULTED_PARAMETERS = {
     "geometry.gamma_pointwise:x1",
     "mie.dtn_compare:R",
     "quantizer.boundedness_check:n", "quantizer.composition_defect:n",
-    "quantizer._defect_operator:scale",
     "transport.maxwell_residual:ftilde",
     "transport.transport_coeffs:J", "transport.transport_coeffs:media_corrections",
     "transport.transport_coeffs:scheme",

@@ -244,7 +244,7 @@ def test_factored_operator_matches_matrix(n):
     for kind, a in _KINDS.items():
         A, got_kind = _sample(a, h, n)
         assert got_kind == kind
-        apply, adjoint = _defect_operator(A * E, E, np.zeros_like(E), n)
+        apply, adjoint = _defect_operator(A * E, E, np.zeros_like(E), n, [0.0])
         M = quantize(a, h, n).matrix
         assert _rel(apply(v), M @ v) <= 1e-12
         assert _rel(adjoint(w), M.conj().T @ w) <= 1e-12
@@ -271,7 +271,7 @@ def test_defect_operator_matches_dense(n):
         D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
              - quantize(ab, h, n).matrix)
         apply, adjoint = _defect_operator(*(_sample(c, h, n)[0] * E
-                                            for c in (a, b, ab)), n)
+                                            for c in (a, b, ab)), n, [0.0])
         assert _rel(apply(v), D @ v) <= 1e-12
         assert _rel(adjoint(w), D.conj().T @ w) <= 1e-12
 
@@ -353,6 +353,22 @@ def test_rounding_floor_leaves_a_resolved_defect_alone(monkeypatch):
     without = composition_defect(*_PAIR, _HS, n=32)[0]
     assert count == len(calls) <= 45
     assert np.array_equal(with_floor, without)
+
+
+def test_rounding_floor_needs_the_unresolved_part_small_too():
+    # a rank-one map of norm ten times the floor: the seeded start vector
+    # overlaps its one direction by about 1/n, so theta alone starts near
+    # 0.1 floor^2, but beta carries the unresolved rest and Lanczos goes on
+    n = 32
+    size = n * n
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=size) + 1j * rng.normal(size=size)
+    u /= np.linalg.norm(u)
+    scale = [1.0]
+    sigma = 10.0 * n * np.finfo(float).eps * scale[0]
+    got = quantizer._power_norm(lambda v: sigma * u * np.vdot(u, v),
+                                lambda w: sigma * u * np.vdot(u, w), size, scale)
+    assert abs(got - sigma) <= 1e-12 * sigma
 
 
 @pytest.mark.parametrize("n", [8, 9])
