@@ -4,8 +4,10 @@ Left quantization on a periodic n x n grid: the operator multiplies the
 k-th Fourier coefficient by a(x', h k) and transforms back.  On the grid it
 factors as Op_h(a) = K F, with F the forward 2-D FFT (normalized by n^2)
 and K[j, k] = a(x_j, h k) e^{i k.x_j} the sampled symbol times a phase
-table.  ``quantize`` realizes it as a dense n^2 x n^2 matrix, row j being
-the FFT of K's row j.  ``composition_defect`` assembles no operator
+table.  A symbol is sampled on the broadcast grid and kept at the shape
+numpy returns, so one that reads two of its four variables costs n^2
+samples, not n^4.  ``quantize`` realizes it as a dense n^2 x n^2 matrix,
+row j being the FFT of K's row j.  ``composition_defect`` assembles no operator
 matrix: it applies Op(a)Op(b) - Op(ab) and its adjoint through the
 factors, so no n^2 x n^2 product is formed.  A norm that is not read
 exactly comes from Lanczos on M* M with full reorthogonalization, stopped
@@ -13,7 +15,8 @@ when the relative Ritz residual is at most ``POWER_TOL``; a composition
 defect also stops at the rounding floor of the difference it forms.  Pure
 multiplication and multiplier symbols (a constant is both) short-circuit
 in ``quantize`` to their exact matrices so the algebraic invariants hold
-to the last bit; a pure multiplier is a circulant of norm max |a(h k)|.
+to the last bit; a pure multiplier is a circulant of norm max |a(h k)|,
+which ``boundedness_check`` reads from the samples with no matrix formed.
 """
 
 from __future__ import annotations
@@ -62,37 +65,37 @@ def _grid(n):
     return x, k
 
 
-def _flat(n):
-    x, k = _grid(n)
-    X1, X2 = [v.ravel() for v in np.meshgrid(x, x, indexing="ij")]
-    K1, K2 = [v.ravel() for v in np.meshgrid(k, k, indexing="ij")]
-    return X1, X2, K1, K2
-
-
 def _sample(a, h, n):
-    """The symbol on the grid, A[j, k] = a(x_j, h k), and its kind (see
-    :func:`_kind`)."""
-    X1, X2, K1, K2 = _flat(n)
-    A = np.asarray(a(X1[:, None], X2[:, None],
-                     h * K1[None, :], h * K2[None, :]), dtype=complex)
-    if A.shape != (n * n, n * n):
-        A = np.broadcast_to(A, (n * n, n * n)).copy()
+    """The symbol on the grid, A[j1, j2, k1, k2] = a(x_j, h k), and its kind
+    (see :func:`_kind`).
+
+    ``a`` is called on the broadcast grid, each variable along its own axis,
+    and A keeps the shape numpy returns, a size-one axis where ``a`` does
+    not depend on that variable (a Python scalar gives (1, 1, 1, 1)).
+    """
+    x, k = _grid(n)
+    A = np.asarray(a(x[:, None, None, None], x[None, :, None, None],
+                     h * k[None, None, :, None], h * k[None, None, None, :]),
+                   dtype=complex)
+    np.broadcast_to(A, (n,) * 4)        # raises on a shape off the grid
+    A = A.reshape((1,) * (4 - A.ndim) + A.shape)
     return A, _kind(A, n, stacklevel=4)
 
 
 def _kind(A, n, stacklevel):
     """The kind of the sampled symbol A, warning when it aliases.
 
-    The kind is "multiplication" when A does not vary along k (a constant
-    included), "multiplier" when it does not vary along x, else "mixed".
-    A mixed symbol emits :class:`AliasWarning` when more than 1e-8 of its
-    spatial spectral mass sits in the highest-frequency band of the grid;
-    ``stacklevel`` counts from this function to the user's call.
+    A has the grid's four axes (x1, x2, k1, k2), any of them of size one.
+    The kind is decided by values: "multiplication" when A does not vary
+    along k (a constant included), "multiplier" when it does not vary along
+    x, else "mixed".  A mixed symbol emits :class:`AliasWarning` when more
+    than 1e-8 of its spatial spectral mass sits in the highest-frequency
+    band of the grid; ``stacklevel`` counts from this function to the
+    user's call.
     """
-    # a varying first row (column) rules a kind out before the full scan
-    if np.all(A[0] == A[0, 0]) and np.all(A == A[:, :1]):
+    if np.all(A == A[:, :, :1, :1]):
         return "multiplication"
-    if np.all(A[:, 0] == A[0, 0]) and np.all(A == A[:1, :]):
+    if np.all(A == A[:1, :1]):
         return "multiplier"
     mass, total = _nyquist_mass(A, n)
     if total > 0.0 and mass > 1e-8 * total:
@@ -103,15 +106,16 @@ def _kind(A, n, stacklevel):
 
 
 def _phases(n):
-    """E[j, k] = e^{i k.x_j} on the flattened grid, an n^2 x n^2 array.
+    """E[j1, j2, k1, k2] = e^{i k.x_j} on the grid's four axes, n^4 values.
 
     Broadcast from the n x n table e^{2 pi i (j k mod n) / n}, whose
-    reduced exponent keeps the argument of exp below 2 pi.
+    reduced exponent keeps the argument of exp below 2 pi.  Flattened to
+    n^2 x n^2, row j and column k, it is the phase table of ``K = A E``.
     """
     _, k = _grid(n)
     j = np.arange(n)
     t = np.exp(2j * np.pi * (np.outer(j, k.astype(int)) % n) / n)
-    return (t[:, None, :, None] * t[None, :, None, :]).reshape(n * n, n * n)
+    return t[:, None, :, None] * t[None, :, None, :]
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,6 +133,16 @@ def _gather_index(n):
     return idx
 
 
+def _mixed_matrix(A, n):
+    """The n^2 x n^2 matrix K F from the samples A: row j is the FFT of
+    row j of K = A E."""
+    # not A * _phases(n): numpy may reuse a temporary right operand as the
+    # output and swap the factors, and a complex product rounds differently
+    # with its factors swapped
+    K = np.multiply(A, _phases(n)).reshape(n * n, n, n)
+    return np.fft.fft2(K, norm="forward").reshape(n * n, n * n)
+
+
 def quantize(a, h, n):
     """Dense matrix of the left quantization of ``a(x1, x2, xi1, xi2)``.
 
@@ -138,38 +152,47 @@ def quantize(a, h, n):
     spectral mass sits in the highest-frequency band of the grid.
     """
     A, kind = _sample(a, h, n)
+    if kind == "mixed":
+        return GridOperator(n, h, _mixed_matrix(A, n), None)
+    row = np.broadcast_to(A[0, 0], (n, n)).flatten()      # a(x_0, h k) over k
     if kind == "multiplication":
-        const = np.all(A[:, 0] == A[0, 0])
-        return GridOperator(n, h, np.diag(A[:, 0]), A[0].copy() if const else None)
-    if kind == "multiplier":
-        spec = np.fft.fft2(A[0].reshape(n, n), norm="forward")
-        return GridOperator(n, h, np.take(spec, _gather_index(n)), A[0].copy())
-    K = (A * _phases(n)).reshape(n * n, n, n)
-    return GridOperator(n, h, np.fft.fft2(K, norm="forward").reshape(n * n, n * n),
-                        None)
+        diag = np.broadcast_to(A[:, :, 0, 0], (n, n)).ravel()    # a(x_j)
+        return GridOperator(n, h, np.diag(diag),
+                            row if np.all(diag == diag[0]) else None)
+    spec = np.fft.fft2(row.reshape(n, n), norm="forward")
+    return GridOperator(n, h, np.take(spec, _gather_index(n)), row)
 
 
 def _nyquist_mass(A, n):
     """Spatial spectral mass of A in the Nyquist band, and its total mass.
 
-    The band is |k| >= n // 2 on either spatial axis: one frequency per
-    axis for even n, two for odd n.  Only those coefficients are formed,
-    as weighted sums over one axis, with Parseval over the other; the
-    total is n^2 sum |A|^2, also by Parseval.
+    A has the grid's four axes, any of them of size one, and the masses are
+    those of A broadcast to the full grid.  The band is |k| >= n // 2 on
+    either spatial axis: one frequency per axis for even n, two for odd n.
+    Only those coefficients are formed, as weighted sums over one axis,
+    with Parseval over the other; the total is n^2 sum |A|^2, also by
+    Parseval.  A size-one spatial axis puts no mass in its band, and every
+    sum is multiplied by the number of grid points that share one sample.
     """
-    A = A.reshape(n, n, n * n)
+    d1, d2 = A.shape[:2]
+    copies = n ** 4 // A.size
+    A = A.reshape(d1, d2, -1)
     x = np.arange(n)
     band = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= n // 2)
     W = np.exp(-2j * np.pi * np.outer(band, x) / n)      # (band, x)
-    S1 = (W @ A.reshape(n, -1)).reshape(len(band), n, -1)  # axis-1 band
-    S2 = W @ A                                           # axis-2 band
-    corner = W @ S1                                      # counted twice
 
     def sq(v):
         return np.vdot(v, v).real
 
-    mass = n * (sq(S1) + sq(S2)) - sq(corner)
-    return mass, n * n * sq(A)
+    s1 = s2 = corner = 0.0
+    if d1 == n:                                          # axis-1 band
+        S1 = (W @ A.reshape(n, -1)).reshape(len(band), d2, -1)
+        s1 = sq(S1)
+        if d2 == n:
+            corner = sq(W @ S1)                          # counted twice
+    if d2 == n:                                          # axis-2 band
+        s2 = sq(W @ A)
+    return copies * (n * (s1 + s2) - corner), copies * (n * n * sq(A))
 
 
 def _power_norm(apply, adjoint, size, scale):
@@ -275,23 +298,21 @@ def composition_defect(a, b, h_list, n=32):
     factored defect: Op(c) = K_c F with K_c the sampled symbol times the
     phase table, so one step costs six n^2-length matrix-vector products
     and four FFTs, and no n^2 x n^2 product is formed.  a and b are
-    sampled once per h and ab's samples are their product; the samples
-    are multiplied by the phases in place, so a and b must return new
-    arrays, as any numpy expression of their arguments does.  Every mixed
-    symbol among a, b and ab is checked for aliasing as in
-    :func:`quantize`.  Returns (defects, slope); the slope fit drops values
+    sampled once per h at their own broadcast shape (see :func:`_sample`),
+    and ab's samples are their product at its broadcast shape; each of
+    K_a, K_b and K_ab is then one product of those samples with the phase
+    table.  Every mixed symbol among a, b and ab is checked for aliasing
+    as in :func:`quantize`.  Returns (defects, slope); the slope fit drops values
     at the numerical floor so an exactly-commuting pair reports slope nan
     with zero defects.
     """
     E = _phases(n)                 # raises past the budget, before sampling
     defects = []
     for h in h_list:
-        Ka, Kb = _sample(a, h, n)[0], _sample(b, h, n)[0]
-        Kab = Ka * Kb                  # ab's samples, checked as _sample's are
-        _kind(Kab, n, stacklevel=3)
-        Ka *= E
-        Kb *= E
-        Kab *= E
+        A, B = _sample(a, h, n)[0], _sample(b, h, n)[0]
+        AB = A * B                     # ab's samples, checked as _sample's are
+        _kind(AB, n, stacklevel=3)
+        Ka, Kb, Kab = ((S * E).reshape(n * n, n * n) for S in (A, B, AB))
         scale = [0.0]
         defects.append(_power_norm(*_defect_operator(Ka, Kb, Kab, n, scale), n * n, scale))
         del Ka, Kb, Kab                  # freed before the next h is sampled
@@ -309,17 +330,19 @@ def boundedness_check(symbol_factory, h_list, thetas, n=32):
     """Operator norms over an (h, theta) sweep and the fitted theta exponent.
 
     ``symbol_factory(h, theta)`` returns the symbol callable for that cell.
-    Rows are (h, theta, norm); a multiplier's norm is exact, max |a(h k)|,
-    and only an x-dependent symbol's comes from :func:`operator_norm`.  The
-    exponent is the mean over h of the per-h slope of log(norm) against
-    log(theta).
+    Each symbol is sampled once.  Rows are (h, theta, norm); the norm of a
+    multiplier, or of a multiplication, is exact, max |a| read from the
+    samples with no matrix formed, and only a mixed symbol is assembled and
+    its norm taken by :func:`operator_norm`.  The exponent is the mean over
+    h of the per-h slope of log(norm) against log(theta).
     """
     rows = []
     for h in h_list:
         for th in thetas:
-            op = quantize(symbol_factory(h, th), h, n)
-            norm = (float(np.max(np.abs(op.multiplier)))
-                    if op.multiplier is not None else operator_norm(op.matrix))
+            A, kind = _sample(symbol_factory(h, th), h, n)
+            # a circulant's norm is max |a(h k)|, a diagonal's max |a(x_j)|
+            norm = (operator_norm(_mixed_matrix(A, n)) if kind == "mixed"
+                    else float(np.max(np.abs(A))))
             rows.append((h, th, norm))
     slopes = []
     for h in h_list:

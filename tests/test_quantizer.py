@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from maxdtn import quantizer
+import quantizer_oracle as oracle
+from maxdtn import cli, quantizer
+from maxdtn.config import RunConfig
 from maxdtn.quantizer import (AliasWarning, ConvergenceWarning,
-                              _defect_operator, _flat, _nyquist_mass, _phases,
+                              _defect_operator, _kind, _nyquist_mass, _phases,
                               _sample, boundedness_check, composition_defect,
                               operator_norm, quantize)
+from quantizer_oracle import flat
 
 
 def test_identity_symbol_exact():
@@ -127,14 +130,14 @@ def test_nyquist_mass_matches_full_fft(n):
     spec = np.fft.fft2(A.reshape(n, n, n * n), axes=(0, 1))
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     top = (k[:, None] >= n // 2) | (k[None, :] >= n // 2)
-    mass, total = _nyquist_mass(A, n)
+    mass, total = _nyquist_mass(A.reshape(n, n, n, n), n)
     assert abs(mass - np.sum(np.abs(spec[top, :]) ** 2)) <= 1e-12 * mass
     assert abs(total - np.sum(np.abs(spec) ** 2)) <= 1e-12 * total
 
 
 def _dense_quantization(a, h, n):
     # the quantization formula as a product of two n^2 x n^2 DFT tables
-    X1, X2, K1, K2 = _flat(n)
+    X1, X2, K1, K2 = flat(n)
     A = np.broadcast_to(a(X1[:, None], X2[:, None], h * K1[None, :],
                           h * K2[None, :]), (n * n, n * n))
     G = np.exp(1j * (X1[:, None] * K1[None, :] + X2[:, None] * K2[None, :]))
@@ -156,7 +159,7 @@ def test_fft_assembly_matches_dense_product(n):
 def test_multiplier_field():
     h, n = 0.1, 8
     op = quantize(lambda x1, x2, s1, s2: np.sin(s1) + 2.0 + 0.0 * x1, h, n)
-    _, _, K1, _ = _flat(n)
+    _, _, K1, _ = flat(n)
     assert np.array_equal(op.multiplier, np.sin(h * K1) + 2.0)
     assert quantize(lambda x1, x2, s1, s2: 3.0 + 0.0 * x1, h, n).multiplier is not None
     assert quantize(lambda x1, x2, s1, s2: np.cos(x1) + 0.0 * s1, h, n).multiplier is None
@@ -238,13 +241,15 @@ def test_factored_operator_matches_matrix(n):
     # with b = 1 (K = E) and ab = 0 the defect operator is Op(a) itself
     h = 0.1
     rng = np.random.default_rng(n)
-    E = _phases(n)
+    E4 = _phases(n)
+    E = E4.reshape(n * n, n * n)
     v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     w = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     for kind, a in _KINDS.items():
         A, got_kind = _sample(a, h, n)
         assert got_kind == kind
-        apply, adjoint = _defect_operator(A * E, E, np.zeros_like(E), n, [0.0])
+        Ka = (A * E4).reshape(n * n, n * n)
+        apply, adjoint = _defect_operator(Ka, E, np.zeros_like(E), n, [0.0])
         M = quantize(a, h, n).matrix
         assert _rel(apply(v), M @ v) <= 1e-12
         assert _rel(adjoint(w), M.conj().T @ w) <= 1e-12
@@ -257,6 +262,7 @@ def test_defect_operator_matches_dense(n):
     h = 0.1
     rng = np.random.default_rng(100 + n)
     E = _phases(n)
+    n2 = n * n
     v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     w = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     # the pairs with a nonzero defect: a multiplication on the left or a
@@ -270,7 +276,7 @@ def test_defect_operator_matches_dense(n):
 
         D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
              - quantize(ab, h, n).matrix)
-        apply, adjoint = _defect_operator(*(_sample(c, h, n)[0] * E
+        apply, adjoint = _defect_operator(*((_sample(c, h, n)[0] * E).reshape(n2, n2)
                                             for c in (a, b, ab)), n, [0.0])
         assert _rel(apply(v), D @ v) <= 1e-12
         assert _rel(adjoint(w), D.conj().T @ w) <= 1e-12
@@ -399,3 +405,156 @@ def test_composition_defect_grid_budget():
     with pytest.raises(ValueError):
         composition_defect(a, a, [0.1], n=65)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# reduced samples against the full grid
+
+
+def _smooth(shape, n):
+    # a symbol varying smoothly along each axis of size n, far from Nyquist
+    axes = [np.cos(np.arange(d) * (2 * np.pi / n) + 0.1 * i) if d == n else np.ones(1)
+            for i, d in enumerate(shape)]
+    return (2.0 + 0.3 * axes[0][:, None, None, None] * axes[1][None, :, None, None]
+            + 0.2j * axes[2][None, None, :, None] * axes[3][None, None, None, :])
+
+
+def _kind_and_warnings(A, n):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kind = _kind(A, n, stacklevel=2)
+    return kind, sum(issubclass(w.category, AliasWarning) for w in caught)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_reduced_samples_match_full_grid(n):
+    # every pattern of size-one axes: the Nyquist mass, the total and the
+    # kind (and its warning) of the reduced samples are those of the same
+    # array broadcast to the full grid
+    rng = np.random.default_rng(n)
+    for pattern in range(16):
+        shape = tuple(n if pattern >> i & 1 else 1 for i in range(4))
+        rough = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for A in (rough, _smooth(shape, n)):
+            full = np.broadcast_to(A, (n,) * 4)
+            mass, total = _nyquist_mass(A, n)
+            want_mass, want_total = _nyquist_mass(full, n)
+            assert abs(mass - want_mass) <= 1e-12 * want_total
+            assert abs(total - want_total) <= 1e-12 * want_total
+            assert _kind_and_warnings(A, n) == _kind_and_warnings(full, n)
+
+
+_SHAPED = {   # symbol, shape of its samples, kind, multiplier field set
+    "scalar": (lambda x1, x2, s1, s2: 2.0, (1, 1, 1, 1), "multiplication", True),
+    "xi1 only": (lambda x1, x2, s1, s2: np.sin(s1), (1, 1, 8, 1), "multiplier", True),
+    "padded multiplier": (lambda x1, x2, s1, s2: np.sin(s1) + 0.0 * x1,
+                          (8, 1, 8, 1), "multiplier", True),
+    "padded multiplication": (lambda x1, x2, s1, s2: np.cos(x2) + 0.0 * s1,
+                              (1, 8, 8, 1), "multiplication", False),
+    "padded constant": (lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1,
+                        (8, 1, 8, 1), "multiplication", True),
+    "pair a": (_PAIR[0], (8, 1, 1, 8), "mixed", False),
+    "pair b": (_PAIR[1], (1, 8, 1, 8), "mixed", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPED))
+def test_samples_keep_their_broadcast_shape(name):
+    # a symbol is sampled at the shape numpy returns, and classified by its
+    # values as on the full grid; a constant is also a multiplier
+    a, shape, kind, has_multiplier = _SHAPED[name]
+    n, h = 8, 0.1
+    A, got = _sample(a, h, n)
+    assert A.shape == shape
+    assert got == kind == oracle.kind(a, h, n)
+    op = quantize(a, h, n)
+    assert (op.multiplier is not None) == has_multiplier
+    assert np.array_equal(op.matrix, oracle.quantize_matrix(a, h, n))
+
+
+class _Captured(Exception):
+    pass
+
+
+def _factors(monkeypatch, a, b, h, n):
+    """K_a, K_b and K_ab as composition_defect forms them, no Lanczos run."""
+    got = []
+
+    def capture(*args):
+        got.append(args[:3])
+        raise _Captured
+
+    monkeypatch.setattr(quantizer, "_defect_operator", capture)
+    with pytest.raises(_Captured):
+        composition_defect(a, b, [h], n=n)
+    return got[0]
+
+
+@pytest.mark.filterwarnings("ignore::maxdtn.quantizer.AliasWarning")
+@pytest.mark.parametrize("n", [5, 16, 32])
+def test_assembly_equals_full_grid_oracle(monkeypatch, n):
+    # the matrices and the defect's factors from reduced samples are
+    # bitwise those of the full-grid sampling
+    h = 0.1
+    symbols = list(_KINDS.values()) + list(_PAIR)
+    for a in symbols:
+        assert np.array_equal(quantize(a, h, n).matrix, oracle.quantize_matrix(a, h, n))
+    pairs = [_PAIR] + [(a, b) for a in _KINDS.values() for b in _KINDS.values()]
+    for a, b in pairs:
+        got = _factors(monkeypatch, a, b, h, n)
+        want = oracle.defect_factors(a, b, h, n)
+        for K, W in zip(got, want):
+            assert K.shape == (n * n, n * n)
+            assert np.array_equal(K, W)
+
+
+def test_quantizer_rows_equal_full_grid_oracle(monkeypatch):
+    # cmd_quantizer at test_09's grid: the defects, the slope, |Op(1)| and
+    # the theta norms are bitwise those of the full-grid sampling, and the
+    # defect takes as many applications (34 over the five h, where measured)
+    cfg = RunConfig(grid_n=32, h_list=tuple(_HS))
+    calls = _count_applications(monkeypatch)
+    rows, _, ok, summary = cli.cmd_quantizer(cfg)
+    count = len(calls)
+    calls.clear()
+    defects = oracle.composition_defects(*_PAIR, _HS, 32)
+    assert count == len(calls) <= 45
+    slope = float(np.polyfit(np.log(_HS), np.log(defects), 1)[0])
+    factory = cli._rho_inverse_factory(cfg.eps, cfg.mu)
+    want = ([(h, np.nan, d, np.nan) for h, d in zip(_HS, defects)]
+            + [(0.1, th, np.nan, oracle.boundedness_norm(factory(0.1, th), 0.1, 32))
+               for th in cfg.thetas])
+    assert np.array_equal(np.array(rows), np.array(want), equal_nan=True)
+    assert f"composition slope = {cli._fmt(slope)} (1.0 +- 0.2)" in summary
+    unit = lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1
+    assert operator_norm(oracle.quantize_matrix(unit, _HS[0], 32)) == 1.0
+    assert "|Op(1)| = 1" in summary and ok
+
+
+def test_multiplier_sweep_assembles_nothing(monkeypatch):
+    # a multiplier's norm is read from its samples: nothing is quantized,
+    # gathered or handed to Lanczos
+    def refuse(*args, **kwargs):
+        raise AssertionError("a multiplier sweep assembled an operator")
+
+    for name in ("quantize", "_gather_index", "_phases", "operator_norm"):
+        monkeypatch.setattr(quantizer, name, refuse)
+    n, h = 32, 0.1
+    factory = cli._rho_inverse_factory(1.0, 1.0)
+    thetas = (0.1, 0.2, 0.4, 0.8)
+    rows, _ = boundedness_check(factory, [h], thetas, n=n)
+    _, _, K1, K2 = flat(n)
+    for (hh, th, norm) in rows:
+        assert norm == np.max(np.abs(factory(h, th)(0.0, 0.0, h * K1, h * K2)))
+
+
+def test_multiplication_norm_is_read_from_samples(monkeypatch):
+    # a diagonal's norm is max |a(x_j)|, read exactly, and it is the SVD's
+    a = lambda x1, x2, s1, s2: np.cos(x1) + 0.5j * np.sin(2 * x2) + 0.0 * s1
+    ref = np.linalg.svd(quantize(a, 0.1, 16).matrix, compute_uv=False)[0]
+    monkeypatch.setattr(quantizer, "operator_norm", None)
+    rows, _ = boundedness_check(lambda h, th: a, [0.1], (0.1, 0.4), n=16)
+    X1, X2, _, _ = flat(16)
+    for _, _, norm in rows:
+        assert norm == np.max(np.abs(np.cos(X1) + 0.5j * np.sin(2 * X2)))
+        assert abs(norm - ref) <= 1e-12 * ref
