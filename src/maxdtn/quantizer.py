@@ -7,16 +7,19 @@ and K[j, k] = a(x_j, h k) e^{i k.x_j} the sampled symbol times a phase
 table.  A symbol is sampled on the broadcast grid and kept at the shape
 numpy returns, so one that reads two of its four variables costs n^2
 samples, not n^4.  ``quantize`` realizes it as a dense n^2 x n^2 matrix,
-row j being the FFT of K's row j.  ``composition_defect`` assembles no operator
-matrix: it applies Op(a)Op(b) - Op(ab) and its adjoint through the
-factors, so no n^2 x n^2 product is formed.  A norm that is not read
-exactly comes from Lanczos on M* M with full reorthogonalization, stopped
-when the relative Ritz residual is at most ``POWER_TOL``; a composition
-defect also stops at the rounding floor of the difference it forms.  Pure
-multiplication and multiplier symbols (a constant is both) short-circuit
-in ``quantize`` to their exact matrices so the algebraic invariants hold
-to the last bit; a pure multiplier is a circulant of norm max |a(h k)|,
-which ``boundedness_check`` reads from the samples with no matrix formed.
+row j being the FFT of K's row j.  ``composition_defect`` forms no
+n^2 x n^2 factor: it applies Op(a)Op(b) - Op(ab) and its adjoint through
+FFTs and the samples, an apply of K being a contraction over the axes the
+samples carry with the n x n phase table of one grid axis (only samples
+that carry all four axes, n^4 values already, make K).  A norm that
+is not read exactly comes from Lanczos on M* M with full
+reorthogonalization, stopped when the relative Ritz residual is at most
+``POWER_TOL``; a composition defect also stops at the rounding floor of
+the difference it forms.  Pure multiplication and multiplier symbols (a
+constant is both) short-circuit in ``quantize`` to their exact matrices so
+the algebraic invariants hold to the last bit; a pure multiplier is a
+circulant of norm max |a(h k)|, which ``boundedness_check`` reads from the
+samples with no matrix formed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,16 +47,10 @@ POWER_ITERS, POWER_TOL, POWER_SEED = 300, 1e-9, 0
 
 @dataclass
 class GridOperator:
-    """Dense realization of Op_h(a) on the n x n periodic grid.
-
-    ``multiplier`` holds the grid values a(h k), in the order of the
-    matrix columns' frequencies, when the symbol does not depend on x
-    (the operator is then a circulant of norm max |a(h k)|), else None.
-    """
+    """Dense realization of Op_h(a) on the n x n periodic grid."""
     n: int
     h: float
     matrix: np.ndarray
-    multiplier: Optional[np.ndarray]
 
 
 def _grid(n):
@@ -105,16 +101,22 @@ def _kind(A, n, stacklevel):
     return "mixed"
 
 
-def _phases(n):
-    """E[j1, j2, k1, k2] = e^{i k.x_j} on the grid's four axes, n^4 values.
+def _phase_table(n):
+    """t[j, k] = e^{i k x_j} on one grid axis, the frequencies in FFT order.
 
-    Broadcast from the n x n table e^{2 pi i (j k mod n) / n}, whose
-    reduced exponent keeps the argument of exp below 2 pi.  Flattened to
-    n^2 x n^2, row j and column k, it is the phase table of ``K = A E``.
+    Formed as e^{2 pi i (j k mod n) / n}, whose reduced exponent keeps the
+    argument of exp below 2 pi.
     """
     _, k = _grid(n)
-    j = np.arange(n)
-    t = np.exp(2j * np.pi * (np.outer(j, k.astype(int)) % n) / n)
+    return np.exp(2j * np.pi * (np.outer(np.arange(n), k.astype(int)) % n) / n)
+
+
+def _phases(n):
+    """E[j1, j2, k1, k2] = t[j1, k1] t[j2, k2] on the grid's four axes, n^4
+    values (see :func:`_phase_table`).  Flattened to n^2 x n^2, row j and
+    column k, it is the phase table of ``K = A E``.
+    """
+    t = _phase_table(n)
     return t[:, None, :, None] * t[None, :, None, :]
 
 
@@ -153,14 +155,12 @@ def quantize(a, h, n):
     """
     A, kind = _sample(a, h, n)
     if kind == "mixed":
-        return GridOperator(n, h, _mixed_matrix(A, n), None)
-    row = np.broadcast_to(A[0, 0], (n, n)).flatten()      # a(x_0, h k) over k
+        return GridOperator(n, h, _mixed_matrix(A, n))
     if kind == "multiplication":
         diag = np.broadcast_to(A[:, :, 0, 0], (n, n)).ravel()    # a(x_j)
-        return GridOperator(n, h, np.diag(diag),
-                            row if np.all(diag == diag[0]) else None)
-    spec = np.fft.fft2(row.reshape(n, n), norm="forward")
-    return GridOperator(n, h, np.take(spec, _gather_index(n)), row)
+        return GridOperator(n, h, np.diag(diag))
+    spec = np.fft.fft2(np.broadcast_to(A[0, 0], (n, n)), norm="forward")   # of a(h k)
+    return GridOperator(n, h, np.take(spec, _gather_index(n)))
 
 
 def _nyquist_mass(A, n):
@@ -253,36 +253,68 @@ def operator_norm(M):
     first; the last estimate is returned.  The estimate is ||M y|| / ||y||
     at the Ritz vector y, so it is exact for an isometry.
     """
-    Mh = M.conj().T
-    return _power_norm(lambda v: M @ v, lambda w: Mh @ w, M.shape[1], None)
+    return _power_norm(lambda v: M @ v, lambda w: _adjoint(lambda u: u @ M, w),
+                       M.shape[1], None)
 
 
-def _defect_operator(Ka, Kb, Kab, n, scale):
+def _adjoint(transpose, w):
+    """M^H w as conj(M^T conj(w)), ``transpose`` applying M^T, so that no
+    conjugate of M is formed."""
+    return transpose(w.conj()).conj()
+
+
+def _factor(S, t):
+    """K and K^T of Op(c) = K F, as maps on n x n arrays, from c's samples S.
+
+    K[j, k] = S[j, k] t[j1, k1] t[j2, k2], so (K u)[j] sums S t t u over
+    k1 and k2: one contraction over the axes S carries, its path found
+    here, once.  A symbol of x1 and xi2 alone costs n^3 per apply.  Only
+    samples that carry all four axes are n^4 values already: K, no larger,
+    is formed from them and applied by dense products, which run faster
+    than any contraction of the same n^4 cost.
+    """
+    if 1 not in S.shape:
+        n = len(t)
+        K = S * t[:, None, :, None]
+        K *= t[None, :, None, :]
+        K = K.reshape(n * n, n * n)
+        return (lambda u: (K @ u.ravel()).reshape(n, n),
+                lambda w: (w.ravel() @ K).reshape(n, n))
+    sub = "".join(ax for ax, d in zip("abcd", S.shape) if d != 1)
+    C = S.reshape([d for d in S.shape if d != 1])
+    maps = []
+    for spec in (sub + ",ac,bd,cd->ab", sub + ",ac,bd,ab->cd"):
+        # the last t stands in for the n x n input
+        path = np.einsum_path(spec, C, t, t, t, optimize="optimal")[0]
+        maps.append(functools.partial(np.einsum, spec, C, t, t, optimize=path))
+    return maps
+
+
+def _defect_operator(A, B, AB, n, scale):
     """D = Op(a)Op(b) - Op(ab) = Ka F Kb F - Kab F and its adjoint, as maps.
 
-    F^H is the inverse FFT, and K^H w is formed as conj(conj(w) K), so no
-    conjugate transpose of a factor is copied.  Each apply writes
+    A, B and AB are the samples of a, b and ab at their broadcast shapes;
+    each factor K is applied by :func:`_factor`, and only one whose samples
+    carry all four axes is formed.  F^H is the inverse FFT.  Each apply writes
     max(||Ka F Kb F v||, ||Kab F v||) / ||v|| to ``scale[0]``, a
     one-element list (see :func:`_power_norm`).
     """
+    t = _phase_table(n)
+    (ka, kat), (kb, kbt), (kab, kabt) = (_factor(S, t) for S in (A, B, AB))
 
     def fft(v):
-        return np.fft.fft2(v.reshape(n, n), norm="forward").ravel()
-
-    def ifft(w):
-        return np.fft.ifft2(w.reshape(n, n)).ravel()
-
-    def kh(K, w):
-        return (w.conj() @ K).conj()
+        return np.fft.fft2(v.reshape(n, n), norm="forward")
 
     def apply(v):
         u = fft(v)
-        ab, c = Ka @ fft(Kb @ u), Kab @ u
+        ab, c = ka(fft(kb(u))), kab(u)
         scale[0] = max(np.linalg.norm(ab), np.linalg.norm(c)) / np.linalg.norm(v)
-        return ab - c
+        return (ab - c).ravel()
 
     def adjoint(w):
-        return ifft(kh(Kb, ifft(kh(Ka, w))) - kh(Kab, w))
+        w = w.reshape(n, n)
+        return np.fft.ifft2(_adjoint(kbt, np.fft.ifft2(_adjoint(kat, w)))
+                            - _adjoint(kabt, w)).ravel()
 
     return apply, adjoint
 
@@ -296,26 +328,25 @@ def composition_defect(a, b, h_list, n=32):
     larger of ||Op(a)Op(b) v|| and ||Op(ab) v|| per unit v, where they are
     rounding noise; it runs on the
     factored defect: Op(c) = K_c F with K_c the sampled symbol times the
-    phase table, so one step costs six n^2-length matrix-vector products
-    and four FFTs, and no n^2 x n^2 product is formed.  a and b are
-    sampled once per h at their own broadcast shape (see :func:`_sample`),
-    and ab's samples are their product at its broadcast shape; each of
-    K_a, K_b and K_ab is then one product of those samples with the phase
-    table.  Every mixed symbol among a, b and ab is checked for aliasing
+    phase table.  No n^2 x n^2 factor is formed; an apply of K_c, or of
+    its adjoint, is a contraction over the axes the samples carry (see
+    :func:`_factor`, which forms K_c only from samples that carry all four
+    axes), and one step costs six of them and four FFTs.  a and
+    b are sampled once per h at their own broadcast shape (see
+    :func:`_sample`), and ab's samples are their product at its broadcast
+    shape.  Every mixed symbol among a, b and ab is checked for aliasing
     as in :func:`quantize`.  Returns (defects, slope); the slope fit drops values
     at the numerical floor so an exactly-commuting pair reports slope nan
     with zero defects.
     """
-    E = _phases(n)                 # raises past the budget, before sampling
+    _grid(n)                       # raises past the budget, before sampling
     defects = []
     for h in h_list:
         A, B = _sample(a, h, n)[0], _sample(b, h, n)[0]
         AB = A * B                     # ab's samples, checked as _sample's are
         _kind(AB, n, stacklevel=3)
-        Ka, Kb, Kab = ((S * E).reshape(n * n, n * n) for S in (A, B, AB))
         scale = [0.0]
-        defects.append(_power_norm(*_defect_operator(Ka, Kb, Kab, n, scale), n * n, scale))
-        del Ka, Kb, Kab                  # freed before the next h is sampled
+        defects.append(_power_norm(*_defect_operator(A, B, AB, n, scale), n * n, scale))
     defects = np.array(defects)
     keep = defects > 1e-13
     if np.count_nonzero(keep) >= 2:

@@ -3,10 +3,11 @@
 Every symbol is sampled at all n^4 grid points on the flattened grid, as an
 n^2 x n^2 array A[j, k] = a(x_j, h k), whatever variables it reads.  The
 operators and the composition defect's factors are assembled from those
-full samples.  The Lanczos stop rules are not part of this oracle: the
-norms reuse the package's ``_power_norm``, ``_defect_operator`` and
-``operator_norm``, so a difference in the results is one of sampling or
-assembly.
+full samples, and the defect is applied by dense matrix-vector products
+with its n^2 x n^2 factors.  The Lanczos stop rules are not part of this
+oracle: the norms reuse the package's ``_power_norm`` and
+``operator_norm``, so a difference in the results is one of sampling,
+assembly or the arithmetic of an apply.
 """
 
 import numpy as np
@@ -68,13 +69,40 @@ def defect_factors(a, b, h, n):
     return A * E, B * E, (A * B) * E
 
 
+def defect_operator(Ka, Kb, Kab, n, scale):
+    """D = Ka F Kb F - Kab F and its adjoint by dense matrix-vector products
+    with the n^2 x n^2 factors, F the forward 2-D FFT normalized by n^2 and
+    F^H the inverse FFT.  Each apply writes max(||Ka F Kb F v||,
+    ||Kab F v||) / ||v|| to ``scale[0]``, as the package's operator does."""
+
+    def fft(v):
+        return np.fft.fft2(v.reshape(n, n), norm="forward").ravel()
+
+    def ifft(w):
+        return np.fft.ifft2(w.reshape(n, n)).ravel()
+
+    def kh(K, w):
+        return (w.conj() @ K).conj()
+
+    def apply(v):
+        u = fft(v)
+        ab, c = Ka @ fft(Kb @ u), Kab @ u
+        scale[0] = max(np.linalg.norm(ab), np.linalg.norm(c)) / np.linalg.norm(v)
+        return ab - c
+
+    def adjoint(w):
+        return ifft(kh(Kb, ifft(kh(Ka, w))) - kh(Kab, w))
+
+    return apply, adjoint
+
+
 def composition_defects(a, b, h_list, n):
     """||Op(a)Op(b) - Op(ab)|| per h by the package's Lanczos on the
-    oracle's factors."""
+    oracle's dense factors."""
     defects = []
     for h in h_list:
         scale = [0.0]
-        apply, adjoint = quantizer._defect_operator(*defect_factors(a, b, h, n), n, scale)
+        apply, adjoint = defect_operator(*defect_factors(a, b, h, n), n, scale)
         defects.append(quantizer._power_norm(apply, adjoint, n * n, scale))
     return np.array(defects)
 

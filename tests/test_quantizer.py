@@ -1,5 +1,6 @@
 """Discrete quantization on the grid: exactness, norms, and warnings."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ import quantizer_oracle as oracle
 from maxdtn import cli, quantizer
 from maxdtn.config import RunConfig
 from maxdtn.quantizer import (AliasWarning, ConvergenceWarning,
-                              _defect_operator, _kind, _nyquist_mass, _phases,
-                              _sample, boundedness_check, composition_defect,
+                              _defect_operator, _kind, _nyquist_mass, _sample,
+                              boundedness_check, composition_defect,
                               operator_norm, quantize)
 from quantizer_oracle import flat
 
@@ -156,16 +157,6 @@ def test_fft_assembly_matches_dense_product(n):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_multiplier_field():
-    h, n = 0.1, 8
-    op = quantize(lambda x1, x2, s1, s2: np.sin(s1) + 2.0 + 0.0 * x1, h, n)
-    _, _, K1, _ = flat(n)
-    assert np.array_equal(op.multiplier, np.sin(h * K1) + 2.0)
-    assert quantize(lambda x1, x2, s1, s2: 3.0 + 0.0 * x1, h, n).multiplier is not None
-    assert quantize(lambda x1, x2, s1, s2: np.cos(x1) + 0.0 * s1, h, n).multiplier is None
-    assert quantize(lambda x1, x2, s1, s2: np.cos(x1) * np.sin(s2), h, n).multiplier is None
-
-
 def test_multiplier_norm_matches_svd():
     def factory(h, th):
         def a(x1, x2, s1, s2):
@@ -238,18 +229,16 @@ def _rel(got, want):
 
 @pytest.mark.parametrize("n", [5, 16, 32])
 def test_factored_operator_matches_matrix(n):
-    # with b = 1 (K = E) and ab = 0 the defect operator is Op(a) itself
+    # with b = 1 and ab = 0, as samples, the defect operator is Op(a) itself
     h = 0.1
     rng = np.random.default_rng(n)
-    E4 = _phases(n)
-    E = E4.reshape(n * n, n * n)
+    one, zero = np.ones((1, 1, 1, 1), complex), np.zeros((1, 1, 1, 1), complex)
     v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     w = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     for kind, a in _KINDS.items():
         A, got_kind = _sample(a, h, n)
         assert got_kind == kind
-        Ka = (A * E4).reshape(n * n, n * n)
-        apply, adjoint = _defect_operator(Ka, E, np.zeros_like(E), n, [0.0])
+        apply, adjoint = _defect_operator(A, one, zero, n, [0.0])
         M = quantize(a, h, n).matrix
         assert _rel(apply(v), M @ v) <= 1e-12
         assert _rel(adjoint(w), M.conj().T @ w) <= 1e-12
@@ -261,8 +250,6 @@ def test_factored_operator_matches_matrix(n):
 def test_defect_operator_matches_dense(n):
     h = 0.1
     rng = np.random.default_rng(100 + n)
-    E = _phases(n)
-    n2 = n * n
     v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     w = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     # the pairs with a nonzero defect: a multiplication on the left or a
@@ -276,8 +263,8 @@ def test_defect_operator_matches_dense(n):
 
         D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
              - quantize(ab, h, n).matrix)
-        apply, adjoint = _defect_operator(*((_sample(c, h, n)[0] * E).reshape(n2, n2)
-                                            for c in (a, b, ab)), n, [0.0])
+        apply, adjoint = _defect_operator(*(_sample(c, h, n)[0] for c in (a, b, ab)),
+                                          n, [0.0])
         assert _rel(apply(v), D @ v) <= 1e-12
         assert _rel(adjoint(w), D.conj().T @ w) <= 1e-12
 
@@ -303,19 +290,21 @@ def test_composition_defect_matches_dense_norm(n):
         assert abs(d - ref) <= 1e-12 * ref
 
 
-def _count_applications(monkeypatch):
-    """A list that gains one entry per application of a composition defect."""
+def _count_applications(monkeypatch, module=quantizer, name="_defect_operator"):
+    """A list that gains one entry per application of a composition defect
+    made by ``module.name``."""
     calls = []
+    make = getattr(module, name)
 
     def counted(*args):
-        apply, adjoint = _defect_operator(*args)
+        apply, adjoint = make(*args)
 
         def apply_counted(v):
             calls.append(1)
             return apply(v)
         return apply_counted, adjoint
 
-    monkeypatch.setattr(quantizer, "_defect_operator", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -444,32 +433,30 @@ def test_reduced_samples_match_full_grid(n):
             assert _kind_and_warnings(A, n) == _kind_and_warnings(full, n)
 
 
-_SHAPED = {   # symbol, shape of its samples, kind, multiplier field set
-    "scalar": (lambda x1, x2, s1, s2: 2.0, (1, 1, 1, 1), "multiplication", True),
-    "xi1 only": (lambda x1, x2, s1, s2: np.sin(s1), (1, 1, 8, 1), "multiplier", True),
+_SHAPED = {   # symbol, shape of its samples, kind
+    "scalar": (lambda x1, x2, s1, s2: 2.0, (1, 1, 1, 1), "multiplication"),
+    "xi1 only": (lambda x1, x2, s1, s2: np.sin(s1), (1, 1, 8, 1), "multiplier"),
     "padded multiplier": (lambda x1, x2, s1, s2: np.sin(s1) + 0.0 * x1,
-                          (8, 1, 8, 1), "multiplier", True),
+                          (8, 1, 8, 1), "multiplier"),
     "padded multiplication": (lambda x1, x2, s1, s2: np.cos(x2) + 0.0 * s1,
-                              (1, 8, 8, 1), "multiplication", False),
+                              (1, 8, 8, 1), "multiplication"),
     "padded constant": (lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1,
-                        (8, 1, 8, 1), "multiplication", True),
-    "pair a": (_PAIR[0], (8, 1, 1, 8), "mixed", False),
-    "pair b": (_PAIR[1], (1, 8, 1, 8), "mixed", False),
+                        (8, 1, 8, 1), "multiplication"),
+    "pair a": (_PAIR[0], (8, 1, 1, 8), "mixed"),
+    "pair b": (_PAIR[1], (1, 8, 1, 8), "mixed"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SHAPED))
 def test_samples_keep_their_broadcast_shape(name):
     # a symbol is sampled at the shape numpy returns, and classified by its
-    # values as on the full grid; a constant is also a multiplier
-    a, shape, kind, has_multiplier = _SHAPED[name]
+    # values as on the full grid
+    a, shape, kind = _SHAPED[name]
     n, h = 8, 0.1
     A, got = _sample(a, h, n)
     assert A.shape == shape
     assert got == kind == oracle.kind(a, h, n)
-    op = quantize(a, h, n)
-    assert (op.multiplier is not None) == has_multiplier
-    assert np.array_equal(op.matrix, oracle.quantize_matrix(a, h, n))
+    assert np.array_equal(quantize(a, h, n).matrix, oracle.quantize_matrix(a, h, n))
 
 
 class _Captured(Exception):
@@ -477,7 +464,8 @@ class _Captured(Exception):
 
 
 def _factors(monkeypatch, a, b, h, n):
-    """K_a, K_b and K_ab as composition_defect forms them, no Lanczos run."""
+    """The samples of a, b and ab that composition_defect hands to its
+    factored operator, no Lanczos run."""
     got = []
 
     def capture(*args):
@@ -493,8 +481,9 @@ def _factors(monkeypatch, a, b, h, n):
 @pytest.mark.filterwarnings("ignore::maxdtn.quantizer.AliasWarning")
 @pytest.mark.parametrize("n", [5, 16, 32])
 def test_assembly_equals_full_grid_oracle(monkeypatch, n):
-    # the matrices and the defect's factors from reduced samples are
-    # bitwise those of the full-grid sampling
+    # the matrices from reduced samples, and the defect's factors formed
+    # here from its reduced samples, are bitwise those of the full-grid
+    # sampling
     h = 0.1
     symbols = list(_KINDS.values()) + list(_PAIR)
     for a in symbols:
@@ -503,32 +492,59 @@ def test_assembly_equals_full_grid_oracle(monkeypatch, n):
     for a, b in pairs:
         got = _factors(monkeypatch, a, b, h, n)
         want = oracle.defect_factors(a, b, h, n)
-        for K, W in zip(got, want):
-            assert K.shape == (n * n, n * n)
+        for S, W in zip(got, want):
+            assert S.ndim == 4
+            K = np.broadcast_to(S, (n,) * 4).reshape(n * n, n * n) * oracle.phases(n)
             assert np.array_equal(K, W)
 
 
 def test_quantizer_rows_equal_full_grid_oracle(monkeypatch):
-    # cmd_quantizer at test_09's grid: the defects, the slope, |Op(1)| and
-    # the theta norms are bitwise those of the full-grid sampling, and the
-    # defect takes as many applications (34 over the five h, where measured)
+    # cmd_quantizer at test_09's grid: the theta norms and |Op(1)| are
+    # bitwise those of the full-grid sampling, and the defect takes as many
+    # applications (34 over the five h, where measured) as on the oracle's
+    # dense factors.  The defects agree to 1e-14 relative: an apply here
+    # contracts the samples, the oracle's multiplies by formed matrices,
+    # and the two sum in different orders
     cfg = RunConfig(grid_n=32, h_list=tuple(_HS))
     calls = _count_applications(monkeypatch)
+    oracle_calls = _count_applications(monkeypatch, oracle, "defect_operator")
     rows, _, ok, summary = cli.cmd_quantizer(cfg)
-    count = len(calls)
-    calls.clear()
     defects = oracle.composition_defects(*_PAIR, _HS, 32)
-    assert count == len(calls) <= 45
-    slope = float(np.polyfit(np.log(_HS), np.log(defects), 1)[0])
+    assert len(calls) == len(oracle_calls) <= 45
+    got = np.array(rows)
+    assert np.array_equal(got[:len(_HS), :2], np.array([(h, np.nan) for h in _HS]),
+                          equal_nan=True)
+    assert np.all(np.abs(got[:len(_HS), 2] - defects) <= 1e-14 * defects)
+    assert np.all(np.isnan(got[:len(_HS), 3]))
     factory = cli._rho_inverse_factory(cfg.eps, cfg.mu)
-    want = ([(h, np.nan, d, np.nan) for h, d in zip(_HS, defects)]
-            + [(0.1, th, np.nan, oracle.boundedness_norm(factory(0.1, th), 0.1, 32))
-               for th in cfg.thetas])
-    assert np.array_equal(np.array(rows), np.array(want), equal_nan=True)
+    want = [(0.1, th, np.nan, oracle.boundedness_norm(factory(0.1, th), 0.1, 32))
+            for th in cfg.thetas]
+    assert np.array_equal(got[len(_HS):], np.array(want), equal_nan=True)
+    slope = float(np.polyfit(np.log(_HS), np.log(got[:len(_HS), 2]), 1)[0])
+    assert abs(slope - float(np.polyfit(np.log(_HS), np.log(defects), 1)[0])) <= 1e-12
     assert f"composition slope = {cli._fmt(slope)} (1.0 +- 0.2)" in summary
     unit = lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1
     assert operator_norm(oracle.quantize_matrix(unit, _HS[0], 32)) == 1.0
     assert "|Op(1)| = 1" in summary and ok
+
+
+def test_composition_defect_forms_no_full_factor(monkeypatch):
+    # test_09's pair at n = 32: nothing builds a phase table of n^4 values
+    # or a dense operator, and the pass peaks far below one n^2 x n^2 complex
+    # array (16 MB); forming K_a, K_b and K_ab took it to 69 MB
+    def refuse(*args, **kwargs):
+        raise AssertionError("the composition defect formed an n^2 x n^2 array")
+
+    for name in ("_phases", "_mixed_matrix", "quantize"):
+        monkeypatch.setattr(quantizer, name, refuse)
+    tracemalloc.start()
+    try:
+        defects, slope = composition_defect(*_PAIR, _HS, n=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    assert np.all(defects > 0.0) and 0.8 <= slope <= 1.2
 
 
 def test_multiplier_sweep_assembles_nothing(monkeypatch):
