@@ -336,7 +336,7 @@ def cmd_quantizer(cfg: RunConfig):
         raise ConfigError(f"no h_list entry is >= 2^-9 (dropped {list(cfg.h_list)})")
     a, b = _defect_pair()
     defects, slope = composition_defect(a, b, hs, n=n)
-    norm1 = operator_norm(quantize(lambda x1, x2, s1, s2: 1.0, hs[0], n).matrix)
+    norm1 = operator_norm(quantize(lambda x1, x2, s1, s2: 1.0, hs[0], n))
     rows_b, expo = boundedness_check(_rho_inverse_factory(cfg.eps, cfg.mu),
                                      [0.1], cfg.thetas, n=max(n, 32))
     rows = [(h, float("nan"), float(d), float("nan")) for h, d in zip(hs, defects)]

@@ -83,7 +83,7 @@ class RunConfig:
         if self.grid_n < 1:
             raise ConfigError("grid_n must be at least 1")
         if self.grid_n > 64:
-            raise ConfigError("grid_n is capped at 64 (dense quantizer)")
+            raise ConfigError("grid_n is capped at 64 (the quantizer's grid cap)")
         return self
 
     def items(self):

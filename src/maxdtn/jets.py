@@ -79,7 +79,7 @@ def _mul_matrix(nvars: int, order: int):
     return ia, ib, np.flatnonzero(np.r_[True, dest[1:] != dest[:-1]])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _product_plan(order: int, shape_a, shape_b):
     """:func:`_mul_matrix` laid over the operands' whole flattened arrays.
 

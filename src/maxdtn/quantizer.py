@@ -4,22 +4,16 @@ Left quantization on a periodic n x n grid: the operator multiplies the
 k-th Fourier coefficient by a(x', h k) and transforms back.  On the grid it
 factors as Op_h(a) = K F, with F the forward 2-D FFT (normalized by n^2)
 and K[j, k] = a(x_j, h k) e^{i k.x_j} the sampled symbol times a phase
-table.  A symbol is sampled on the broadcast grid and kept at the shape
-numpy returns, so one that reads two of its four variables costs n^2
-samples, not n^4.  ``quantize`` realizes it as a dense n^2 x n^2 matrix,
-row j being the FFT of K's row j.  ``composition_defect`` forms no
-n^2 x n^2 factor: it applies Op(a)Op(b) - Op(ab) and its adjoint through
-FFTs and the samples, an apply of K being a contraction over the axes the
-samples carry with the n x n phase table of one grid axis (only samples
-that carry all four axes, n^4 values already, make K).  A norm that
-is not read exactly comes from Lanczos on M* M with full
-reorthogonalization, stopped when the relative Ritz residual is at most
-``POWER_TOL``; a composition defect also stops at the rounding floor of
-the difference it forms.  Pure multiplication and multiplier symbols (a
-constant is both) short-circuit in ``quantize`` to their exact matrices so
-the algebraic invariants hold to the last bit; a pure multiplier is a
-circulant of norm max |a(h k)|, which ``boundedness_check`` reads from the
-samples with no matrix formed.
+table.  A symbol is sampled on the broadcast grid at the shape numpy
+returns (n^2 samples for a symbol of two variables, not n^4), and no
+n^2 x n^2 matrix is assembled: ``quantize`` returns a :class:`GridOperator`
+of the samples and their kind, and K is applied as a contraction of the
+samples with the n x n phase table of one axis (see :func:`_factor`).
+:func:`operator_norm` reads the norm of a multiplication or a multiplier
+exactly, max |a| over the samples; a mixed symbol's norm, and those of
+``composition_defect``'s Op(a)Op(b) - Op(ab), come from Lanczos on M* M
+with full reorthogonalization, stopped by the relative Ritz residual
+(``POWER_TOL``) or, for a defect, at the rounding floor of its difference.
 """
 
 from __future__ import annotations
@@ -47,15 +41,18 @@ POWER_ITERS, POWER_TOL, POWER_SEED = 300, 1e-9, 0
 
 @dataclass
 class GridOperator:
-    """Dense realization of Op_h(a) on the n x n periodic grid."""
+    """Op_h(a) on the n x n periodic grid: a's samples at their broadcast
+    shape (see :func:`_sample`) and their kind (see :func:`_kind`)."""
     n: int
     h: float
-    matrix: np.ndarray
+    samples: np.ndarray
+    kind: str
 
 
 def _grid(n):
     if n > 64:
-        raise ValueError("dense quantizer budget is n <= 64")
+        raise ValueError("quantizer grid cap is n <= 64, for the n^4 samples and K of "
+                         "a symbol of all four variables (268 MB each at n = 64)")
     x = np.arange(n) * (2.0 * np.pi / n)
     k = np.fft.fftfreq(n, d=1.0 / n)          # integer frequencies
     return x, k
@@ -111,56 +108,15 @@ def _phase_table(n):
     return np.exp(2j * np.pi * (np.outer(np.arange(n), k.astype(int)) % n) / n)
 
 
-def _phases(n):
-    """E[j1, j2, k1, k2] = t[j1, k1] t[j2, k2] on the grid's four axes, n^4
-    values (see :func:`_phase_table`).  Flattened to n^2 x n^2, row j and
-    column k, it is the phase table of ``K = A E``.
-    """
-    t = _phase_table(n)
-    return t[:, None, :, None] * t[None, :, None, :]
-
-
-@functools.lru_cache(maxsize=8)
-def _gather_index(n):
-    """Flat index taking one spectrum to the n^2 x n^2 circulant.
-
-    For integer k, e^{-i k.(x_m - x_j)} = e^{-2 pi i k.(m - j)/n}, so row
-    j of a multiplier's matrix is the 2-D FFT of its symbol read at m - j,
-    the index taken mod n on each axis.
-    """
-    j = np.arange(n, dtype=np.int32)
-    shift = (j[None, :] - j[:, None]) % n            # [j, m] -> m - j mod n
-    idx = (shift[:, None, :, None] * n + shift[None, :, None, :]).reshape(n * n, n * n)
-    idx.flags.writeable = False
-    return idx
-
-
-def _mixed_matrix(A, n):
-    """The n^2 x n^2 matrix K F from the samples A: row j is the FFT of
-    row j of K = A E."""
-    # not A * _phases(n): numpy may reuse a temporary right operand as the
-    # output and swap the factors, and a complex product rounds differently
-    # with its factors swapped
-    K = np.multiply(A, _phases(n)).reshape(n * n, n, n)
-    return np.fft.fft2(K, norm="forward").reshape(n * n, n * n)
-
-
 def quantize(a, h, n):
-    """Dense matrix of the left quantization of ``a(x1, x2, xi1, xi2)``.
-
-    ``a`` must broadcast over numpy arrays; it is sampled at the grid
-    points x' and the scaled frequencies xi' = h k.  Emits
+    """Op_h(a) of ``a(x1, x2, xi1, xi2)`` on the n x n grid, matrix-free:
+    a's samples at the grid points x' and the scaled frequencies xi' = h k
+    (see :func:`_sample`) and their kind, which :func:`operator_norm` reads
+    or applies.  ``a`` must broadcast over numpy arrays.  Emits
     :class:`AliasWarning` when more than 1e-8 of the symbol's spatial
     spectral mass sits in the highest-frequency band of the grid.
     """
-    A, kind = _sample(a, h, n)
-    if kind == "mixed":
-        return GridOperator(n, h, _mixed_matrix(A, n))
-    if kind == "multiplication":
-        diag = np.broadcast_to(A[:, :, 0, 0], (n, n)).ravel()    # a(x_j)
-        return GridOperator(n, h, np.diag(diag))
-    spec = np.fft.fft2(np.broadcast_to(A[0, 0], (n, n)), norm="forward")   # of a(h k)
-    return GridOperator(n, h, np.take(spec, _gather_index(n)))
+    return GridOperator(n, h, *_sample(a, h, n))
 
 
 def _nyquist_mass(A, n):
@@ -243,18 +199,33 @@ def _power_norm(apply, adjoint, size, scale):
     return float(np.linalg.norm(apply(y)) / np.linalg.norm(y))
 
 
-def operator_norm(M):
-    """Spectral norm by Lanczos on M* M, fully reorthogonalized.
+def operator_norm(op):
+    """Spectral norm of the :class:`GridOperator` ``op``.
 
-    The start vector is seeded by ``POWER_SEED``.  Lanczos stops when the
-    Ritz residual of the largest Ritz value theta of M* M is at most
-    ``POWER_TOL * theta``, or when the Krylov space is invariant.
-    Emits :class:`ConvergenceWarning` when ``POWER_ITERS`` steps run out
-    first; the last estimate is returned.  The estimate is ||M y|| / ||y||
-    at the Ritz vector y, so it is exact for an isometry.
+    A multiplication (a diagonal) or a multiplier (a circulant) has norm
+    max |a| over its samples, read exactly.  A mixed symbol's comes from
+    Lanczos on (K F)* K F, fully reorthogonalized, applied by :func:`_maps`
+    from the start vector seeded by ``POWER_SEED``.  Lanczos stops when the
+    Ritz residual of the largest Ritz value theta is at most ``POWER_TOL *
+    theta``, or when the Krylov space is invariant, so a gap below
+    ``POWER_TOL`` between the two largest singular values is resolved only
+    to about that gap (1 and 1 - 1e-9 give an error near 1e-9).  Emits
+    :class:`ConvergenceWarning` when ``POWER_ITERS`` steps run out first;
+    the last estimate is returned.  The estimate is ||M y|| / ||y|| at the
+    Ritz vector y, so it is exact for an isometry.
     """
-    return _power_norm(lambda v: M @ v, lambda w: _adjoint(lambda u: u @ M, w),
-                       M.shape[1], None)
+    if op.kind != "mixed":
+        return float(np.max(np.abs(op.samples)))
+    return _power_norm(*_maps(op), op.n ** 2, None)
+
+
+def _maps(op):
+    """K F and its adjoint F^H K^H as maps on flat vectors, K applied
+    through ``op``'s samples by :func:`_factor` and F by FFTs."""
+    n = op.n
+    k, kt = _factor(op.samples, _phase_table(n))
+    return (lambda v: k(np.fft.fft2(v.reshape(n, n), norm="forward")).ravel(),
+            lambda w: np.fft.ifft2(_adjoint(kt, w.reshape(n, n))).ravel())
 
 
 def _adjoint(transpose, w):
@@ -339,7 +310,7 @@ def composition_defect(a, b, h_list, n=32):
     at the numerical floor so an exactly-commuting pair reports slope nan
     with zero defects.
     """
-    _grid(n)                       # raises past the budget, before sampling
+    _grid(n)                       # raises past the cap, before sampling
     defects = []
     for h in h_list:
         A, B = _sample(a, h, n)[0], _sample(b, h, n)[0]
@@ -361,20 +332,12 @@ def boundedness_check(symbol_factory, h_list, thetas, n=32):
     """Operator norms over an (h, theta) sweep and the fitted theta exponent.
 
     ``symbol_factory(h, theta)`` returns the symbol callable for that cell.
-    Each symbol is sampled once.  Rows are (h, theta, norm); the norm of a
-    multiplier, or of a multiplication, is exact, max |a| read from the
-    samples with no matrix formed, and only a mixed symbol is assembled and
-    its norm taken by :func:`operator_norm`.  The exponent is the mean over
-    h of the per-h slope of log(norm) against log(theta).
+    Rows are (h, theta, norm), the norm that of :func:`operator_norm` on
+    the cell's quantized symbol.  The exponent is the mean over h of the
+    per-h slope of log(norm) against log(theta).
     """
-    rows = []
-    for h in h_list:
-        for th in thetas:
-            A, kind = _sample(symbol_factory(h, th), h, n)
-            # a circulant's norm is max |a(h k)|, a diagonal's max |a(x_j)|
-            norm = (operator_norm(_mixed_matrix(A, n)) if kind == "mixed"
-                    else float(np.max(np.abs(A))))
-            rows.append((h, th, norm))
+    rows = [(h, th, operator_norm(quantize(symbol_factory(h, th), h, n)))
+            for h in h_list for th in thetas]
     slopes = []
     for h in h_list:
         pts = [(math.log(th), math.log(r)) for (hh, th, r) in rows

@@ -565,7 +565,8 @@ def symbol_T(cfg: TransmissionConfig, sp, r0, beta):
     w = z^2 kappa (eps1 mu1 - eps2 mu2); T_tilde = T / w; and the
     approximate inverse T_1 = <xi'>^{-1} (rho1 + rho2)(I + (rho1 rho2 -
     r0)^{-1} B), so T_1 T_tilde = <xi'>^{-1} I.  Batched: r0 of shape
-    (...) and beta of shape (..., 3) give matrices of shape (..., 3, 3).
+    (...), beta of shape (..., 3) and ``sp`` of a lambda of a shape that
+    broadcasts with r0's give matrices of shape (..., 3, 3).
     Raises :class:`CoincidentMedia` when eps1 mu1 == eps2 mu2 (w = 0).
     """
     dm = cfg.eps1 * cfg.mu1 - cfg.eps2 * cfg.mu2
@@ -574,13 +575,14 @@ def symbol_T(cfg: TransmissionConfig, sp, r0, beta):
     z = sp.z
     kappa = cfg.c1 / cfg.mu1
     r0 = np.asarray(r0)[..., None, None]
-    rho1 = sqrt_upper(z * z * cfg.eps1 * cfg.mu1 - r0)
-    rho2 = sqrt_upper(z * z * cfg.eps2 * cfg.mu2 - r0)
+    z2 = np.asarray(z * z)[..., None, None]        # a batch of lambda, as r0
+    rho1 = sqrt_upper(z2 * cfg.eps1 * cfg.mu1 - r0)
+    rho2 = sqrt_upper(z2 * cfg.eps2 * cfg.mu2 - r0)
     B = calB(np.asarray(beta, dtype=complex))
     eye = np.eye(3)
     T = kappa * (rho1 - rho2) * (eye - B / (rho1 * rho2))
     w = z * z * kappa * dm
-    T_tilde = T / w
+    T_tilde = T / np.asarray(w)[..., None, None]
     bracket = np.sqrt(1.0 + np.real(r0))
     T1 = (rho1 + rho2) * (eye + B / (rho1 * rho2 - r0)) / bracket
     return T, w, T_tilde, T1

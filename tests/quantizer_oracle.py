@@ -5,9 +5,8 @@ n^2 x n^2 array A[j, k] = a(x_j, h k), whatever variables it reads.  The
 operators and the composition defect's factors are assembled from those
 full samples, and the defect is applied by dense matrix-vector products
 with its n^2 x n^2 factors.  The Lanczos stop rules are not part of this
-oracle: the norms reuse the package's ``_power_norm`` and
-``operator_norm``, so a difference in the results is one of sampling,
-assembly or the arithmetic of an apply.
+oracle: the norms reuse the package's ``_power_norm``, so a difference in
+the results is one of sampling, assembly or the arithmetic of an apply.
 """
 
 import numpy as np
@@ -112,4 +111,11 @@ def boundedness_norm(a, h, n):
     A = sample(a, h, n)
     if np.all(A == A[:1, :]):
         return float(np.max(np.abs(A[0])))
-    return quantizer.operator_norm(quantize_matrix(a, h, n))
+    return matrix_norm(quantize_matrix(a, h, n))
+
+
+def matrix_norm(M):
+    """Spectral norm of a dense matrix by the package's Lanczos, applying M
+    and M^H = conj(M^T conj(.)) by matrix-vector products."""
+    return quantizer._power_norm(lambda v: M @ v, lambda w: (w.conj() @ M).conj(),
+                                 M.shape[1], None)

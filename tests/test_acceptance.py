@@ -318,7 +318,7 @@ def test_09_quantizer_contracts():
     hs = [2.0 ** -k for k in range(3, 8)]
     _, slope = composition_defect(a, b, hs, n=32)
     norm1 = operator_norm(quantize(
-        lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1, hs[0], 32).matrix)
+        lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1, hs[0], 32))
 
     def factory(h, th):
         z2 = complex(1.0, th) ** 2

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxdtn import cli, jets
+from maxdtn.config import RunConfig
 from maxdtn.jets import VARS, Jet, NormalSeries
 from maxdtn.errors import AmbiguousBranch, ZeroConstantTerm
 
@@ -248,3 +250,13 @@ def test_batched_zero_constant_raises(batch, bad):
     const[bad] = 2.0   # on the cut [0, +inf) of sqrt_upper
     with pytest.raises(AmbiguousBranch, match=re.escape(f"batch index {bad}")):
         _random_jet(rng, batch, 3, const=const).sqrt_upper()
+
+
+def test_product_plan_cache_is_bounded():
+    # the plans' index tables scale with the batch, so the cache is bounded;
+    # a default dtn-compare builds 21 plans, and a second one builds none
+    assert jets._product_plan.cache_info().maxsize == 256
+    cli.cmd_dtn_compare(RunConfig())
+    misses = jets._product_plan.cache_info().misses
+    cli.cmd_dtn_compare(RunConfig())
+    assert jets._product_plan.cache_info().misses == misses

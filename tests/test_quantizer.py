@@ -1,5 +1,6 @@
 """Discrete quantization on the grid: exactness, norms, and warnings."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -10,32 +11,53 @@ import quantizer_oracle as oracle
 from maxdtn import cli, quantizer
 from maxdtn.config import RunConfig
 from maxdtn.quantizer import (AliasWarning, ConvergenceWarning,
-                              _defect_operator, _kind, _nyquist_mass, _sample,
-                              boundedness_check, composition_defect,
+                              _defect_operator, _kind, _maps, _nyquist_mass,
+                              _sample, boundedness_check, composition_defect,
                               operator_norm, quantize)
-from quantizer_oracle import flat
+from quantizer_oracle import flat, matrix_norm
+
+
+def _vectors(n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=n * n) + 1j * rng.normal(size=n * n) for _ in range(2)]
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 def test_identity_symbol_exact():
     op = quantize(lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1, 0.1, 8)
-    assert np.array_equal(op.matrix, np.eye(64, dtype=complex))
-    assert operator_norm(op.matrix) == 1.0
+    assert op.kind == "multiplication"
+    assert operator_norm(op) == 1.0
+    apply, adjoint = _maps(op)
+    for v in _vectors(8, 1):
+        assert _rel(apply(v), v) <= 1e-14 and _rel(adjoint(v), v) <= 1e-14
 
 
 def test_constant_symbol_exact():
-    op = quantize(lambda x1, x2, s1, s2: (2.0 - 1.0j) + 0.0 * x1 + 0.0 * s1,
-                  0.1, 8)
-    assert np.array_equal(op.matrix, (2.0 - 1.0j) * np.eye(64, dtype=complex))
+    c = 2.0 - 1.0j
+    op = quantize(lambda x1, x2, s1, s2: c + 0.0 * x1 + 0.0 * s1, 0.1, 8)
+    assert operator_norm(op) == abs(c)
+    apply, adjoint = _maps(op)
+    for v in _vectors(8, 2):
+        assert _rel(apply(v), c * v) <= 1e-14
+        assert _rel(adjoint(v), np.conj(c) * v) <= 1e-14
 
 
 def test_multiplication_symbol_is_diagonal():
     a = lambda x1, x2, s1, s2: np.cos(x1) + np.sin(2 * x2) + 0.0 * s1
     op = quantize(a, 0.1, 8)
-    assert np.count_nonzero(op.matrix - np.diag(np.diag(op.matrix))) == 0
     x = np.arange(8) * (2 * np.pi / 8)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     want = (np.cos(X1) + np.sin(2 * X2)).ravel()
-    assert np.max(np.abs(np.diag(op.matrix) - want)) < 1e-14
+    assert op.kind == "multiplication"
+    assert np.max(np.abs(np.broadcast_to(op.samples[:, :, 0, 0], (8, 8)).ravel()
+                         - want)) < 1e-14
+    apply, adjoint = _maps(op)
+    for v in _vectors(8, 3):
+        assert np.max(np.abs(apply(v) - want * v)) < 1e-14 * np.max(np.abs(v))
+        assert np.max(np.abs(adjoint(v) - want * v)) < 1e-14 * np.max(np.abs(v))
 
 
 def test_multiplier_symbol_on_plane_waves():
@@ -43,12 +65,14 @@ def test_multiplier_symbol_on_plane_waves():
     h, n = 0.25, 8
     a = lambda x1, x2, s1, s2: 1.0 / (1.0 + s1 ** 2 + 0.5 * s2 ** 2) + 0.0 * x1
     op = quantize(a, h, n)
+    apply, adjoint = _maps(op)
     x = np.arange(n) * (2 * np.pi / n)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     for k1, k2 in [(0, 0), (1, 0), (2, 3), (-3, 1)]:
         v = np.exp(1j * (k1 * X1 + k2 * X2)).ravel()
-        want = a(0, 0, h * k1, h * k2) * v
-        assert np.max(np.abs(op.matrix @ v - want)) < 1e-12
+        want = a(0, 0, h * k1, h * k2)
+        assert np.max(np.abs(apply(v) - want * v)) < 1e-12
+        assert np.max(np.abs(adjoint(v) - np.conj(want) * v)) < 1e-12
 
 
 def test_mixed_symbol_matches_direct_sum():
@@ -74,7 +98,10 @@ def test_mixed_symbol_matches_direct_sum():
                 s += (a(x1, x2, h * k1, h * k2)
                       * np.exp(1j * (k1 * (x1 - y1) + k2 * (x2 - y2))))
             M[r, cc] = s / (n * n)
-    assert np.max(np.abs(op.matrix - M)) < 1e-11
+    apply, adjoint = _maps(op)
+    v, w = _vectors(n, 4)
+    assert np.max(np.abs(apply(v) - M @ v)) < 1e-11
+    assert np.max(np.abs(adjoint(w) - M.conj().T @ w)) < 1e-11
 
 
 def _unitary(rng, m):
@@ -96,7 +123,7 @@ def test_operator_norm_matches_svd():
         warnings.simplefilter("error")
         for M in cases:
             ref = np.linalg.svd(M, compute_uv=False)[0]
-            assert abs(operator_norm(M) - ref) <= 1e-12 * ref
+            assert abs(matrix_norm(M) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("gap", [1e-4, 9e-5, 5e-5, 1e-5])
@@ -105,7 +132,17 @@ def test_operator_norm_clustered_diagonal(gap):
     # is the norm; the Ritz residual does not stop there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert abs(operator_norm(np.diag([1.0, 1.0 - gap, 0.5])) - 1.0) <= 1e-12
+        assert abs(matrix_norm(np.diag([1.0, 1.0 - gap, 0.5])) - 1.0) <= 1e-12
+
+
+def test_operator_norm_gap_below_tol():
+    # a gap of 1e-9 between the two largest singular values, below
+    # POWER_TOL: the Ritz residual stops Lanczos before it tells them apart,
+    # so the estimate is good only to about the gap (8.8e-10 here)
+    M = np.diag(np.r_[1.0, 1.0 - 1e-9, np.linspace(0.9, 0.1, 30)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(matrix_norm(M) - 1.0) <= 2e-9
 
 
 def test_alias_warning():
@@ -153,8 +190,10 @@ def test_fft_assembly_matches_dense_product(n):
     multiplier = lambda x1, x2, s1, s2: 1.0 / (1.0 + s1 ** 2 + 0.3j * s2) + 0.0 * x1
     for a in (mixed, multiplier):
         want = _dense_quantization(a, 0.1, n)
-        got = quantize(a, 0.1, n).matrix
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        apply, adjoint = _maps(quantize(a, 0.1, n))
+        v, w = _vectors(n, n)
+        assert _rel(apply(v), want @ v) <= 1e-12
+        assert _rel(adjoint(w), want.conj().T @ w) <= 1e-12
 
 
 def test_multiplier_norm_matches_svd():
@@ -165,7 +204,7 @@ def test_multiplier_norm_matches_svd():
         return a
     rows, _ = boundedness_check(factory, [0.1], (0.1, 0.4), n=16)
     for h, th, norm in rows:
-        ref = np.linalg.svd(quantize(factory(h, th), h, 16).matrix,
+        ref = np.linalg.svd(_dense_quantization(factory(h, th), h, 16),
                             compute_uv=False)[0]
         assert abs(norm - ref) <= 1e-12 * ref
 
@@ -178,12 +217,12 @@ def test_operator_norm_warns_when_unconverged(monkeypatch):
     ref = np.linalg.svd(M, compute_uv=False)[0]
     monkeypatch.setattr(quantizer, "POWER_ITERS", 3)
     with pytest.warns(ConvergenceWarning):
-        est = operator_norm(M)
+        est = matrix_norm(M)
     assert 0.5 * ref < est <= ref * (1.0 + 1e-12)
     assert abs(est - ref) > 1e-6 * ref
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert abs(operator_norm(np.diag([1.0, 0.5, 0.25])) - 1.0) < 1e-9
+        assert abs(matrix_norm(np.diag([1.0, 0.5, 0.25])) - 1.0) < 1e-9
 
 
 def test_smooth_symbol_no_warning(recwarn):
@@ -223,10 +262,6 @@ _KINDS = {
 }
 
 
-def _rel(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
-
-
 @pytest.mark.parametrize("n", [5, 16, 32])
 def test_factored_operator_matches_matrix(n):
     # with b = 1 and ab = 0, as samples, the defect operator is Op(a) itself
@@ -239,7 +274,7 @@ def test_factored_operator_matches_matrix(n):
         A, got_kind = _sample(a, h, n)
         assert got_kind == kind
         apply, adjoint = _defect_operator(A, one, zero, n, [0.0])
-        M = quantize(a, h, n).matrix
+        M = oracle.quantize_matrix(a, h, n)
         assert _rel(apply(v), M @ v) <= 1e-12
         assert _rel(adjoint(w), M.conj().T @ w) <= 1e-12
 
@@ -261,8 +296,8 @@ def test_defect_operator_matches_dense(n):
         def ab(x1, x2, s1, s2):
             return a(x1, x2, s1, s2) * b(x1, x2, s1, s2)
 
-        D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
-             - quantize(ab, h, n).matrix)
+        D = (oracle.quantize_matrix(a, h, n) @ oracle.quantize_matrix(b, h, n)
+             - oracle.quantize_matrix(ab, h, n))
         apply, adjoint = _defect_operator(*(_sample(c, h, n)[0] for c in (a, b, ab)),
                                           n, [0.0])
         assert _rel(apply(v), D @ v) <= 1e-12
@@ -284,8 +319,8 @@ def test_composition_defect_matches_dense_norm(n):
     hs = _HS if n == 16 else _HS[-1:]
     defects, _ = composition_defect(a, b, hs, n=n)
     for h, d in zip(hs, defects):
-        D = (quantize(a, h, n).matrix @ quantize(b, h, n).matrix
-             - quantize(ab, h, n).matrix)
+        D = (oracle.quantize_matrix(a, h, n) @ oracle.quantize_matrix(b, h, n)
+             - oracle.quantize_matrix(ab, h, n))
         ref = np.linalg.svd(D, compute_uv=False)[0]
         assert abs(d - ref) <= 1e-12 * ref
 
@@ -456,7 +491,8 @@ def test_samples_keep_their_broadcast_shape(name):
     A, got = _sample(a, h, n)
     assert A.shape == shape
     assert got == kind == oracle.kind(a, h, n)
-    assert np.array_equal(quantize(a, h, n).matrix, oracle.quantize_matrix(a, h, n))
+    op = quantize(a, h, n)
+    assert np.array_equal(op.samples, A) and op.kind == kind
 
 
 class _Captured(Exception):
@@ -481,13 +517,9 @@ def _factors(monkeypatch, a, b, h, n):
 @pytest.mark.filterwarnings("ignore::maxdtn.quantizer.AliasWarning")
 @pytest.mark.parametrize("n", [5, 16, 32])
 def test_assembly_equals_full_grid_oracle(monkeypatch, n):
-    # the matrices from reduced samples, and the defect's factors formed
-    # here from its reduced samples, are bitwise those of the full-grid
-    # sampling
+    # the defect's factors formed here from its reduced samples are bitwise
+    # those of the full-grid sampling
     h = 0.1
-    symbols = list(_KINDS.values()) + list(_PAIR)
-    for a in symbols:
-        assert np.array_equal(quantize(a, h, n).matrix, oracle.quantize_matrix(a, h, n))
     pairs = [_PAIR] + [(a, b) for a in _KINDS.values() for b in _KINDS.values()]
     for a, b in pairs:
         got = _factors(monkeypatch, a, b, h, n)
@@ -524,18 +556,18 @@ def test_quantizer_rows_equal_full_grid_oracle(monkeypatch):
     assert abs(slope - float(np.polyfit(np.log(_HS), np.log(defects), 1)[0])) <= 1e-12
     assert f"composition slope = {cli._fmt(slope)} (1.0 +- 0.2)" in summary
     unit = lambda x1, x2, s1, s2: 1.0 + 0.0 * x1 + 0.0 * s1
-    assert operator_norm(oracle.quantize_matrix(unit, _HS[0], 32)) == 1.0
+    assert matrix_norm(oracle.quantize_matrix(unit, _HS[0], 32)) == 1.0
     assert "|Op(1)| = 1" in summary and ok
 
 
 def test_composition_defect_forms_no_full_factor(monkeypatch):
-    # test_09's pair at n = 32: nothing builds a phase table of n^4 values
-    # or a dense operator, and the pass peaks far below one n^2 x n^2 complex
-    # array (16 MB); forming K_a, K_b and K_ab took it to 69 MB
+    # test_09's pair at n = 32: nothing quantizes or builds an operator's
+    # maps, and the pass peaks far below one n^2 x n^2 complex array
+    # (16 MB); forming K_a, K_b and K_ab took it to 69 MB
     def refuse(*args, **kwargs):
         raise AssertionError("the composition defect formed an n^2 x n^2 array")
 
-    for name in ("_phases", "_mixed_matrix", "quantize"):
+    for name in ("quantize", "operator_norm", "_maps"):
         monkeypatch.setattr(quantizer, name, refuse)
     tracemalloc.start()
     try:
@@ -548,12 +580,12 @@ def test_composition_defect_forms_no_full_factor(monkeypatch):
 
 
 def test_multiplier_sweep_assembles_nothing(monkeypatch):
-    # a multiplier's norm is read from its samples: nothing is quantized,
-    # gathered or handed to Lanczos
+    # a multiplier's norm is read from its samples: nothing is factored or
+    # handed to Lanczos
     def refuse(*args, **kwargs):
         raise AssertionError("a multiplier sweep assembled an operator")
 
-    for name in ("quantize", "_gather_index", "_phases", "operator_norm"):
+    for name in ("_maps", "_factor", "_power_norm"):
         monkeypatch.setattr(quantizer, name, refuse)
     n, h = 32, 0.1
     factory = cli._rho_inverse_factory(1.0, 1.0)
@@ -567,10 +599,50 @@ def test_multiplier_sweep_assembles_nothing(monkeypatch):
 def test_multiplication_norm_is_read_from_samples(monkeypatch):
     # a diagonal's norm is max |a(x_j)|, read exactly, and it is the SVD's
     a = lambda x1, x2, s1, s2: np.cos(x1) + 0.5j * np.sin(2 * x2) + 0.0 * s1
-    ref = np.linalg.svd(quantize(a, 0.1, 16).matrix, compute_uv=False)[0]
-    monkeypatch.setattr(quantizer, "operator_norm", None)
+    ref = np.linalg.svd(_dense_quantization(a, 0.1, 16), compute_uv=False)[0]
+    for name in ("_maps", "_factor", "_power_norm"):
+        monkeypatch.setattr(quantizer, name, None)
     rows, _ = boundedness_check(lambda h, th: a, [0.1], (0.1, 0.4), n=16)
     X1, X2, _, _ = flat(16)
     for _, _, norm in rows:
         assert norm == np.max(np.abs(np.cos(X1) + 0.5j * np.sin(2 * X2)))
         assert abs(norm - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("n, name", [(8, "ab"), (16, "ab"), (32, "ab"),
+                                     (16, "all four")])
+def test_mixed_operator_norm_matches_dense_svd(n, name):
+    # the factored Lanczos norm against the SVD of the oracle's matrix: ab
+    # of test_09's pair reads three variables and is applied as a
+    # contraction, a symbol of all four through its formed K
+    a, b = _PAIR
+    symbol = {"ab": lambda x1, x2, s1, s2: a(x1, x2, s1, s2) * b(x1, x2, s1, s2),
+              "all four": _KINDS["mixed"]}[name]
+    op = quantize(symbol, 0.1, n)
+    assert op.kind == "mixed" and op.samples.ndim == 4
+    assert (1 in op.samples.shape) == (name == "ab")
+    ref = np.linalg.svd(oracle.quantize_matrix(symbol, 0.1, n), compute_uv=False)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(operator_norm(op) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_unit_norm_through_the_factored_apply(n):
+    # |Op(1)| is read from its samples; taken as a mixed symbol's, through
+    # the contraction and the FFTs, it checks their normalization
+    op = dataclasses.replace(quantize(lambda x1, x2, s1, s2: 1.0, 0.1, n), kind="mixed")
+    assert abs(operator_norm(op) - 1.0) <= 2 * np.finfo(float).eps
+
+
+def test_quantizer_command_peak_memory():
+    # cmd_quantizer at test_09's grid forms no n^2 x n^2 matrix: the pass
+    # peaks within the size of one n^2 x n^2 complex array (16 MB), which
+    # a dense |Op(1)| alone would take
+    tracemalloc.start()
+    try:
+        _, _, ok, _ = cli.cmd_quantizer(RunConfig(grid_n=32, h_list=tuple(_HS)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak <= 16 * 2 ** 20

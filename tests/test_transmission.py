@@ -277,6 +277,35 @@ def test_symbol_T_batched_matches_pointwise():
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("P", [3, 5])
+def test_symbol_T_batch_of_lambda(P):
+    # a (P,) lambda with a (P,) r0; at beta = sqrt(r0) e2, B = r0 e2 e2^T, so
+    # T[0, 0] = kappa (rho1 - rho2) and T[1, 1] = kappa (rho1 - rho2)
+    # (1 - r0 / (rho1 rho2)).  P = 3 once broadcast z against the matrix
+    # axes without raising
+    lam = np.linspace(3.0, 9.0, P) + 1j * np.linspace(0.5, 2.5, P)
+    sp = split_lambda(lam)
+    r0 = np.linspace(0.2, 4.0, P)
+    beta = np.zeros((P, 3))
+    beta[:, 1] = np.sqrt(r0)
+    T, w, Tt, T1 = symbol_T(CFG, sp, r0, beta)
+    assert T.shape == Tt.shape == T1.shape == (P, 3, 3) and w.shape == (P,)
+    kappa = CFG.c1 / CFG.mu1
+    for i in range(P):
+        z2 = complex(sp.z[i]) ** 2
+        rho1, rho2 = (cmath.sqrt(z2 * em - r0[i])
+                      for em in (CFG.eps1 * CFG.mu1, CFG.eps2 * CFG.mu2))
+        rho1, rho2 = (r if r.imag > 0.0 else -r for r in (rho1, rho2))
+        want = kappa * (rho1 - rho2)
+        assert abs(T[i, 0, 0] - want) <= 1e-13 * abs(want)
+        want *= 1.0 - r0[i] / (rho1 * rho2)
+        assert abs(T[i, 1, 1] - want) <= 1e-13 * abs(want)
+        # and each element is the scalar-lambda build
+        for got, one in zip((T, w, Tt, T1),
+                            symbol_T(CFG, split_lambda(lam[i]), r0[i], beta[i])):
+            assert np.array_equal(got[i], one)
+
+
 def test_symbol_T_coincident_media():
     sp = split_lambda(5 + 2j)
     with pytest.warns(UserWarning):
