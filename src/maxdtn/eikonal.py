@@ -129,6 +129,10 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     """
     if gs.n1 < N:
         raise OrderBudgetExceeded("GammaSeries too short for the requested phase order")
+    # phi_k, k < N, is differentiated; it has order gs.order - k + 1 for k >= 2
+    if gs.order < max(1, N - 1):
+        raise OrderBudgetExceeded(f"GammaSeries of order {gs.order} below the order "
+                                  f"{max(1, N - 1)} that a phase of order N = {N} differentiates")
     xi = [_per_point(x) for x in xiprime]
     beta = beta_jets(gs, xi)
     r0 = dot(beta, beta)

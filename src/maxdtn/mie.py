@@ -282,7 +282,7 @@ def _symbol_eigenvalues(sp, chart, media, base, r0_target):
     """
     beta_unit, g = beta_pointwise(chart, base[0], base[1], 1.0, 0.0)
     s = np.sqrt(r0_target / g)
-    gs = GammaSeries(chart, base, n1=2, order=6)
+    gs = GammaSeries(chart, base, n1=2, order=3)
     ps = eikonal_coeffs(gs, media, sp, (s, 0.0), N=2)
     sym = boundary_symbol(transport_coeffs(ps, media, N=1, J=1))
     nu = np.array([c.value for c in gs.nu]).real

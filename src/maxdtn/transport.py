@@ -36,6 +36,17 @@ right-hand side or datum is passed to the solve as None and costs nothing:
 slot (0,0) has no right-hand side, and every slot without a solvability
 choice has datum zero.
 
+The table truncates its inputs (psi_k, rho, nu, beta, the gamma columns,
+eps_k, mu_k) once, to the order T its recursion consumes; its readers take
+slot values and first tangential derivatives, so every slot keeps order >= 1.
+Each h-level differentiates the level below once, and the consistent
+solvability choice at (j, k) differentiates the level-j slots below k: slot
+(j, k) has order T - j - k, and T = N + J.  Without that choice (literal
+scheme, or J = 0) it has order T - j, and T = J + 1.  A jet product's
+coefficients of degree <= d are bitwise those of its operands cut to d, so
+every slot value, derivative, symbol and residual is that of an untruncated
+build.
+
 The boundary symbol is m + h*mtilde: m comes from the (0,0) block, and the
 first-order corrector combines a commutator term n (from the two-point
 normal factor in the datum) with the (1,0) block.  These two blocks are all
@@ -95,6 +106,11 @@ def _grad_cross(gamma_cols, vec):
     return out
 
 
+def _input_order(N, J, scheme):
+    """Taylor order of the inputs the recursion consumes (module docstring)."""
+    return J + 1 if scheme == "literal" or J == 0 else N + J
+
+
 class AmplitudeTable:
     """Amplitude coefficients of the three basis data: batched[name][(j,k)].
 
@@ -103,9 +119,10 @@ class AmplitudeTable:
     K[j] = N + J - j.  Every entry is a jet 3-vector whose jets carry the
     basis index i as their batch axis; ``.value`` of the components gives
     the base-point numbers.  The table holds the datum-independent series
-    of the recursion too, and the two tau solutions of the solvability
-    choice, solved on first use; :func:`transport_coeffs` fills its slots,
-    sum(K) solves in all (two more for the tau pair of a consistent table).
+    of the recursion too, cut to the order :func:`_input_order`, and the
+    two tau solutions of the solvability choice, solved on first use;
+    :func:`transport_coeffs` fills its slots, sum(K) solves in all (two
+    more for the tau pair of a consistent table).
     """
 
     def __init__(self, ps: PhaseSeries, N, J, scheme, media_corrections):
@@ -120,14 +137,20 @@ class AmplitudeTable:
         ntot = self.K[0]
         if gs.n1 < ntot or len(ps.psis) < ntot:
             raise OrderBudgetExceeded("phase/gamma series too short for transport order")
-        self.psis = ps.psis[:ntot]
-        self.eps_k, self.mu_k = ps.eps_k, ps.mu_k
+        order = _input_order(N, J, scheme)
+
+        def cut(jets):
+            return [c.truncate(order) for c in jets]
+
+        self.psis = [cut(p) for p in ps.psis[:ntot]]
+        self.eps_k, self.mu_k = cut(ps.eps_k[:ntot]), cut(ps.mu_k[:ntot])
         self.media_corrections = media_corrections
-        self.nu = gs.nu
-        beta = ps.beta
+        self.nu = cut(gs.nu)
+        beta = cut(ps.beta)
         self.z = ps.z
-        self.system = CrossSystem(ps.rho_jet, self.nu, beta, self.z, self.mu_k[0])
-        self.gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
+        self.system = CrossSystem(ps.rho_jet.truncate(order), self.nu, beta, self.z,
+                                  self.mu_k[0])
+        self.gcols = [[cut(gs.gamma[i][c].coeffs[m] for i in range(3)) for c in range(3)]
                       for m in range(ntot)]
         self.g0 = vscale(-1.0, cross(self.nu, _BASIS))
         # tangential covector basis for the datum of a_{j,k}, k >= 1

@@ -101,12 +101,26 @@ def test_eikonal_command(tmp_path):
     assert "flat" in text and "FAIL" not in text
 
 
-def test_residual_command(tmp_path):
-    cfg = write_cfg(tmp_path, "n = 2\nj = 1\n")
+def _residual_passes(tmp_path, n, j):
+    cfg = write_cfg(tmp_path, f"n = {n}\nj = {j}\n")
     rc = main(["residual", "--config", cfg, "--output-dir", str(tmp_path)])
     assert rc == 0
     text = (tmp_path / "residual.csv").read_text()
-    assert "fitted x1 slope" in text
+    slope, need = map(float, re.search(r"fitted x1 slope = (\S+) \(expected >= (\S+)\)",
+                                       text).groups())
+    assert need == pytest.approx(n + j - 0.7) and slope >= need
+
+
+def test_residual_command(tmp_path):
+    _residual_passes(tmp_path, 2, 1)
+
+
+@pytest.mark.parametrize("n,j", [(RunConfig.N, RunConfig.J), (3, 2)],
+                         ids=["defaults", "test_04"])
+def test_residual_command_wider_tables(tmp_path, n, j):
+    # the config defaults and test_04's shape run deeper recursions than
+    # the small table above
+    _residual_passes(tmp_path, n, j)
 
 
 def test_te_scan_certified(tmp_path):

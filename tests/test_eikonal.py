@@ -157,6 +157,27 @@ def test_series_too_short_rejected():
 
 
 @pytest.mark.parametrize("flattened", [False, True])
+@pytest.mark.parametrize("N", range(1, 7))
+def test_gamma_order_too_low_rejected(N, flattened):
+    # phi_0..phi_{N-1} are differentiated: a gamma series of order below
+    # max(1, N - 1) is refused with both orders named, not left to fail
+    # inside the recursion
+    chart = SurfaceChart.sphere(1.0)
+    need = max(1, N - 1)
+    for order in range(N + 1):
+        gs = GammaSeries(chart, (1.1, 0.3), n1=N, order=order)
+        if order < need:
+            with pytest.raises(OrderBudgetExceeded,
+                               match=f"order {order} below the order {need} .* N = {N}"):
+                eikonal_coeffs(gs, MediaField.constant(1.3, 0.9), SP, (0.5, 0.1), N=N,
+                               flattened=flattened)
+        else:
+            ps = eikonal_coeffs(gs, MediaField.constant(1.3, 0.9), SP, (0.5, 0.1), N=N,
+                                flattened=flattened)
+            assert min(phi.order for phi in ps.phis[:N]) >= 1
+
+
+@pytest.mark.parametrize("flattened", [False, True])
 def test_batched_residual_matches_pointwise(flattened):
     media = MediaField(
         ScalarField("affine", c0=1.3, g1=0.1, g2=-0.05, g3=0.2),

@@ -312,11 +312,75 @@ def test_media_series_formed_once_per_build(monkeypatch):
     ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=5)
     tab = transport_coeffs(ps, MEDIA, N=3, J=2)
     assert len(calls) == 1
-    assert tab.eps_k is ps.eps_k and tab.mu_k is ps.mu_k
+    # the table keeps a prefix of each series, truncated to its input order
+    for mine, phase in ((tab.eps_k, ps.eps_k), (tab.mu_k, ps.mu_k)):
+        assert len(mine) == tab.K[0] <= len(phase)
+        for c, full in zip(mine, phase):
+            assert c.order <= full.order
+            assert np.array_equal(c.coef, full.coef[..., :c.coef.shape[-1]])
     sym = boundary_symbol(transport_coeffs(eikonal_coeffs(gs, MEDIA, SP, XI, N=3), MEDIA, N=2, J=1))
     assert len(calls) == 2
     sym.m_tilde
     assert len(calls) == 3
+
+
+def _slot_orders(tab):
+    return [c.order for d in tab.batched.values() for v in d.values() for c in v]
+
+
+def _slots_and_residual(tab):
+    """Every slot's values and first derivatives, and the pointwise residual."""
+    slots = {(name, s): [(c.value, c.derivative("x2").value, c.derivative("x3").value)
+                         for c in v]
+             for name, d in tab.batched.items() for s, v in d.items()}
+    x1s = np.geomspace(3e-4, 3e-2, 5)
+    return slots, maxwell_residual(tab, x1s, h=1e-3, ftilde=(0.3, -0.5, 0.8))
+
+
+@pytest.mark.parametrize("scheme", ["consistent", "literal"])
+@pytest.mark.parametrize("chart", [CHART, SurfaceChart.ellipsoid(1.0, 1.2, 0.8)],
+                         ids=["sphere", "ellipsoid"])
+def test_truncated_inputs_change_no_slot(monkeypatch, chart, scheme):
+    # the table's inputs are cut to the order its recursion consumes: every
+    # slot value, first derivative and residual is bitwise that of an
+    # untruncated build, every slot keeps order >= 1, and one order less
+    # leaves a slot at order 0
+    rule = maxdtn.transport._input_order
+    for N in range(1, 5):
+        for J in range(4):
+            for extra in (0, 3):
+                gs = GammaSeries(chart, BASE, n1=N + J, order=N + J + extra)
+                ps = eikonal_coeffs(gs, MEDIA, SP, XI, N=N + J)
+                tab = transport_coeffs(ps, MEDIA, N=N, J=J, scheme=scheme)
+                assert min(_slot_orders(tab)) >= 1
+                monkeypatch.setattr(maxdtn.transport, "_input_order", lambda *a: 100)
+                full = transport_coeffs(ps, MEDIA, N=N, J=J, scheme=scheme)
+                if extra:
+                    lower = rule(N, J, scheme) - 1
+                    monkeypatch.setattr(maxdtn.transport, "_input_order", lambda *a: lower)
+                    assert min(_slot_orders(transport_coeffs(ps, MEDIA, N=N, J=J,
+                                                             scheme=scheme))) == 0
+                monkeypatch.setattr(maxdtn.transport, "_input_order", rule)
+                got, want = _slots_and_residual(tab), _slots_and_residual(full)
+                assert got[0].keys() == want[0].keys()
+                for key in want[0]:
+                    assert np.array_equal(got[0][key], want[0][key])
+                for g, w in zip(got[1], want[1]):
+                    assert np.array_equal(g, w)
+
+
+def test_symbol_sweep_table_holds_no_jet_above_its_order():
+    # an N = 2, J = 1 table from an order-6 gamma series: input order 3,
+    # whatever the series carries
+    gs = GammaSeries(_ELLIPSOID, BASE, n1=3, order=6)
+    ps = eikonal_coeffs(gs, MEDIA, SP, (4.0, -3.0), N=3)
+    assert max(c.order for p in ps.psis for c in p) == 5
+    tab = transport_coeffs(ps, MEDIA, N=2, J=1)
+    inputs = ([c for p in tab.psis for c in p] + tab.eps_k + tab.mu_k + tab.nu
+              + list(tab.system.beta) + [tab.system.rho]
+              + [c for m in tab.gcols for col in m for c in col])
+    assert max(c.order for c in inputs) == 3
+    assert max(_slot_orders(tab)) == 3 and min(_slot_orders(tab)) == 1
 
 
 def _symbols(lams, xi, N=3, J=1):
