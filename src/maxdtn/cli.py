@@ -136,11 +136,10 @@ def cmd_identities(cfg: RunConfig, fault_gamma=0.0):
         rho = sqrt_upper(sp.z ** 2 * cfg.eps * cfg.mu - r0_k)
         g = np.cross(nu_k, gs[keep])
         _, b, _ = solve_cross_system(CrossSystemInput(
-            rho=rho, nu=list(nu_k.T), beta=list(beta_k.T), z=sp.z, eps0=cfg.eps,
-            mu0=cfg.mu, a_sharp=np.zeros(3, complex), b_sharp=np.zeros(3, complex),
-            g=list(g.T)))
+            rho=rho, nu=nu_k, beta=beta_k, z=sp.z, eps0=cfg.eps, mu0=cfg.mu,
+            a_sharp=np.zeros(3, complex), b_sharp=np.zeros(3, complex), g=g))
         nu_x_g = np.cross(nu_k, g)
-        lhs = sp.z * cfg.mu * np.cross(nu_k, np.stack(b, axis=-1))
+        lhs = sp.z * cfg.mu * np.cross(nu_k, b)
         rhs = (rho[:, None] * nu_x_g
                + (pair(beta_k, nu_x_g) / rho)[:, None] * beta_k)
         scale = np.maximum(np.maximum(np.max(np.abs(lhs), axis=-1),
@@ -217,7 +216,8 @@ def cmd_residual(cfg: RunConfig):
     x2, x3 = [float(v[0]) for v in _sample_xs(cfg, rng, 1)]
     xi = tuple(rng.uniform(-1.5, 1.5, 2))
     N, J = cfg.N, cfg.J
-    gs = GammaSeries(chart, (x2, x3), n1=N + J, order=N + J + 3)
+    # the table reads its inputs to order N + J, the order transport cuts them to
+    gs = GammaSeries(chart, (x2, x3), n1=N + J, order=N + J)
     ps = eikonal_coeffs(gs, media, sp, xi, N=N + J)
     table = transport_coeffs(ps, media, N=N, J=J)
     x1s = np.geomspace(3e-4, 3e-2, 8)

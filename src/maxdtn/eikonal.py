@@ -14,9 +14,10 @@ term; it feeds the high-frequency corrector of the boundary symbol.  The
 pointwise checks take every x1 of an array in one call.
 
 One build covers a batch of cotangent points at one GammaSeries: z and the
-components of xi' may be arrays of one point shape P, and every phase jet
-then carries the batch P + (1,) (the trailing axis meets the basis axis of
-the transport amplitudes).  Scalars keep unbatched jets.  The checks are
+components of xi' may be arrays of one point shape P, and every scalar phase
+jet then carries the batch P + (1,) (the trailing axis meets the basis axis of
+the transport amplitudes), every vector (beta, psi_k) the batch P + (1, 3).
+Scalars keep unbatched jets, and vectors the batch (3,).  The checks are
 per element: a degenerate rho names its point, and delta is halved only
 where the lower bound on Im phi fails.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import DegenerateRho, OrderBudgetExceeded, OutsideRetainedRegion
 from .geometry import GammaSeries, _not_positive, _sqrt_pos, beta_jets, gamma_pointwise
 from .jets import VARS, Jet, _at
-from .numerics import dot, matvec, sqrt_upper, vadd, vscale
+from .numerics import dot, lift, sqrt_upper
 
 log = logging.getLogger(__name__)
 
@@ -54,8 +55,9 @@ def _at_point(mask):
 
 class PhaseSeries:
     """Phase coefficients phi_k (jets) at a fixed cotangent base point, with
-    the x1-coefficients psi_k of psi = gamma grad phi (jet 3-vectors) and
-    the x1-coefficients eps_k, mu_k of the media along the normal.
+    the x1-coefficients psi_k of psi = gamma grad phi and beta (jet
+    3-vectors) and the x1-coefficients eps_k, mu_k of the media along the
+    normal.
 
     For a batch of points, rho and delta are arrays of shape P + (1,); the
     pointwise checks (``grad_at``, ``retained``, the residuals) take an
@@ -162,9 +164,9 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
     for k in range(N):
         # psi_k with phi_{k+1} = 0: only gamma_0's first column, nu, meets it
         d2, d3 = (phis[k].derivative(v) for v in VARS)
-        psi = [gam[0][i][1] * d2 + gam[0][i][2] * d3 for i in range(3)]
+        psi = gam[0][..., 1] * lift(d2) + gam[0][..., 2] * lift(d3)
         for ell in range(1, k + 1):
-            psi = vadd(psi, matvec(gam[ell], grads[k - ell]))
+            psi = psi + dot(gam[ell], grads[k - ell][..., None, :])
         if k >= 1:
             # S_k, the x1^k coefficient of <psi, psi>, with phi_{k+1} = 0
             Sk = 2.0 * dot(psis[0], psi)
@@ -173,8 +175,8 @@ def eikonal_coeffs(gs: GammaSeries, media, sp, xiprime, N, flattened=False):
             rhs = -Sk if flattened else z2 * epsmu.coeffs[k] - Sk
             phis.append((rhs * inv_2rho) * (1.0 / (k + 1)))
         d1 = (k + 1) * phis[k + 1]
-        psis.append(vadd(psi, vscale(d1, gs.nu)))
-        grads.append([d1, d2, d3])
+        psis.append(psi + lift(d1) * gs.nu)
+        grads.append(Jet.stack([d1, d2, d3]))
 
     ps = PhaseSeries(gs, sp, xiprime, beta, phis, psis, rho_jet, media, (eps_s, mu_s),
                      flattened)

@@ -7,7 +7,8 @@ with jet-valued coefficients; its first column is nu exactly.
 
 Two evaluation paths coexist: jet arithmetic (for the series recursions) and
 closed-form vectorized numpy (for large random identity sweeps and residual
-checks), sharing one set of ring-generic formulas.
+checks).  Both keep a 3-vector as one jet or array whose last axis holds the
+components (:mod:`maxdtn.numerics`).
 """
 
 from __future__ import annotations
@@ -15,19 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FocalDegeneracy, ZeroConstantTerm
-from .jets import Jet, NormalSeries, _at
-from .numerics import cross, dot
+from .jets import VARS, Jet, NormalSeries, _at
+from .numerics import cross, dot, lift
 
 # ---------------------------------------------------------------------------
-# ring-generic scalar functions (jets or numpy arrays/scalars)
-
-def _sin(u):
-    return u.sin() if isinstance(u, Jet) else np.sin(u)
-
-
-def _cos(u):
-    return u.cos() if isinstance(u, Jet) else np.cos(u)
-
+# scalar functions (jets or numpy arrays/scalars)
 
 def _not_positive(c):
     """Mask of the values c that are not positive reals (up to rounding)."""
@@ -82,16 +75,16 @@ class SurfaceChart:
             return r, r, r
         return self.params["a"], self.params["b"], self.params["c"]
 
-    # -- embedding, generic over the scalar ring ------------------------
+    # -- embedding as jets -----------------------------------------------
     def embed(self, x2, x3):
-        """s(x') as a 3-component list; x2, x3 may be jets or arrays."""
+        """s(x') as a jet 3-vector from the coordinate jets x2, x3."""
         if self.kind == "plane":
             zero = 0.0 * x2
-            return [zero, x2 + 0.0 * x3, x3 + 0.0 * x2]
+            return Jet.stack([zero, x2 + 0.0 * x3, x3 + 0.0 * x2])
         a, b, c = self._axes()
-        st, ct = _sin(x2), _cos(x2)
-        sp, cp = _sin(x3), _cos(x3)
-        return [a * st * cp, b * st * sp, c * ct]
+        st, ct = x2.sin(), x2.cos()
+        sp, cp = x3.sin(), x3.cos()
+        return Jet.stack([a * st * cp, b * st * sp, c * ct])
 
     def embed_jets(self, base, order):
         x2 = Jet.variable("x2", base[0], order)
@@ -142,37 +135,25 @@ class SurfaceChart:
         return {"s": s, "t2": t2, "t3": t3, "nu": nu, "dnu2": dnu2, "dnu3": dnu3}
 
     def normal_jets(self, base, s):
-        """Inward unit normal as a 3-vector of jets at the base point, one
-        order below the embedding jets ``s`` there."""
+        """Inward unit normal as a jet 3-vector at the base point, one order
+        below the embedding jet 3-vector ``s`` there."""
         if self.kind == "plane":
-            one = Jet.constant(1.0, s[0].order - 1)
-            zero = one * 0.0
-            return [one, zero, zero]
-        t2 = [c.derivative("x2") for c in s]
-        t3 = [c.derivative("x3") for c in s]
-        raw = cross(t2, t3)
-        nrm = _sqrt_pos(dot(raw, raw))
-        cand = [c / nrm for c in raw]
+            return Jet.constant(np.array([1.0, 0.0, 0.0]), s.order - 1)
+        raw = cross(s.derivative("x2"), s.derivative("x3"))
+        cand = raw * lift(_sqrt_pos(dot(raw, raw)).invert())
         # fix the inward sign from the pointwise frame
         ref = self.frame(base[0], base[1])["nu"]
-        sign = 1.0 if sum(ref[i] * cand[i].value.real for i in range(3)) > 0 else -1.0
-        return [sign * c for c in cand]
+        return (1.0 if ref @ cand.value.real > 0 else -1.0) * cand
 
     def jacobian_series(self, base, s, n1, order):
-        """Columns of dy/dx as NormalSeries 3-vectors: (nu, t2 + x1 dnu2, t3 + x1 dnu3),
-        from the embedding jets ``s`` of order ``order + 2``."""
+        """Columns of dy/dx as NormalSeries of jet 3-vectors: (nu, t2 + x1 dnu2,
+        t3 + x1 dnu3), from the embedding jet 3-vector ``s`` of order
+        ``order + 2``."""
         nu = self.normal_jets(base, s)
-        cols = [[NormalSeries.constant(c.truncate(order), n1) for c in nu]]
-        for var in ("x2", "x3"):
-            t = [c.derivative(var).truncate(order + 1) for c in s]
-            dnu = [c.derivative(var) for c in nu]
-            col = []
-            for i in range(3):
-                entry = NormalSeries.constant(t[i].truncate(order), n1)
-                if n1 > 1:
-                    entry.coeffs[1] = dnu[i].truncate(order)
-                col.append(entry)
-            cols.append(col)
+        cols = [NormalSeries.constant(nu.truncate(order), n1)]
+        for var in VARS:
+            cols.append(NormalSeries.linear(s.derivative(var).truncate(order),
+                                            nu.derivative(var), n1))
         return cols
 
 
@@ -199,8 +180,11 @@ def _adjugate3(m):
 class GammaSeries:
     """gamma(x) = (dy/dx)^{-T} as an x1-series of jet-valued 3x3 matrices.
 
-    Keeps the boundary embedding s(x') as jets of order ``order + 2``
-    (``embedding``); every series at the base point reads its prefix.
+    ``gamma[i][j]`` is the NormalSeries of entry (i, j).  The coefficient of
+    x1^k is also kept as one jet of batch (3, 3) (``gamma_k``), and the
+    normal ``nu`` (its column 0 at k = 0) and the embedding s(x') as jet
+    3-vectors; the embedding has order ``order + 2``, and every series at
+    the base point reads its prefix.
     """
 
     def __init__(self, chart, base, n1, order):
@@ -210,7 +194,7 @@ class GammaSeries:
         self.order = int(order)
         self.embedding = chart.embed_jets(self.base, self.order + 2)
         cols = chart.jacobian_series(self.base, self.embedding, self.n1, self.order)
-        jac = [[cols[j][i] for j in range(3)] for i in range(3)]  # rows of J
+        jac = [[cols[j][..., i] for j in range(3)] for i in range(3)]  # rows of J
         det = _det3(jac)
         if abs(det.value) < 1e-12:
             raise FocalDegeneracy(
@@ -222,15 +206,16 @@ class GammaSeries:
         adj = _adjugate3(jac)
         # gamma = (J^{-1})^T = (adj(J)/det)^T; adj already indexed as inverse
         self.gamma = [[adj[j][i] * inv_det for j in range(3)] for i in range(3)]
-        self.nu = [self.gamma[i][0].coeffs[0] for i in range(3)]
+        self._k = [Jet.stack([Jet.stack([row[j].coeffs[k] for row in self.gamma])
+                              for j in range(3)]) for k in range(self.n1)]
+        self.nu = self._k[0][..., 0]
 
     def gamma_k(self, k):
-        """Jet-valued coefficient matrix of x1^k."""
-        return [[self.gamma[i][j].coeffs[k] for j in range(3)] for i in range(3)]
+        """Coefficient matrix of x1^k: one jet of batch (3, 3), (row, column)."""
+        return self._k[k]
 
     def gamma0_value(self):
-        return np.array([[self.gamma[i][j].coeffs[0].value for j in range(3)]
-                         for i in range(3)])
+        return self._k[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +246,21 @@ def beta_pointwise(chart, x2, x3, xi2, xi3):
 
 
 def beta_jets(gs: GammaSeries, xiprime):
-    """beta as a 3-vector of jets (tangential variables of the series)."""
+    """beta as a jet 3-vector (tangential variables of the series); components
+    of xiprime of a point shape P give the batch P + (3,)."""
     g0 = gs.gamma_k(0)
-    return [xiprime[0] * g0[i][1] + xiprime[1] * g0[i][2] for i in range(3)]
+    return lift(xiprime[0]) * g0[..., 1] + lift(xiprime[1]) * g0[..., 2]
 
 
 # ---------------------------------------------------------------------------
 # media
 
 def _f_constant(p, y):
-    return p["value"] + 0.0 * y[0]
+    return p["value"] + 0.0 * y[..., 0]
 
 
 def _f_affine(p, y):
-    return p["c0"] + p["g1"] * y[0] + p["g2"] * y[1] + p["g3"] * y[2]
+    return p["c0"] + p["g1"] * y[..., 0] + p["g2"] * y[..., 1] + p["g3"] * y[..., 2]
 
 
 #: the closed forms a ScalarField names
@@ -291,7 +277,8 @@ class ScalarField:
         self.params = params
 
     def __call__(self, y):
-        """Evaluate at a 3-component point (arrays, jets, or series)."""
+        """Evaluate at points y whose last axis holds the 3 components: an
+        array, or a NormalSeries of jet 3-vectors."""
         return _FORMULAS[self.formula](self.params, y)
 
     def __repr__(self):
@@ -312,24 +299,16 @@ class MediaField:
                    ScalarField("constant", value=float(mu)))
 
     def boundary_values(self, chart, x2, x3):
-        fr = chart.frame(x2, x3)
-        y = [fr["s"][..., i] for i in range(3)]
-        return self.eps(y), self.mu(y)
+        s = chart.frame(x2, x3)["s"]
+        return self.eps(s), self.mu(s)
 
     def values_at(self, chart, x2, x3, x1):
         fr = chart.frame(x2, x3)
         x1 = np.asarray(x1, dtype=float)[..., None]
         p = fr["s"] + x1 * fr["nu"]
-        y = [p[..., i] for i in range(3)]
-        return self.eps(y), self.mu(y)
+        return self.eps(p), self.mu(p)
 
     def normal_series(self, gs: GammaSeries):
         """(eps, mu) as NormalSeries with jet coefficients along y = s + x1 nu."""
-        nu = gs.nu
-        y = []
-        for i in range(3):
-            comp = NormalSeries.constant(gs.embedding[i].truncate(gs.order), gs.n1)
-            if gs.n1 > 1:
-                comp.coeffs[1] = nu[i].truncate(gs.order)
-            y.append(comp)
+        y = NormalSeries.linear(gs.embedding.truncate(gs.order), gs.nu, gs.n1)
         return self.eps(y), self.mu(y)

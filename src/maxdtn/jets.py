@@ -18,8 +18,9 @@ element (Taylor arithmetic over a vector of directions).  Every operation
 broadcasts the batch axes like numpy, so a batched jet combines with an
 unbatched one (batch shape ``()``) element by element; ``.value`` is then an
 array of the batch shape, and a numpy array of that shape acts as one scalar
-per element in ``+``, ``-`` and ``*``.  The transport recursion runs its three
-boundary data as one batch of size 3.
+per element in ``+``, ``-`` and ``*``.  A 3-vector of jets is one jet whose
+last batch axis holds the components (:mod:`maxdtn.numerics`); the transport
+recursion runs its three boundary data as one more batch axis of size 3.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ class Jet:
     __slots__ = ("order", "coef")
     #: numpy defers to the jet's reflected operators (``array * jet``)
     __array_ufunc__ = None
+    #: not a sequence: a vector's components are its last batch axis, not
+    #: what iterating over the first axis would give
+    __iter__ = None
 
     def __init__(self, order, coef):
         self.order = int(order)
@@ -190,6 +194,14 @@ class Jet:
             j.coef[..., _position(*(int(v == name) for v in VARS))] = 1.0
         return j
 
+    @classmethod
+    def stack(cls, jets):
+        """The jets as one, along a new last batch axis: batches broadcast,
+        orders drop to the lowest (a vector's components give its jet)."""
+        order = min(j.order for j in jets)
+        coefs = np.broadcast_arrays(*(j.coef[..., :_size(order)] for j in jets))
+        return _jet(order, np.stack(coefs, axis=-2))
+
     # -- basic access ---------------------------------------------------
     @property
     def batch(self):
@@ -202,10 +214,12 @@ class Jet:
         return _number(self.coef[..., 0])
 
     def __getitem__(self, index):
-        """The jet of batch element(s) ``index``; never indexes coefficients."""
-        if len(index if isinstance(index, tuple) else (index,)) > len(self.batch):
-            raise IndexError(f"jet with batch shape {self.batch} indexed by {index!r}")
-        return _jet(self.order, self.coef[index])
+        """The jet of batch element(s) ``index``, numpy indexing of the batch
+        axes (``...`` and ``None`` included); never indexes coefficients."""
+        index = index if isinstance(index, tuple) else (index,)
+        if not any(i is Ellipsis for i in index):
+            index = index + (Ellipsis,)
+        return _jet(self.order, self.coef[index + (slice(None),)])
 
     def coefficient(self, **powers):
         idx = tuple(powers.get(v, 0) for v in VARS)
@@ -377,9 +391,18 @@ class NormalSeries:
         zero = c0 * 0.0
         return cls([c0] + [zero] * (n1 - 1))
 
+    @classmethod
+    def linear(cls, c0, c1, n1):
+        """The series c0 + x1 c1 (c0 alone for n1 = 1), padded to length n1."""
+        return cls([c0, c1][:n1] + [c0 * 0.0] * (n1 - 2))
+
     @property
     def n1(self):
         return len(self.coeffs)
+
+    def __getitem__(self, index):
+        """The series of batch element(s) ``index`` of every coefficient."""
+        return NormalSeries([c[index] for c in self.coeffs])
 
     @property
     def value(self):

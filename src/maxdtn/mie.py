@@ -285,7 +285,7 @@ def _symbol_eigenvalues(sp, chart, media, base, r0_target):
     gs = GammaSeries(chart, base, n1=2, order=3)
     ps = eikonal_coeffs(gs, media, sp, (s, 0.0), N=2)
     sym = boundary_symbol(transport_coeffs(ps, media, N=1, J=1))
-    nu = np.array([c.value for c in gs.nu]).real
+    nu = gs.nu.value.real
     bhat = beta_unit / np.linalg.norm(beta_unit)
     proj = np.array([np.cross(nu, bhat), bhat], dtype=complex)
     out = []

@@ -1,8 +1,9 @@
-"""Complex vector/matrix arithmetic and the upper-half-plane square root.
+"""Complex 3-vector arithmetic and the upper-half-plane square root.
 
-Vectors are length-3 sequences whose components may be python/numpy scalars,
-numpy arrays (batched evaluation), or jets; the bilinear (non-conjugated)
-pairing is used throughout.
+A vector is one numpy array, or one jet, whose last (batch) axis holds its
+three components; ``+``, ``-`` and ``*`` combine vectors, and a scalar that
+meets one (number, array or jet) gets its trailing axis from :func:`lift`.
+The bilinear (non-conjugated) pairing is used throughout.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AmbiguousBranch
+from .jets import _SCALARS
+
+#: the components after and before each one, cyclically
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def sqrt_upper(w):
@@ -35,32 +40,18 @@ def sqrt_upper(w):
     return s
 
 
+def lift(s):
+    """A scalar (per point) against vectors: one trailing axis of length 1."""
+    return s if isinstance(s, _SCALARS) else s[..., None]
+
+
 def cross(a, b):
-    """Cross product of two 3-component sequences (any scalar ring)."""
-    return [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ]
+    """Cross product over the last axis of two vectors (arrays or jets)."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def dot(a, b):
-    """Bilinear pairing <a,b> = sum_j a_j b_j (no conjugation)."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def vadd(a, b):
-    return [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
-
-
-def vsub(a, b):
-    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
-
-
-def vscale(c, a):
-    return [c * a[0], c * a[1], c * a[2]]
-
-
-def matvec(m, v):
-    """Apply a 3x3 nested-list matrix to a 3-vector."""
-    return [dot(m[0], v), dot(m[1], v), dot(m[2], v)]
+    """Bilinear pairing <a,b> = sum_j a_j b_j (no conjugation), summed left
+    to right; ``dot(m, v[..., None, :])`` applies a matrix m to v."""
+    p = a * b
+    return p[..., 0] + p[..., 1] + p[..., 2]

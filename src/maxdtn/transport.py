@@ -5,12 +5,13 @@ normal variable x1; each coefficient pair (a_{j,k}, b_{j,k}) solves the
 algebraic cross-product system whose right-hand sides collect lower x1-order
 terms and tangential derivatives of the previous h-level.  Everything is
 linear in the boundary datum f~, so one pass of the recursion carries the
-three coordinate basis vectors together: every amplitude entry is a jet with
-a batch axis of size 3 (one column of the table per element), while the
-geometry, the media and the phase stay unbatched and broadcast against it.
-A phase built for a batch of points P (batch P + (1,), see
-:mod:`maxdtn.eikonal`) gives amplitudes of batch P + (3,) and a symbol of
-matrices P + (3, 3), every element as its own point's build.
+three coordinate basis vectors together: every amplitude entry is one jet of
+batch (3 basis, 3 component), a jet 3-vector per basis datum (one column of
+the table per basis element), while the geometry, the media and the phase
+stay unbatched and broadcast against it.  A phase built for a batch of points
+P (vectors of batch P + (1, 3), see :mod:`maxdtn.eikonal`) gives amplitudes
+of batch P + (3, 3) and a symbol of matrices P + (3, 3), every element as its
+own point's build.
 
 Two schemes are provided.  The "literal" scheme gauges the tangential part
 of a_{j,k} to zero for k >= 1; it satisfies the mu-equations exactly but
@@ -36,7 +37,7 @@ right-hand side or datum is passed to the solve as None and costs nothing:
 slot (0,0) has no right-hand side, and every slot without a solvability
 choice has datum zero.
 
-The table truncates its inputs (psi_k, rho, nu, beta, the gamma columns,
+The table truncates its inputs (psi_k, rho, nu, beta, gamma_k,
 eps_k, mu_k) once, to the order T its recursion consumes; its readers take
 slot values and first tangential derivatives, so every slot keeps order >= 1.
 Each h-level differentiates the level below once, and the consistent
@@ -69,7 +70,8 @@ from .crosssys import CrossSystem
 from .eikonal import PhaseSeries, eikonal_coeffs
 from .errors import OrderBudgetExceeded
 from .geometry import GammaSeries, beta_from_gamma, gamma_pointwise
-from .numerics import cross, dot, vadd, vscale, vsub
+from .jets import VARS
+from .numerics import cross, dot, lift
 from .spectral import calB, cutoff_eta, cutoff_eta_prime, m0_matrix
 
 #: sign of the first-order commutator coefficient in n; fixed by the
@@ -77,33 +79,16 @@ from .spectral import calB, cutoff_eta, cutoff_eta_prime, m0_matrix
 #: against the exact per-mode impedances on the ball.
 COMM_COEF = 1j
 
-#: the three basis data as one batch: component c holds (e_0[c], e_1[c], e_2[c])
-_BASIS = list(np.eye(3))
 #: constant antisymmetric basis: iota_nu = sum_j nu_j * I_j
 I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
           np.array([[0.0, 0, 1.0], [0, 0, 0], [-1.0, 0, 0]]),
           np.array([[0.0, -1.0, 0], [1.0, 0, 0], [0, 0, 0]])]
 
 
-def _plus(u, v):
-    """u + v for 3-vectors, None standing for a zero u."""
-    return v if u is None else vadd(u, v)
-
-
-def _minus(u, v):
-    """u - v for 3-vectors, None standing for a zero u."""
-    return [-c for c in v] if u is None else vsub(u, v)
-
-
-def _grad_cross(gamma_cols, vec):
+def _grad_cross(gamma, vec):
     """(gamma nabla') x vec = sum_{m=2,3} col_m(gamma) x d_m(vec) (jet path)."""
-    out = [None, None, None]
-    for col, var in ((1, "x2"), (2, "x3")):
-        dv = [c.derivative(var) for c in vec]
-        term = cross(gamma_cols[col], dv)
-        for i in range(3):
-            out[i] = term[i] if out[i] is None else out[i] + term[i]
-    return out
+    return (cross(gamma[..., 1], vec.derivative("x2"))
+            + cross(gamma[..., 2], vec.derivative("x3")))
 
 
 def _input_order(N, J, scheme):
@@ -116,11 +101,11 @@ class AmplitudeTable:
 
     ``name`` is "a", "b" or "nu_cross_b" (nu x b from the dedicated closed
     form).  Levels j = 0..J carry x1-orders k = 0..K[j]-1 with
-    K[j] = N + J - j.  Every entry is a jet 3-vector whose jets carry the
-    basis index i as their batch axis; ``.value`` of the components gives
-    the base-point numbers.  The table holds the datum-independent series
-    of the recursion too, cut to the order :func:`_input_order`, and the
-    two tau solutions of the solvability choice, solved on first use;
+    K[j] = N + J - j.  Every entry is one jet of batch P + (3 basis,
+    3 component); its ``.value`` gives the base-point numbers.  The table
+    holds the datum-independent series of the recursion too, cut to the
+    order :func:`_input_order`, and the two tau solutions of the
+    solvability choice, solved on first use;
     :func:`transport_coeffs` fills its slots, sum(K) solves in all (two
     more for the tau pair of a consistent table).
     """
@@ -142,17 +127,17 @@ class AmplitudeTable:
         def cut(jets):
             return [c.truncate(order) for c in jets]
 
-        self.psis = [cut(p) for p in ps.psis[:ntot]]
+        self.psis = cut(ps.psis[:ntot])
         self.eps_k, self.mu_k = cut(ps.eps_k[:ntot]), cut(ps.mu_k[:ntot])
         self.media_corrections = media_corrections
-        self.nu = cut(gs.nu)
-        beta = cut(ps.beta)
+        self.nu = gs.nu.truncate(order)
+        beta = ps.beta.truncate(order)
         self.z = ps.z
         self.system = CrossSystem(ps.rho_jet.truncate(order), self.nu, beta, self.z,
                                   self.mu_k[0])
-        self.gcols = [[cut(gs.gamma[i][c].coeffs[m] for i in range(3)) for c in range(3)]
-                      for m in range(ntot)]
-        self.g0 = vscale(-1.0, cross(self.nu, _BASIS))
+        self.gam = cut(gs.gamma_k(m) for m in range(ntot))
+        # datum i is the basis vector e_i: the identity's rows
+        self.g0 = -1.0 * cross(self.nu, np.eye(3))
         # tangential covector basis for the datum of a_{j,k}, k >= 1
         self.tau = (beta, cross(self.nu, beta))
         self.r0 = np.real(dot(beta, beta).value)
@@ -163,12 +148,11 @@ class AmplitudeTable:
     def matrix(self, which, j, k):
         """A_{j,k} or B_{j,k} as a numeric array of shape P + (3, 3)
         (columns = basis data)."""
-        vec = self.batched["a" if which == "A" else "b"][(j, k)]
-        return np.moveaxis(np.array([comp.value for comp in vec]), 0, -2)
+        return self.batched["a" if which == "A" else "b"][(j, k)].value.swapaxes(-1, -2)
 
     def iota_nu_B(self, j):
         """iota_nu B_{j,0} from the dedicated nu x b closed forms, P + (3, 3)."""
-        return np.moveaxis(np.array([comp.value for comp in self.nxb[(j, 0)]]), 0, -2)
+        return self.nxb[(j, 0)].value.swapaxes(-1, -2)
 
     def rhs(self, j, k):
         """(a#, b#) at slot (j,k) from the stored slots, (None, None) when no
@@ -179,28 +163,27 @@ class AmplitudeTable:
         if (j, k) in self._partial and (j - 1, k + 1) in a:
             a_sh, b_sh = self._partial.pop((j, k))
             w = 1j * (k + 1)
-            return (vadd(a_sh, vscale(w, cross(self.nu, a[(j - 1, k + 1)]))),
-                    vadd(b_sh, vscale(w, cross(self.nu, b[(j - 1, k + 1)]))))
+            return (a_sh + w * cross(self.nu, a[(j - 1, k + 1)]),
+                    b_sh + w * cross(self.nu, b[(j - 1, k + 1)]))
         a_sh = b_sh = None
         z = self.z
         for ell in range(k):
-            a_sh = _minus(a_sh, cross(self.psis[k - ell], a[(j, ell)]))
-            b_sh = _minus(b_sh, cross(self.psis[k - ell], b[(j, ell)]))
+            ca = cross(self.psis[k - ell], a[(j, ell)])
+            cb = cross(self.psis[k - ell], b[(j, ell)])
+            a_sh, b_sh = (-ca, -cb) if a_sh is None else (a_sh - ca, b_sh - cb)
             if self.media_corrections:
-                a_sh = vadd(a_sh, vscale(z * self.mu_k[k - ell], b[(j, ell)]))
-                b_sh = vsub(b_sh, vscale(z * self.eps_k[k - ell], a[(j, ell)]))
+                a_sh = a_sh + lift(z * self.mu_k[k - ell]) * b[(j, ell)]
+                b_sh = b_sh - lift(z * self.eps_k[k - ell]) * a[(j, ell)]
         if j >= 1:
             for ell in range(k + 1):
-                ga = _grad_cross(self.gcols[k - ell], a[(j - 1, ell)])
-                gb = _grad_cross(self.gcols[k - ell], b[(j - 1, ell)])
+                gam = self.gam[k - ell]
+                ga = _grad_cross(gam, a[(j - 1, ell)])
+                gb = _grad_cross(gam, b[(j - 1, ell)])
                 if (j - 1, ell + 1) in a:
-                    exa = cross(self.gcols[k - ell][0], a[(j - 1, ell + 1)])
-                    exb = cross(self.gcols[k - ell][0], b[(j - 1, ell + 1)])
-                    for c in range(3):
-                        ga[c] = ga[c] + (ell + 1) * exa[c]
-                        gb[c] = gb[c] + (ell + 1) * exb[c]
-                a_sh = _plus(a_sh, vscale(1j, ga))
-                b_sh = _plus(b_sh, vscale(1j, gb))
+                    ga = ga + (ell + 1) * cross(gam[..., 0], a[(j - 1, ell + 1)])
+                    gb = gb + (ell + 1) * cross(gam[..., 0], b[(j - 1, ell + 1)])
+                ga, gb = 1j * ga, 1j * gb
+                a_sh, b_sh = (ga, gb) if a_sh is None else (a_sh + ga, b_sh + gb)
             if (j - 1, k + 1) not in a:
                 self._partial[(j, k)] = (a_sh, b_sh)
         return a_sh, b_sh
@@ -212,8 +195,8 @@ class AmplitudeTable:
         psi0 = self.system.psi0
         u1 = cross(self.system.beta, self.nu)
         u2 = cross(psi0, u1)
-        inv_zeps0 = (self.z * self.eps_k[0]).invert()
-        return ((u1, vscale(inv_zeps0, u2)), (u2, vscale(inv_zeps0, cross(psi0, u2))))
+        inv_zeps0 = lift((self.z * self.eps_k[0]).invert())
+        return ((u1, inv_zeps0 * u2), (u2, inv_zeps0 * cross(psi0, u2)))
 
     def defect(self, a_sh, b_sh):
         """Cokernel components of the system right-hand side.
@@ -254,8 +237,8 @@ class AmplitudeTable:
         p1 = (m[0][1] * d0[1] - m[1][1] * d0[0]) * inv_det
         p2 = (m[1][0] * d0[0] - m[0][0] * d0[1]) * inv_det
         # the solve is linear in (a#, b#, g): the slot combines the solutions
-        return tuple([d + p1 * t0 + p2 * t1 for d, t0, t1 in zip(*vecs)]
-                     for vecs in zip(data, *self.tau_solutions))
+        p1, p2 = lift(p1), lift(p2)
+        return tuple(d + p1 * t0 + p2 * t1 for d, t0, t1 in zip(data, *self.tau_solutions))
 
 
 def transport_coeffs(ps: PhaseSeries, media, N, J=None, scheme="consistent",
@@ -342,15 +325,15 @@ def _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0):
 
 def _commutator_n(gs: GammaSeries, dm_list):
     """n = COMM_COEF * sum_j sum_alpha d^alpha nu_j d^alpha_xi(sym) iota_nu I_j."""
-    nu_val = np.array([c.value.real for c in gs.nu])
+    nu_val = gs.nu.value.real
     iota = np.zeros((3, 3))
     for j in range(3):
         iota += nu_val[j] * I_MATS[j]
+    dnu = [gs.nu.derivative(v).value.real for v in VARS]
     n = np.zeros(dm_list[0].shape, dtype=complex)
     for j in range(3):
-        dnu = [gs.nu[j].derivative("x2").value.real, gs.nu[j].derivative("x3").value.real]
         for alpha in range(2):
-            n += COMM_COEF * dnu[alpha] * (dm_list[alpha] @ iota @ I_MATS[j])
+            n += COMM_COEF * dnu[alpha][j] * (dm_list[alpha] @ iota @ I_MATS[j])
     return n
 
 
@@ -403,10 +386,12 @@ def boundary_symbol(table: AmplitudeTable):
 def _amplitude_at(table, name, j, w, pw, dpw, gam):
     """Level-j amplitude ``name`` of datum w, and (gamma nabla) x it, at x1^k = pw."""
     K = table.K[j]
-    # [k, component, (value, d2, d3)], contracted over the basis batch axis
-    c = np.array([[[comp.value, comp.derivative("x2").value,
-                    comp.derivative("x3").value]
-                   for comp in table.batched[name][(j, k)]] for k in range(K)]) @ w
+    slots = [table.batched[name][(j, k)] for k in range(K)]
+    # [k, (value, d2, d3), basis, component] to [k, component, (value, d2, d3),
+    # basis], contracted over the basis axis
+    c = np.array([[s.value, s.derivative("x2").value, s.derivative("x3").value]
+                  for s in slots])
+    c = np.moveaxis(c, -1, 1) @ w
     pw, dpw = pw[..., :K, None], dpw[..., :K, None]
     val, d2, d3 = (np.sum(pw * c[..., i], axis=-2) for i in range(3))
     grads = (np.sum(dpw * c[..., 0], axis=-2), d2, d3)

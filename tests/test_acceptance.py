@@ -183,7 +183,7 @@ def test_04_transport_recursion():
 
     worst_eq = equation_residual(table)
 
-    nu = np.array([c.value.real for c in gs.nu])
+    nu = gs.nu.value.real
     worst_bc = 0.0
     for j in range(1, table.J + 1):
         A = table.matrix("A", j, 0)

@@ -127,23 +127,57 @@ def test_nontangential_g_rejected():
         CrossSystemInput(**kw)
 
 
+def test_tangency_checked_per_point():
+    # each point against its own scale max(1, max_i |beta_i|): a point with
+    # |beta| ~ 1 and <beta,nu> = 1e-10 is rejected alone and beside a
+    # tangential point with |beta| = 1e4
+    nu = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    beta = np.array([[1e-10, 1.0, 0.0], [0.0, 1e4, 0.0]])
+    kw = dict(rho=np.array([1.0 + 1.0j, 2.0 + 1.0j]), z=1.0 + 0.5j, eps0=1.0, mu0=1.0,
+              a_sharp=np.zeros(3), b_sharp=np.zeros(3), g=np.zeros((2, 3)))
+    for rows in ([0], [0, 1]):
+        with pytest.raises(ValueError, match="<beta,nu> != 0"):
+            CrossSystemInput(nu=nu[rows], beta=beta[rows], **dict(kw, rho=kw["rho"][rows]))
+    CrossSystemInput(nu=nu[[1]], beta=beta[[1]], **dict(kw, rho=kw["rho"][[1]]))
+    g = np.array([[1e-10, 0.0, 1.0], [0.0, 0.0, 1e4]])
+    with pytest.raises(ValueError, match="<g,nu> != 0"):
+        CrossSystemInput(nu=nu, beta=np.zeros((2, 3)), **dict(kw, g=g))
+
+
+def test_batch_matches_each_point():
+    # a batch of points, arrays with a last axis of 3 components, solves
+    # every point as its own input (one z, eps0, mu0 for the batch)
+    rng = np.random.default_rng(48)
+    kws = [_sample(rng)[0] for _ in range(4)]
+    shared = {name: kws[0][name] for name in ("z", "eps0", "mu0")}
+    kws = [dict(kw, **shared) for kw in kws]
+    batch = {name: np.array([kw[name] for kw in kws])
+             for name in ("rho", "nu", "beta", "a_sharp", "b_sharp", "g")}
+    got = solve_cross_system(CrossSystemInput(**batch, **shared))
+    for p, kw in enumerate(kws):
+        one = solve_cross_system(CrossSystemInput(**kw))
+        for g, w in zip(got, one):
+            assert g.shape == (4, 3)
+            assert np.max(np.abs(g[p] - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+
+
 def test_jet_valued_inputs():
     # jets pass validation structurally and the solution satisfies the
     # equations at the jet level (constant terms checked here)
     order = 3
     x2 = Jet.variable("x2", 0.1, order)
-    nu = [1.0 + 0.0 * x2, 0.0 * x2, 0.0 * x2]
-    beta = [0.0 * x2, 1.2 + 0.3 * x2, 0.0 * x2]
+    zero = 0.0 * x2
+    nu = Jet.stack([1.0 + zero, zero, zero])
+    beta = Jet.stack([zero, 1.2 + 0.3 * x2, zero])
     rho = Jet.constant(0.8 + 1.1j, order)
     z = 1.0 + 0.4j
     inp = CrossSystemInput(rho=rho, nu=nu, beta=beta, z=z, eps0=1.5, mu0=1.1,
-                           a_sharp=[0.0 * x2] * 3, b_sharp=[0.0 * x2] * 3,
-                           g=[0.0 * x2, 0.0 * x2, 0.5 + 0.0 * x2])
+                           a_sharp=Jet.stack([zero] * 3), b_sharp=Jet.stack([zero] * 3),
+                           g=Jet.stack([zero, zero, 0.5 + zero]))
     a, b, _ = solve_cross_system(inp)
-    av = np.array([c.value for c in a])
-    bv = np.array([c.value for c in b])
-    psi0 = np.array([complex(rho.value), 0.0, 0.0]) - np.array(
-        [complex(c.value) for c in beta])
+    assert a.batch == b.batch == (3,)
+    av, bv = a.value, b.value
+    psi0 = np.array([complex(rho.value), 0.0, 0.0]) - beta.value
     r1 = np.cross(psi0, av) - z * 1.1 * bv
     assert np.max(np.abs(r1)) < 1e-12
     nuv = np.array([1.0, 0.0, 0.0])

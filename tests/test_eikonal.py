@@ -45,7 +45,7 @@ def test_psi_series_matches_pointwise(chart):
     exact = (gamma_pointwise(chart, *base, x1s) @ ps.grad_at(x1s)[..., None])[..., 0]
     assert len(ps.psis) == 4
     for n in range(1, 5):
-        series = sum(np.array([c.value for c in ps.psis[k]]) * x1s[:, None] ** k
+        series = sum(ps.psis[k].value * x1s[:, None] ** k
                      for k in range(n))
         err = np.max(np.abs(series - exact), axis=-1)
         assert np.polyfit(np.log(x1s), np.log(err), 1)[0] > n - 0.2
@@ -213,7 +213,7 @@ def test_batched_phase_matches_each_point():
     xi = (np.array([8.0 ** 0.5, 2.0, 0.4]), np.array([0.0, 0.0, -0.3]))
     ps = eikonal_coeffs(gs, media, split_lambda(lams), xi, N=2)
     assert ps.points == (3,)
-    assert ps.phis[2].batch == (3, 1) and ps.psis[1][0].batch == (3, 1)
+    assert ps.phis[2].batch == (3, 1) and ps.psis[1].batch == (3, 1, 3)
     for p in range(3):
         one = eikonal_coeffs(gs, media, split_lambda(lams[p]), (xi[0][p], xi[1][p]), N=2)
         assert one.points == () and one.phis[2].batch == ()
@@ -221,8 +221,7 @@ def test_batched_phase_matches_each_point():
         for k in range(3):
             assert np.array_equal(ps.phis[k].coef[p, 0], one.phis[k].coef)
         for k in range(2):
-            for c in range(3):
-                assert np.array_equal(ps.psis[k][c].coef[p, 0], one.psis[k][c].coef)
+            assert np.array_equal(ps.psis[k].coef[p, 0], one.psis[k].coef)
     assert one.delta == 0.1
     assert eikonal_coeffs(gs, media, split_lambda(lams[0]), (xi[0][0], 0.0), N=2).delta == 0.0125
 

@@ -237,6 +237,24 @@ def test_batched_value_and_views():
     assert np.array_equal((a + w).value, a.value + w)
 
 
+def test_getitem_indexes_batch_axes_only():
+    # Ellipsis and None index batch axes: an order-1 jet of batch (2, 3)
+    # keeps all three coefficients of each element
+    rng = np.random.default_rng(6)
+    j = Jet(1, rng.normal(size=(2, 3, 3)))
+    last = j[..., 0]
+    assert last.batch == (2,) and last.order == 1
+    assert np.array_equal(last.coef, j.coef[:, 0, :])
+    new = j[..., None]
+    assert new.batch == (2, 3, 1) and np.array_equal(new.coef[..., 0, :], j.coef)
+    assert j[None].batch == (1, 2, 3)
+    gathered = j[..., [2, 0]]
+    assert gathered.batch == (2, 2)
+    assert np.array_equal(gathered.coef, j.coef[:, [2, 0], :])
+    with pytest.raises(IndexError):
+        j[0, 0, 0]
+
+
 @pytest.mark.parametrize("batch,bad", [((3,), (1,)), ((2, 3), (1, 2))],
                          ids=["3", "2x3"])
 def test_batched_zero_constant_raises(batch, bad):

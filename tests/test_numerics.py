@@ -1,11 +1,12 @@
-"""Branch conventions, vector algebra helpers, and the dense solve oracle."""
+"""Branch conventions, vector algebra on the component axis, and the dense solve oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxdtn.errors import AmbiguousBranch
-from maxdtn.numerics import cross, dot, matvec, sqrt_upper, vadd, vscale, vsub
+from maxdtn.jets import Jet
+from maxdtn.numerics import cross, dot, lift, sqrt_upper
 
 from dense_oracle import Singular, cross_solve_oracle, skew
 
@@ -35,16 +36,43 @@ def test_cross_dot_match_numpy():
     rng = np.random.default_rng(0)
     a = rng.normal(size=3) + 1j * rng.normal(size=3)
     b = rng.normal(size=3) + 1j * rng.normal(size=3)
-    got = np.array(cross(list(a), list(b)))
-    assert np.max(np.abs(got - np.cross(a, b))) < 1e-14
-    assert abs(dot(list(a), list(b)) - a @ b) < 1e-14
+    assert np.max(np.abs(cross(a, b) - np.cross(a, b))) < 1e-14
+    assert abs(dot(a, b) - a @ b) < 1e-14
+    # a batch of vectors: the last axis holds the components
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    b = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    assert cross(a, b).shape == (4, 3) and dot(a, b).shape == (4,)
+    assert np.max(np.abs(cross(a, b) - np.cross(a, b))) < 1e-14
+    assert np.max(np.abs(dot(a, b) - np.einsum("pi,pi->p", a, b))) < 1e-14
+    # jets of batch (2, 3, 3): bitwise the component-wise formulas on the
+    # jets of each component
+    a, b = (Jet(3, rng.normal(size=(2, 3, 3, 10)) + 1j * rng.normal(size=(2, 3, 3, 10)))
+            for _ in range(2))
+    u, v = ([w[..., i] for i in range(3)] for w in (a, b))
+    want = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    got = cross(a, b)
+    assert got.batch == (2, 3, 3)
+    for i in range(3):
+        assert np.array_equal(got[..., i].coef, want[i].coef)
+    got = dot(a, b)
+    assert got.batch == (2, 3)
+    assert np.array_equal(got.coef, (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]).coef)
 
 
 def test_vector_helpers():
-    a, b = [1.0, 2.0, 3.0], [0.5, -1.0, 2.0]
-    assert vadd(a, b) == [1.5, 1.0, 5.0]
-    assert vsub(a, b) == [0.5, 3.0, 1.0]
-    assert vscale(2.0, a) == [2.0, 4.0, 6.0]
+    # vectors combine by +, -, * ; lift gives a scalar per point its
+    # trailing axis against them, and leaves a number alone
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0])
+    assert np.array_equal(a + b, [1.5, 1.0, 5.0])
+    assert np.array_equal(a - b, [0.5, 3.0, 1.0])
+    assert lift(2.0) == 2.0
+    assert np.array_equal(lift(2.0) * a, [2.0, 4.0, 6.0])
+    s = np.array([2.0, -1.0])
+    assert np.array_equal(lift(s) * a, [[2.0, 4.0, 6.0], [-1.0, -2.0, -3.0]])
+    x = Jet.variable("x2", 0.5, 2)
+    v = Jet.stack([x, 2.0 * x, 0.0 * x])
+    assert v.batch == (3,) and lift(x).batch == (1,)
+    assert np.array_equal((lift(x) * v).value, [0.25, 0.5, 0.0])
 
 
 def test_skew_matches_cross():
@@ -56,11 +84,12 @@ def test_skew_matches_cross():
 
 
 def test_outer_and_matvec():
-    a, b = [1.0, 2.0, 0.0], [3.0, -1.0, 1.0]
-    M = [[x * y for y in b] for x in a]
-    v = matvec(M, [1.0, 1.0, 1.0])
+    # a matrix applied to a vector is dot over the column axis
+    a, b = np.array([1.0, 2.0, 0.0]), np.array([3.0, -1.0, 1.0])
+    M = np.outer(a, b)
+    v = dot(M, np.ones(3)[..., None, :])
     want = np.outer(a, b) @ np.ones(3)
-    assert np.max(np.abs(np.array(v) - want)) < 1e-14
+    assert np.max(np.abs(v - want)) < 1e-14
 
 
 @settings(max_examples=30, deadline=None)

@@ -26,7 +26,7 @@ XI = (0.4, -0.3)
 
 def _basis(table, name):
     """Per-basis dicts {slot: jet 3-vector} of the batched table ``name``."""
-    return [{s: [c[i] for c in v] for s, v in table.batched[name].items()} for i in range(3)]
+    return [{s: v[..., i, :] for s, v in table.batched[name].items()} for i in range(3)]
 
 
 @pytest.fixture(scope="module")
@@ -39,13 +39,13 @@ def table():
 
 def test_principal_block_is_m(table):
     mval = symbol_m(SP, CHART, MEDIA)(BASE[0], BASE[1], XI[0], XI[1])
-    nu = np.array([c.value.real for c in table.gs.nu])
+    nu = table.gs.nu.value.real
     Pt = np.eye(3) - np.outer(nu, nu)
     assert np.max(np.abs(table.iota_nu_B(0) - mval @ Pt)) < 1e-13
 
 
 def test_higher_levels_have_no_tangential_trace(table):
-    nu = np.array([c.value.real for c in table.gs.nu])
+    nu = table.gs.nu.value.real
     for j in range(1, table.J + 1):
         A = table.matrix("A", j, 0)
         err = max(np.max(np.abs(np.cross(nu, A[:, c]))) for c in range(3))
@@ -102,8 +102,7 @@ def test_consistent_slot_solves_its_datum(media, N, J):
             g = cross(tab.nu, tab.a[(j, k)])
             direct = tab.system.solve(*tab.rhs(j, k), g)
             for name, ref in zip(("a", "b", "nu_cross_b"), direct):
-                got = np.array([c.coef for c in tab.batched[name][(j, k)]])
-                want = np.array([c.coef for c in ref])
+                got, want = tab.batched[name][(j, k)].coef, ref.coef
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             checked += 1
     assert checked == sum(tab.K[j] - 1 for j in range(J))
@@ -161,8 +160,8 @@ def test_flat_chart_collapses():
         for (j, k), av in ta[i].items():
             if (j, k) == (0, 0):
                 continue
-            worst = max(worst, max(abs(c.value) for c in av))
-            worst = max(worst, max(abs(c.value) for c in tb[i][(j, k)]))
+            worst = max(worst, np.max(np.abs(av.value)))
+            worst = max(worst, np.max(np.abs(tb[i][(j, k)].value)))
     assert worst < 1e-12
 
 
@@ -251,9 +250,9 @@ def test_table_views_match_batched_storage(table):
     for j in range(table.J + 1):
         for k in range(table.K[j]):
             for which, name in (("A", "a"), ("B", "b")):
-                cols = [[c.value for c in per[(j, k)]] for per in _basis(table, name)]
+                cols = [per[(j, k)].value for per in _basis(table, name)]
                 assert np.array_equal(table.matrix(which, j, k), np.array(cols).T)
-        cols = [[c.value for c in per[(j, 0)]] for per in _basis(table, "nu_cross_b")]
+        cols = [per[(j, 0)].value for per in _basis(table, "nu_cross_b")]
         assert np.array_equal(table.iota_nu_B(j), np.array(cols).T)
 
 
@@ -325,13 +324,12 @@ def test_media_series_formed_once_per_build(monkeypatch):
 
 
 def _slot_orders(tab):
-    return [c.order for d in tab.batched.values() for v in d.values() for c in v]
+    return [v.order for d in tab.batched.values() for v in d.values()]
 
 
 def _slots_and_residual(tab):
     """Every slot's values and first derivatives, and the pointwise residual."""
-    slots = {(name, s): [(c.value, c.derivative("x2").value, c.derivative("x3").value)
-                         for c in v]
+    slots = {(name, s): (v.value, v.derivative("x2").value, v.derivative("x3").value)
              for name, d in tab.batched.items() for s, v in d.items()}
     x1s = np.geomspace(3e-4, 3e-2, 5)
     return slots, maxwell_residual(tab, x1s, h=1e-3, ftilde=(0.3, -0.5, 0.8))
@@ -374,11 +372,10 @@ def test_symbol_sweep_table_holds_no_jet_above_its_order():
     # whatever the series carries
     gs = GammaSeries(_ELLIPSOID, BASE, n1=3, order=6)
     ps = eikonal_coeffs(gs, MEDIA, SP, (4.0, -3.0), N=3)
-    assert max(c.order for p in ps.psis for c in p) == 5
+    assert max(p.order for p in ps.psis) == 5
     tab = transport_coeffs(ps, MEDIA, N=2, J=1)
-    inputs = ([c for p in tab.psis for c in p] + tab.eps_k + tab.mu_k + tab.nu
-              + list(tab.system.beta) + [tab.system.rho]
-              + [c for m in tab.gcols for col in m for c in col])
+    inputs = (tab.psis + tab.eps_k + tab.mu_k + tab.gam
+              + [tab.nu, tab.system.beta, tab.system.rho])
     assert max(c.order for c in inputs) == 3
     assert max(_slot_orders(tab)) == 3 and min(_slot_orders(tab)) == 1
 
@@ -488,7 +485,7 @@ def test_consistent_slots_match_trial_batch(batched):
         assert np.count_nonzero(tab.r0 < 1e-12) == 1
     assert tab.a.keys() == ref.a.keys()
     for name in ("a", "b", "nu_cross_b"):
-        for slot, vec in tab.batched[name].items():
-            for got, want in zip(vec, ref.batched[name][slot]):
-                assert got.order == want.order
-                assert np.array_equal(got.coef, want.coef), (name, slot)
+        for slot, got in tab.batched[name].items():
+            want = ref.batched[name][slot]
+            assert got.order == want.order
+            assert np.array_equal(got.coef, want.coef), (name, slot)
