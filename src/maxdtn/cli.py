@@ -181,8 +181,9 @@ def cmd_eikonal(cfg: RunConfig):
     x2, x3 = [float(v[0]) for v in _sample_xs(cfg, rng, 1)]
     xi = tuple(rng.uniform(-1.5, 1.5, 2))
     rows, ok = [], True
+    # the phase and its residual read the series to n1 = N and order N
     for N in range(3, max(4, cfg.N + 1)):
-        gs = GammaSeries(chart, (x2, x3), n1=N + 1, order=N + 3)
+        gs = GammaSeries(chart, (x2, x3), n1=N, order=N)
         ps = eikonal_coeffs(gs, media, sp, xi, N=N)
         x1s = np.geomspace(1e-3, 0.5, 12) * ps.x1_max()
         res = np.abs(eikonal_residual(ps, x1s))
@@ -193,7 +194,7 @@ def cmd_eikonal(cfg: RunConfig):
         ok = ok and good
         rows.append((N, slope, float(res.max()), "pass" if good else "FAIL"))
     # flat chart: the recursion terminates and the residual sits at rounding
-    gsf = GammaSeries(SurfaceChart.plane(), (0.1, -0.2), n1=5, order=7)
+    gsf = GammaSeries(SurfaceChart.plane(), (0.1, -0.2), n1=4, order=4)
     psf = eikonal_coeffs(gsf, MediaField.constant(cfg.eps, cfg.mu), sp,
                          (0.7, -0.4), N=4)
     flat = float(np.max(np.abs(eikonal_residual(

@@ -76,10 +76,14 @@ class RunConfig:
             raise ConfigError("ell_max must be at least 1")
         if self.chart not in ("sphere", "plane", "ellipsoid"):
             raise ConfigError(f"unknown chart {self.chart!r}")
-        if any(h <= 0.0 for h in self.h_list):
-            raise ConfigError("h_list entries must be positive")
-        if any(t <= 0.0 for t in self.thetas):
-            raise ConfigError("thetas entries must be positive")
+        for name in ("lam_re", "lam_im"):
+            v = getattr(self, name)
+            if not _finite(v):
+                raise ConfigError(f"{name} must be finite, got {v!r}")
+        for name in ("h_list", "thetas"):
+            v = getattr(self, name)
+            if not all(_positive_finite(t) for t in v):
+                raise ConfigError(f"{name} entries must be positive and finite, got {v!r}")
         if self.grid_n < 1:
             raise ConfigError("grid_n must be at least 1")
         if self.grid_n > 64:
@@ -91,9 +95,12 @@ class RunConfig:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
+def _finite(v):
+    return isinstance(v, (int, float)) and v == v and abs(v) != float("inf")
+
+
 def _positive_finite(v):
-    return (isinstance(v, (int, float)) and v == v and abs(v) != float("inf")
-            and v > 0.0)
+    return _finite(v) and v > 0.0
 
 
 #: parser of a key's raw text, by the type of its RunConfig field

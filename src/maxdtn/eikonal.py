@@ -91,7 +91,15 @@ class PhaseSeries:
         return 2.0 * self.delta * np.minimum(1.0, np.abs(self.rho) ** 3)
 
     def grad_at(self, x1):
-        """grad_x phi at (base, x1): shape x1.shape + (3,) for scalar or array x1."""
+        """grad_x phi at (base, x1): shape x1.shape + (3,) for scalar or array x1.
+
+        It differentiates phi_N, of order gs.order - N + 1, so it needs a
+        GammaSeries of order >= N; below that it raises OrderBudgetExceeded.
+        """
+        need = self.N - 1
+        if self.gs.order < need:
+            raise OrderBudgetExceeded(f"GammaSeries of order {self.gs.order} below the "
+                                      f"order {need} at which grad phi differentiates phi_{need}")
         x1 = np.asarray(x1, dtype=float)
         d1 = sum(k * self.phis[k].value * x1 ** (k - 1) for k in range(1, self.N))
         d2 = sum(self.phis[k].derivative("x2").value * x1 ** k for k in range(self.N))
@@ -196,7 +204,9 @@ def eikonal_residual(ps: PhaseSeries, x1):
 
     gamma, eps, mu are evaluated pointwise in closed form (not from series),
     so the value honestly measures the truncation error of the phase.  A
-    scalar x1 gives a complex, an array one value per element.
+    scalar x1 gives a complex, an array one value per element.  Through
+    :meth:`PhaseSeries.grad_at` it needs a GammaSeries of order >= N for a
+    phase of order N, and n1 >= N as the phase does.
     """
     x1 = ps.retained(x1, closed=False)
     gs = ps.gs

@@ -3,7 +3,9 @@
 A chart supplies the boundary embedding s(x') and the inward unit normal
 nu(x'); interior points are y = s(x') + x1*nu(x').  The matrix gamma is the
 inverse transpose of the Jacobian dy/dx, expanded as a power series in x1
-with jet-valued coefficients; its first column is nu exactly.
+with jet-valued coefficients.  It is formed as the dual basis of the
+Jacobian's columns (nu, j2, j3) by two cross products and one series
+inverse (:class:`GammaSeries`); its first column is nu exactly.
 
 Two evaluation paths coexist: jet arithmetic (for the series recursions) and
 closed-form vectorized numpy (for large random identity sweeps and residual
@@ -136,55 +138,46 @@ class SurfaceChart:
 
     def normal_jets(self, base, s):
         """Inward unit normal as a jet 3-vector at the base point, one order
-        below the embedding jet 3-vector ``s`` there."""
+        below the embedding jet 3-vector ``s`` there.  Raises FocalDegeneracy
+        where the tangents span no plane, |s2 x s3| <= 1e-12 (|s2|^2 + |s3|^2)."""
         if self.kind == "plane":
             return Jet.constant(np.array([1.0, 0.0, 0.0]), s.order - 1)
-        raw = cross(s.derivative("x2"), s.derivative("x3"))
+        s2, s3 = s.derivative("x2"), s.derivative("x3")
+        raw = cross(s2, s3)
+        size = np.linalg.norm(s2.value) ** 2 + np.linalg.norm(s3.value) ** 2
+        if np.linalg.norm(raw.value) <= 1e-12 * size:
+            raise FocalDegeneracy(f"no normal at base {tuple(base)}: the tangents "
+                                  f"span no plane")
         cand = raw * lift(_sqrt_pos(dot(raw, raw)).invert())
         # fix the inward sign from the pointwise frame
         ref = self.frame(base[0], base[1])["nu"]
         return (1.0 if ref @ cand.value.real > 0 else -1.0) * cand
 
     def jacobian_series(self, base, s, n1, order):
-        """Columns of dy/dx as NormalSeries of jet 3-vectors: (nu, t2 + x1 dnu2,
-        t3 + x1 dnu3), from the embedding jet 3-vector ``s`` of order
-        ``order + 2``."""
+        """Columns of dy/dx from the embedding jet 3-vector ``s`` of order
+        ``order + 2``: the normal nu (a jet 3-vector, x1-independent) and the
+        NormalSeries of jet 3-vectors t2 + x1 dnu2, t3 + x1 dnu3."""
         nu = self.normal_jets(base, s)
-        cols = [NormalSeries.constant(nu.truncate(order), n1)]
-        for var in VARS:
-            cols.append(NormalSeries.linear(s.derivative(var).truncate(order),
-                                            nu.derivative(var), n1))
-        return cols
+        return (nu.truncate(order),) + tuple(
+            NormalSeries.linear(s.derivative(var).truncate(order), nu.derivative(var), n1)
+            for var in VARS)
 
 
 # ---------------------------------------------------------------------------
 # gamma series
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _adjugate3(m):
-    a = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            a[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return a
-
-
 class GammaSeries:
     """gamma(x) = (dy/dx)^{-T} as an x1-series of jet-valued 3x3 matrices.
 
-    ``gamma[i][j]`` is the NormalSeries of entry (i, j).  The coefficient of
-    x1^k is also kept as one jet of batch (3, 3) (``gamma_k``), and the
-    normal ``nu`` (its column 0 at k = 0) and the embedding s(x') as jet
-    3-vectors; the embedding has order ``order + 2``, and every series at
-    the base point reads its prefix.
+    The columns of dy/dx are nu, j2 = t2 + x1 dnu2 and j3 = t3 + x1 dnu3, and
+    nu is a unit normal to j2 and j3.  So gamma's columns are their dual
+    basis: nu, (j3 x nu)/det and (nu x j2)/det, with det = <nu x j2, j3>.
+    Column 0 is nu exactly, with no x1 term.  The coefficient of x1^k is one
+    jet of batch (3, 3), (row, column) (``gamma_k``).  The normal ``nu`` and
+    the embedding s(x') are kept as jet 3-vectors; the embedding has order
+    ``order + 2``, and every series at the base point reads its prefix.
+    Raises FocalDegeneracy where the chart has no normal, or where |det| at
+    the base is at most 1e-12 |j2||j3|.
     """
 
     def __init__(self, chart, base, n1, order):
@@ -193,29 +186,23 @@ class GammaSeries:
         self.n1 = int(n1)
         self.order = int(order)
         self.embedding = chart.embed_jets(self.base, self.order + 2)
-        cols = chart.jacobian_series(self.base, self.embedding, self.n1, self.order)
-        jac = [[cols[j][..., i] for j in range(3)] for i in range(3)]  # rows of J
-        det = _det3(jac)
-        if abs(det.value) < 1e-12:
-            raise FocalDegeneracy(
-                f"Jacobian determinant {abs(det.value):.3e} at base {self.base}")
-        try:
-            inv_det = det.invert()
-        except ZeroConstantTerm as exc:
-            raise FocalDegeneracy(str(exc)) from exc
-        adj = _adjugate3(jac)
-        # gamma = (J^{-1})^T = (adj(J)/det)^T; adj already indexed as inverse
-        self.gamma = [[adj[j][i] * inv_det for j in range(3)] for i in range(3)]
-        self._k = [Jet.stack([Jet.stack([row[j].coeffs[k] for row in self.gamma])
-                              for j in range(3)]) for k in range(self.n1)]
-        self.nu = self._k[0][..., 0]
+        nu, j2, j3 = chart.jacobian_series(self.base, self.embedding, self.n1, self.order)
+        nu_x_j2 = cross(nu, j2)
+        det = dot(nu_x_j2, j3)
+        scale = np.linalg.norm(j2.value) * np.linalg.norm(j3.value)
+        if abs(det.value) <= 1e-12 * scale:
+            raise FocalDegeneracy(f"Jacobian determinant {abs(det.value):.3e} at base "
+                                  f"{self.base}, against |j2||j3| = {scale:.3e}")
+        inv_det = lift(det.invert())
+        cols = (cross(j3, nu) * inv_det, nu_x_j2 * inv_det)
+        zero = 0.0 * nu
+        self._k = [Jet.stack([nu if k == 0 else zero] + [c.coeffs[k] for c in cols])
+                   for k in range(self.n1)]
+        self.nu = nu
 
     def gamma_k(self, k):
         """Coefficient matrix of x1^k: one jet of batch (3, 3), (row, column)."""
         return self._k[k]
-
-    def gamma0_value(self):
-        return self._k[0].value
 
 
 # ---------------------------------------------------------------------------

@@ -433,9 +433,6 @@ class NormalSeries:
         o = self._coerce(other)
         return NotImplemented if o is None else self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return NormalSeries([c * complex(other) for c in self.coeffs])
@@ -454,6 +451,3 @@ class NormalSeries:
         for k in range(1, self.n1):
             out.append(-(r0 * _sum_of_products(self.coeffs[1:k + 1], out[k - 1::-1])))
         return NormalSeries(out)
-
-    def __repr__(self):
-        return f"NormalSeries(n1={self.n1}, value={self.value:.6g})"

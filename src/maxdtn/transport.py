@@ -79,11 +79,6 @@ from .spectral import calB, cutoff_eta, cutoff_eta_prime, m0_matrix
 #: against the exact per-mode impedances on the ball.
 COMM_COEF = 1j
 
-#: constant antisymmetric basis: iota_nu = sum_j nu_j * I_j
-I_MATS = [np.array([[0.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
-          np.array([[0.0, 0, 1.0], [0, 0, 0], [-1.0, 0, 0]]),
-          np.array([[0.0, -1.0, 0], [1.0, 0, 0], [0, 0, 0]])]
-
 
 def _grad_cross(gamma, vec):
     """(gamma nabla') x vec = sum_{m=2,3} col_m(gamma) x d_m(vec) (jet path)."""
@@ -284,7 +279,7 @@ def _outer(u, v):
 
 def _dxi_ingredients(gs: GammaSeries, xiprime):
     """beta (P + (3,)), r0, and their xi'-gradients at the base point (numeric)."""
-    g0 = gs.gamma0_value().real
+    g0 = gs.gamma_k(0).value.real
     t2, t3 = g0[:, 1], g0[:, 2]
     beta = beta_from_gamma(g0, *xiprime)
     r0 = np.sum(beta * beta, axis=-1)
@@ -324,17 +319,12 @@ def _dxi_m0_cut(z, mu0, beta, r0, dbeta, dr0):
 
 
 def _commutator_n(gs: GammaSeries, dm_list):
-    """n = COMM_COEF * sum_j sum_alpha d^alpha nu_j d^alpha_xi(sym) iota_nu I_j."""
-    nu_val = gs.nu.value.real
-    iota = np.zeros((3, 3))
-    for j in range(3):
-        iota += nu_val[j] * I_MATS[j]
-    dnu = [gs.nu.derivative(v).value.real for v in VARS]
-    n = np.zeros(dm_list[0].shape, dtype=complex)
-    for j in range(3):
-        for alpha in range(2):
-            n += COMM_COEF * dnu[alpha][j] * (dm_list[alpha] @ iota @ I_MATS[j])
-    return n
+    """n = COMM_COEF * sum_alpha d^alpha_xi(sym) iota_nu iota_{d_alpha nu}, with
+    iota_v = v x . (its columns v x e_i)."""
+    eye = np.eye(3)
+    iota = cross(gs.nu.value.real, eye).T
+    return COMM_COEF * sum(dm @ iota @ cross(gs.nu.derivative(v).value.real, eye).T
+                           for dm, v in zip(dm_list, VARS))
 
 
 class BoundarySymbol:

@@ -44,13 +44,12 @@ def equation_residual(table):
     gs = table.gs
     eps_k, mu_k, psi = table.eps_k, table.mu_k, table.psis
     ta, tb = table.batched["a"], table.batched["b"]
-    # the columns of each gamma_m from the entries' own series
-    gcols = [[[gs.gamma[i][c].coeffs[m] for i in range(3)] for c in range(3)]
-             for m in range(table.K[0])]
+    # the columns of each gamma_m, as jet 3-vectors
+    gcols = [[gs.gamma_k(m)[..., c] for c in range(3)] for m in range(table.K[0])]
     worst = 0.0
     for j in range(table.J + 1):
         for k in range(table.K[j]):
-            e1 = e2 = [0.0 * gs.gamma[0][0].coeffs[0]] * 3
+            e1 = e2 = [0.0 * gs.gamma_k(0)[..., 0, 0]] * 3
             for ell in range(k + 1):
                 a, b = ta[(j, ell)], tb[(j, ell)]
                 ca, cb = _cross(psi[k - ell], a), _cross(psi[k - ell], b)

@@ -244,9 +244,16 @@ def test_config_parse_errors_exit_2(tmp_path, text):
     ("identities", "chart = ellipsoid\naxes = 0 1 1\n"),
     ("eikonal", "chart = ellipsoid\naxes = 0 1 1\n"),
     ("residual", "chart = ellipsoid\naxes = 1 1\n"),
-], ids=["no-modes", "zero-axis", "zero-axis-eikonal", "two-axes"])
+    ("quantizer", "thetas = nan 0.2\n"),
+    ("quantizer", "h_list = inf 0.01\n"),
+    ("dtn-compare", "h_list = nan 0.01\n"),
+    ("eikonal", "lam_im = nan\n"),
+    ("eikonal", "lam_re = -inf\n"),
+], ids=["no-modes", "zero-axis", "zero-axis-eikonal", "two-axes", "nan-theta",
+        "inf-h-quantizer", "nan-h-dtn-compare", "nan-lam-im", "inf-lam-re"])
 def test_degenerate_configs_exit_2(tmp_path, command, text):
-    # each used to crash with a Python error instead of a configuration error
+    # each used to crash with a Python error, or to fail a check with a
+    # misleading error, instead of a configuration error
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))

@@ -178,6 +178,25 @@ def test_gamma_order_too_low_rejected(N, flattened):
 
 
 @pytest.mark.parametrize("flattened", [False, True])
+@pytest.mark.parametrize("N", range(2, 7))
+def test_residual_gamma_order_too_low_rejected(N, flattened):
+    # grad phi differentiates phi_N, of order gs.order - N + 1: the residual
+    # needs a series of order N, and at order N - 1, which eikonal_coeffs
+    # accepts, it is refused with the order it needs named
+    chart = SurfaceChart.sphere(1.0)
+    media = MediaField.constant(1.3, 0.9)
+    for order in (N - 1, N):
+        gs = GammaSeries(chart, (1.1, 0.3), n1=N, order=order)
+        ps = eikonal_coeffs(gs, media, SP, (0.5, 0.1), N=N, flattened=flattened)
+        x1 = 0.5 * ps.x1_max()
+        if order < N:
+            with pytest.raises(OrderBudgetExceeded, match=f"order {order} below the order {N} "):
+                eikonal_residual(ps, x1)
+        else:
+            assert np.isfinite(eikonal_residual(ps, x1))
+
+
+@pytest.mark.parametrize("flattened", [False, True])
 def test_batched_residual_matches_pointwise(flattened):
     media = MediaField(
         ScalarField("affine", c0=1.3, g1=0.1, g2=-0.05, g3=0.2),

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from maxdtn.errors import FocalDegeneracy
 from maxdtn.geometry import (GammaSeries, MediaField, ScalarField,
                              SurfaceChart, beta_pointwise, gamma_pointwise)
+from maxdtn.jets import Jet
 
 CHARTS = [SurfaceChart.sphere(1.0), SurfaceChart.sphere(2.5),
           SurfaceChart.ellipsoid(1.0, 1.2, 0.8), SurfaceChart.plane()]
@@ -66,11 +68,7 @@ def test_gamma_series_matches_pointwise(chart):
     base = (1.2, 0.6)
     gs = GammaSeries(chart, base, n1=4, order=4)
     for x1 in (0.0, 0.01, 0.05):
-        series_val = np.zeros((3, 3), dtype=complex)
-        for k in range(gs.n1):
-            series_val += x1 ** k * np.array(
-                [[gs.gamma[i][j].coeffs[k].value for j in range(3)]
-                 for i in range(3)])
+        series_val = sum(x1 ** k * gs.gamma_k(k).value for k in range(gs.n1))
         exact = gamma_pointwise(chart, base[0], base[1], x1)
         # gamma is rational in x1: the n1 = 4 truncation carries an O(x1^4) tail
         assert np.max(np.abs(series_val - exact)) < 1e-10 + 10.0 * x1 ** 4
@@ -82,10 +80,52 @@ def test_gamma_series_tangential_jets():
     base = (1.0, 0.2)
     gs = GammaSeries(chart, base, n1=2, order=6)
     d2, d3 = 0.02, -0.03
-    val = np.array([[gs.gamma[i][j].coeffs[0].evaluate(x2=d2, x3=d3)
-                     for j in range(3)] for i in range(3)])
+    val = gs.gamma_k(0).evaluate(x2=d2, x3=d3)
     exact = gamma_pointwise(chart, base[0] + d2, base[1] + d3, 0.0)
     assert np.max(np.abs(val - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.kind + str(c.params))
+def test_gamma_series_is_dual_basis_of_jacobian(chart):
+    # <gamma column i, J column j> as an x1-series is delta_ij in every jet
+    # coefficient; gamma's column 0 is the normal itself, with no x1 term
+    n1, order = 4, 4
+    gs = GammaSeries(chart, (1.2, 0.6), n1=n1, order=order)
+    nu, j2, j3 = chart.jacobian_series(gs.base, gs.embedding, n1, order)
+    jac = [Jet.stack([nu if k == 0 else 0.0 * nu, j2.coeffs[k], j3.coeffs[k]])
+           for k in range(n1)]
+    gam = [gs.gamma_k(k) for k in range(n1)]
+    scale = max(g.max_abs() for g in gam) * max(m.max_abs() for m in jac)
+    for k in range(n1):
+        # sum over l <= k and the component c of gamma_l[c, i] J_{k-l}[c, j]
+        p = sum(gam[ell][..., :, :, None] * jac[k - ell][..., :, None, :]
+                for ell in range(k + 1))
+        pair = p[..., 0, :, :] + p[..., 1, :, :] + p[..., 2, :, :]
+        want = np.zeros(pair.coef.shape)
+        want[..., 0] = np.eye(3) if k == 0 else 0.0
+        assert np.max(np.abs(pair.coef - want)) <= 1e-12 * scale, k
+        col0 = gam[k][..., 0].coef
+        if k == 0:
+            assert np.array_equal(col0, gs.nu.coef) and np.array_equal(col0, nu.coef)
+        else:
+            assert not np.any(col0)
+
+
+def test_gamma_series_small_sphere():
+    # the determinant scales as R^2: a smooth sphere of radius 1e-7 builds,
+    # and gamma(x', 0) matches the pointwise inverse on its own scale
+    chart = SurfaceChart.sphere(1e-7)
+    base = (1.2, 0.6)
+    gs = GammaSeries(chart, base, n1=3, order=4)
+    exact = gamma_pointwise(chart, *base)
+    assert np.max(np.abs(gs.gamma_k(0).value - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("base", [(0.0, 0.0), (np.pi, 0.0)], ids=["pole", "antipode"])
+def test_gamma_series_at_the_poles_raises(base):
+    # the chart's tangent d/dx3 vanishes there, so no normal can be formed
+    with pytest.raises(FocalDegeneracy):
+        GammaSeries(SurfaceChart.sphere(1.0), base, n1=3, order=4)
 
 
 def test_beta_tangential():

@@ -489,3 +489,34 @@ def test_consistent_slots_match_trial_batch(batched):
             want = ref.batched[name][slot]
             assert got.order == want.order
             assert np.array_equal(got.coef, want.coef), (name, slot)
+
+
+def _commutator_reference(gs, dm_list):
+    """n as the explicit sum COMM_COEF sum_(alpha, j) d_alpha nu_j dm_alpha
+    iota_nu E_j, with E_j[a, b] = eps_(a j b) (Levi-Civita) and iota_nu =
+    sum_k nu_k E_k."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    E = [eps[:, j, :] for j in range(3)]
+    nu = gs.nu.value.real
+    iota = sum(nu[k] * E[k] for k in range(3))
+    n = 0.0
+    for alpha, var in enumerate(("x2", "x3")):
+        dnu = gs.nu.derivative(var).value.real
+        for j in range(3):
+            n = n + maxdtn.transport.COMM_COEF * dnu[j] * (dm_list[alpha] @ iota @ E[j])
+    return n
+
+
+@pytest.mark.parametrize("chart", [CHART, _ELLIPSOID], ids=["sphere", "ellipsoid"])
+def test_commutator_matches_levi_civita_sum(chart):
+    xi = (5.2, 3.1)
+    gs = GammaSeries(chart, BASE, n1=3, order=6)
+    ps = eikonal_coeffs(gs, MEDIA, SP, xi, N=3)
+    dxi = maxdtn.transport._dxi_ingredients(gs, xi)
+    dm = maxdtn.transport._dxi_m(SP.z, ps.mu_k[0].value, *dxi, np.reshape(ps.rho, ps.points))
+    got = maxdtn.transport._commutator_n(gs, dm)
+    want = _commutator_reference(gs, dm)
+    assert got.shape == want.shape == (3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
